@@ -3,7 +3,7 @@ bidouble-cover surface of general type with K^2 = 7 and p_g = 0.
 
 Subpackages split by machinery:
 
-- integer_algebra: Smith normal form, cokernels, signatures over Z
+- integer_algebra: Smith normal form, cokernels and ranks over Z
 - affine_groups: the five affine generators, commutators, abelianization
 - orbifold_covers: branched (Z/2)^n covers, genus and subgroup counts
 - product_threefold: triple products and Kuenneth dimensions

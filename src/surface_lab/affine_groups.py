@@ -45,9 +45,6 @@ class LatticeVector:
     def n(self) -> int:
         return len(self.coords) // 2
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.coords)
-
     def __add__(self, other: "LatticeVector") -> "LatticeVector":
         if len(self.coords) != len(other.coords):
             raise ValueError("dimension mismatch")
@@ -175,37 +172,6 @@ def check_sign_condition(data: ExtensionData) -> bool:
             if bit:
                 covered[i] = True
     return all(covered)
-
-
-def sign_condition_witnesses(data: ExtensionData) -> list[tuple[int, ...]] | None:
-    """For each coordinate, a generator word (as index tuple) negating it.
-
-    Returns None if some coordinate is never negated.  Words are found by
-    breadth-first search over products, so they are shortest.
-    """
-    from collections import deque
-
-    start = (0,) * data.n
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {start: ()}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for idx, g in enumerate(data.generators):
-            pattern = tuple(1 if s == -1 else 0 for s in g.signs)
-            w = tuple(a ^ b for a, b in zip(pattern, v))
-            if w not in seen:
-                seen[w] = seen[v] + (idx,)
-                queue.append(w)
-    witnesses: list[tuple[int, ...]] = []
-    for i in range(data.n):
-        best = None
-        for v, word in seen.items():
-            if v[i] and (best is None or len(word) < len(best)):
-                best = word
-        if best is None:
-            return None
-        witnesses.append(best)
-    return witnesses
 
 
 def abelianization_relations(data: ExtensionData) -> IntMatrix:

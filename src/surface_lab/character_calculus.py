@@ -223,8 +223,9 @@ def d_factor_branch_elements() -> tuple[tuple[int, ...], ...]:
                 ok = False  # double elliptic involution misses the curve
         if ok:
             chosen.append(word)
-    data = BranchedCoverData(4, tuple(chosen))
-    assert cover_genus(data) == 5
+    genus = cover_genus(BranchedCoverData(4, tuple(chosen)))
+    if genus != 5:
+        raise AssertionError(f"derived branch data has genus {genus}, not 5")
     return tuple(chosen)
 
 

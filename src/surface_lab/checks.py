@@ -1,24 +1,30 @@
 """Named verification checks and the engine that runs them.
 
-Each check recomputes one headline quantity from scratch and compares it
-against its frozen expectation.  Checks are pure and independent; the
-engine runs whatever subset is requested and reports results in a fixed
-canonical order (sorted by check name), so identical configurations
-produce byte-identical machine output.
+Every check is one row of the claims table CHECKS: the paper claim it
+verifies, the frozen expected value, and a function that recomputes the
+value from scratch.  The engine compares the two.  Checks are pure and
+independent; the engine runs whatever subset is requested and reports
+results in a fixed canonical order (sorted by check name), so identical
+configurations produce byte-identical machine output.
 
 Algebraic checks ignore the numeric knobs entirely.  The two numeric
 checks (legendre_identities, pencil_two_invariants) consume the moduli
-list and tolerance, and report status "skipped" when no moduli are
-available.
+list and tolerance, and report status "skipped" when the run supplies
+fewer moduli than they need.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import combinations
+from operator import attrgetter
+from typing import Any, Callable
 
 from .affine_groups import (
-    LatticeVector,
     abelianize_extension,
     check_sign_condition,
     commutator,
@@ -28,10 +34,12 @@ from .affine_groups import (
 from .character_calculus import (
     invariant_dim,
     legendre_pair_space,
+    one_forms_invariants,
     pencil_invariant_count,
     pencil_spaces,
     tensor,
 )
+from .integer_algebra import FinAbGroup
 from .legendre_numerics import (
     Tolerance,
     evaluator_agreement,
@@ -75,8 +83,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.checks:
             raise ValueError("checks must be nonempty")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
+        for tau in self.taus:
+            if not cmath.isfinite(tau):
+                raise ValueError(f"modulus {tau!r} is not finite")
         if self.output_format not in ("text", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 
@@ -95,22 +106,49 @@ class CheckResult:
     elapsed_ms: float | None = None
 
 
-# one finding per check: (ok-or-"skipped", expected text, actual text)
-Finding = tuple
+class Problems(tuple):
+    """Problems a check found (equal to () if none), shown as its own text."""
+
+    def __new__(cls, problems, text: str) -> "Problems":
+        self = super().__new__(cls, problems)
+        self.text = text
+        return self
+
+    def __str__(self) -> str:
+        return self.text
 
 
-def _finding(ok: bool, expected: str, actual: str) -> Finding:
-    return (ok, expected, actual)
+@dataclass(frozen=True)
+class Claim:
+    """One row of the claims table.
 
+    The check passes when measure(config) equals expected.  show renders a
+    value as report text; the expected text is show(expected) unless text
+    overrides it (text may name the run's tolerance as {eps}).  With fewer
+    than `moduli` moduli the check is skipped with the texts in skip.
+    """
 
-def _check_homology_h1(cfg: RunConfig) -> Finding:
-    group = abelianize_extension(standard_generators())
-    want = (0, (2, 2, 2, 2, 4))
-    got = (group.free_rank, group.torsion)
-    return _finding(got == want, "Z/4 x (Z/2)^4, factors (2, 2, 2, 2, 4)", str(group))
+    name: str
+    anchor: str
+    expected: Any
+    measure: Callable[[RunConfig], Any]
+    text: str | None = None
+    show: Callable[[Any], str] = str
+    moduli: int = 0
+    skip: tuple[str, str] = ("", "")
 
+    def verdict(self, config: RunConfig) -> tuple[str, str, str]:
+        """(status, expected text, actual text) of this claim on a run."""
+        if len(config.taus) < self.moduli:
+            return ("skipped", *self.skip)
+        got = self.measure(config)
+        status = "pass" if got == self.expected else "fail"
+        if self.text is None:
+            expected = self.show(self.expected)
+        else:
+            expected = self.text.format(eps=config.eps)
+        return status, expected, self.show(got)
 
-_HALF = LatticeVector
 
 _COMMUTATOR_TABLE: dict[tuple[int, int], tuple[int, ...]] = {
     (0, 1): (0, 1, 0, 0, 0, 0, 0, 0),
@@ -126,173 +164,66 @@ _COMMUTATOR_TABLE: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
-def _check_commutator_table(cfg: RunConfig) -> Finding:
+def _commutators(cfg: RunConfig) -> dict[tuple[int, int], tuple[int, ...]]:
     gens = standard_generators().generators
-    bad = []
-    for (i, j), coords in _COMMUTATOR_TABLE.items():
-        got = commutator(gens[i], gens[j])
-        if got != LatticeVector(coords):
-            bad.append(f"[g{i + 1}, g{j + 1}] = {got.coords}")
-    actual = "10/10 pairs exact" if not bad else "; ".join(bad)
-    return _finding(not bad, "all 10 commutators match the frozen table", actual)
+    return {
+        (i, j): commutator(gens[i], gens[j]).coords
+        for i, j in combinations(range(len(gens)), 2)
+    }
 
 
-def _check_sign_condition(cfg: RunConfig) -> Finding:
-    ok = check_sign_condition(standard_generators())
-    return _finding(ok, "sign condition holds", "holds" if ok else "violated")
+def _show_commutators(got: dict[tuple[int, int], tuple[int, ...]]) -> str:
+    bad = [
+        f"[g{i + 1}, g{j + 1}] = {coords}"
+        for (i, j), coords in got.items()
+        if _COMMUTATOR_TABLE.get((i, j)) != coords
+    ]
+    return "; ".join(bad) or "10/10 pairs exact"
 
 
-def _check_hurwitz_genus5(cfg: RunConfig) -> Finding:
-    g = cover_genus(standard_cover_data(4))
-    return _finding(g == 5, "genus 5", f"genus {g}")
-
-
-def _check_subgroup_classification(cfg: RunConfig) -> Finding:
-    hist = classify_corank1_subgroups(standard_cover_data(4))
-    want = {(1, 1): 5, (3, 0): 10}
-    return _finding(hist == want, str(want), str(dict(sorted(hist.items()))))
-
-
-def _check_fixed_points_8(cfg: RunConfig) -> Finding:
+def _fixed_point_histogram(cfg: RunConfig) -> dict[int, int]:
     data = standard_cover_data(4)
-    counts: dict[int, int] = {}
-    for k in range(1, 16):
-        v = tuple((k >> i) & 1 for i in range(4))
-        c = fixed_point_count(data, v)
-        counts[c] = counts.get(c, 0) + 1
-    want = {8: 5, 0: 10}
-    return _finding(
-        counts == want,
-        "5 involutions with 8 fixed points, 10 with none",
-        str(dict(sorted(counts.items()))),
+    counts = Counter(
+        fixed_point_count(data, tuple((k >> i) & 1 for i in range(4)))
+        for k in range(1, 16)
     )
+    return dict(sorted(counts.items()))
 
 
-def _check_orbifold_bound_64(cfg: RunConfig) -> Finding:
-    bound, actual = homology_bound()
-    orb = orbifold_abelianization(5)
-    rank3 = commutator_subspan_rank(standard_generators(), 0)
-    ok = (
-        bound == 64
-        and actual == 64
-        and (orb.free_rank, orb.torsion) == (0, (2, 2, 2, 2))
-        and rank3 == 3
-    )
-    return _finding(
-        ok,
-        "bound 64 attained; five-point orbifold abelianization (Z/2)^4; span rank 3",
-        f"bound {bound}, order {actual}, orbifold {orb}, rank {rank3}",
-    )
+def _orbifold_bound(cfg: RunConfig) -> tuple[int, int, FinAbGroup, int]:
+    bound, order = homology_bound()
+    orbifold = orbifold_abelianization(5)
+    return bound, order, orbifold, commutator_subspan_rank(standard_generators(), 0)
 
 
-def _check_k2_hat_224(cfg: RunConfig) -> Finding:
-    value = ks_squared(group_order=1)
-    return _finding(value == 224, "224", str(value))
+def _kunneth_list(cfg: RunConfig) -> tuple[int, int, int, int]:
+    c = adjunction_chain()
+    return c.h_canonical[0], c.h_adjoint[0], c.h_canonical[1], c.h_canonical[2]
 
 
-def _check_ks2_7(cfg: RunConfig) -> Finding:
-    value = ks_squared()
-    return _finding(value == 7, "7", str(value))
-
-
-def _check_pg_38(cfg: RunConfig) -> Finding:
-    value = adjunction_chain().pg_cover
-    return _finding(value == 38, "38", str(value))
-
-
-def _check_chi_32(cfg: RunConfig) -> Finding:
-    chain = adjunction_chain()
-    ok = chain.chi_cover == 32 and chain.chi_quotient == 1
-    return _finding(
-        ok, "cover 32, quotient 1", f"cover {chain.chi_cover}, quotient {chain.chi_quotient}"
-    )
-
-
-def _check_kunneth_list(cfg: RunConfig) -> Finding:
-    chain = adjunction_chain()
-    got = (
-        chain.h_canonical[0],
-        chain.h_adjoint[0],
-        chain.h_canonical[1],
-        chain.h_canonical[2],
-    )
-    return _finding(got == (5, 32, 11, 7), "(5, 32, 11, 7)", str(got))
-
-
-def _check_q_s_zero(cfg: RunConfig) -> Finding:
-    from .character_calculus import one_forms_invariants
-
-    q = one_forms_invariants()
-    return _finding(q == 0, "0 invariant one-forms", str(q))
-
-
-def _check_picard_config(cfg: RunConfig) -> Finding:
+def _configuration_audit(cfg: RunConfig) -> Problems:
     report = verify_configuration(catalog())
-    actual = f"{report.checks_run} identities checked, {len(report.failures)} failures"
+    text = f"{report.checks_run} identities checked, {len(report.failures)} failures"
     if report.failures:
-        actual += ": " + "; ".join(report.failures[:3])
-    return _finding(report.ok, "all configuration identities hold", actual)
+        text += ": " + "; ".join(report.failures[:3])
+    return Problems(report.failures, text)
 
 
-def _check_independence_ranks(cfg: RunConfig) -> Finding:
-    ranks = theta_cohomology_report().span_ranks
-    return _finding(ranks == (5, 6, 6), "(5, 6, 6)", str(ranks))
-
-
-def _check_chi_omega_minus4(cfg: RunConfig) -> Finding:
-    value = theta_cohomology_report().chi_cotangent_twisted
-    return _finding(value == -4, "-4", str(value))
-
-
-def _check_chi_restricted_zero(cfg: RunConfig) -> Finding:
-    value = theta_cohomology_report().chi_restricted_total
-    return _finding(value == 0, "0", str(value))
-
-
-def _check_theta_bounds_233(cfg: RunConfig) -> Finding:
-    report = theta_cohomology_report()
-    ok = report.character_bounds == (2, 3, 3) and report.h2_bound == 8
-    return _finding(
-        ok,
-        "eigenspace bounds (2, 3, 3) totalling 8",
-        f"{report.character_bounds} totalling {report.h2_bound}",
-    )
-
-
-def _check_theta_h1_h2(cfg: RunConfig) -> Finding:
-    report = theta_cohomology_report()
-    ok = report.ok and report.h1 == 4 and report.h2 == 8 and report.chi_theta == 4
-    return _finding(ok, "h1 = 4, h2 = 8", f"h1 = {report.h1}, h2 = {report.h2}")
-
-
-def _check_character_decomposition(cfg: RunConfig) -> Finding:
+def _character_decomposition(cfg: RunConfig) -> tuple[int, list[int]]:
     # two-factor model with three involutions: negate first coordinate,
     # negate second, shift both by a half period
     v1 = legendre_pair_space([(-1, 0), (1, 0), (1, 1)])
     v2 = legendre_pair_space([(1, 0), (-1, 0), (1, 1)])
     pair_dim = invariant_dim(tensor([v1, v2]), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-
-    total = tensor(pencil_spaces())
-    mults = sorted(total.components.values())
-    ok = pair_dim == 2 and mults == [2, 2, 2, 2]
-    return _finding(
-        ok,
-        "invariant pair dimension 2; four characters of multiplicity 2",
-        f"pair dimension {pair_dim}; multiplicities {mults}",
-    )
+    return pair_dim, sorted(tensor(pencil_spaces()).components.values())
 
 
-def _check_pencil_two_invariants(cfg: RunConfig) -> Finding:
-    if len(cfg.taus) < 3:
-        return ("skipped", "exactly two invariant pencil members", "needs three moduli")
+def _pencil_invariants(cfg: RunConfig) -> int:
     constant = invariant_pencil_constant(tuple(cfg.taus[:3]), cfg.tolerance)
-    count = pencil_invariant_count(constant)
-    return _finding(count == 2, "2 invariant members", f"{count} invariant members")
+    return pencil_invariant_count(constant)
 
 
-def _check_legendre_identities(cfg: RunConfig) -> Finding:
-    if not cfg.taus:
-        return ("skipped", "all identity residuals under eps", "no modulus supplied")
+def _identity_problems(cfg: RunConfig) -> Problems:
     tol = cfg.tolerance
     worst = 0.0
     problems = []
@@ -310,104 +241,170 @@ def _check_legendre_identities(cfg: RunConfig) -> Finding:
         worst = max(worst, b_residual)
         if b_residual > tol.eps:
             problems.append(f"tau={tau}: |b^2 - a| = {b_residual:.3e}")
-    actual = (
-        f"worst residual {worst:.3e} over {len(cfg.taus)} moduli"
-        if not problems
-        else "; ".join(problems[:4])
+    summary = f"worst residual {worst:.3e} over {len(cfg.taus)} moduli"
+    return Problems(problems, "; ".join(problems[:4]) or summary)
+
+
+# the claims table; output order is sorted(name)
+CHECKS: dict[str, Claim] = {
+    claim.name: claim
+    for claim in (
+        Claim(
+            "homology_h1",
+            "first integral homology of the quotient surface is Z/4 x (Z/2)^4",
+            FinAbGroup(0, (2, 2, 2, 2, 4)),
+            lambda cfg: abelianize_extension(standard_generators()),
+            text="Z/4 x (Z/2)^4, factors (2, 2, 2, 2, 4)",
+        ),
+        Claim(
+            "commutator_table",
+            "pairwise commutators of the five generators are the frozen half-lattice translations",
+            _COMMUTATOR_TABLE,
+            _commutators,
+            text="all 10 commutators match the frozen table",
+            show=_show_commutators,
+        ),
+        Claim(
+            "sign_condition",
+            "every coordinate is negated by some generator and sign patterns span the quotient",
+            True,
+            lambda cfg: check_sign_condition(standard_generators()),
+            text="sign condition holds",
+            show=lambda ok: "holds" if ok else "violated",
+        ),
+        Claim(
+            "hurwitz_genus5",
+            "the (Z/2)^4 cover of the line branched in five points has genus 5",
+            5,
+            lambda cfg: cover_genus(standard_cover_data(4)),
+            show="genus {}".format,
+        ),
+        Claim(
+            "subgroup_classification",
+            "the 15 index-2 subgroups split as 5 with one branch image (genus 1 quotient) and 10 with three (genus 0)",
+            {(1, 1): 5, (3, 0): 10},
+            lambda cfg: dict(sorted(classify_corank1_subgroups(standard_cover_data(4)).items())),
+        ),
+        Claim(
+            "fixed_points_8",
+            "exactly the five branch involutions act with fixed points, eight each",
+            {0: 10, 8: 5},
+            _fixed_point_histogram,
+            text="5 involutions with 8 fixed points, 10 with none",
+        ),
+        Claim(
+            "orbifold_bound_64",
+            "the orbifold surjection caps the homology order at 64 and the cap is attained",
+            (64, 64, FinAbGroup(0, (2, 2, 2, 2)), 3),
+            _orbifold_bound,
+            text="bound 64 attained; five-point orbifold abelianization (Z/2)^4; span rank 3",
+            show=lambda v: "bound {}, order {}, orbifold {}, rank {}".format(*v),
+        ),
+        Claim(
+            "k2_hat_224",
+            "the adjoint class on the product threefold has triple self-product 224 against the hypersurface",
+            224,
+            lambda cfg: ks_squared(group_order=1),
+        ),
+        Claim(
+            "ks2_7",
+            "dividing 224 by the group order 32 gives canonical self-intersection 7",
+            7,
+            lambda cfg: ks_squared(),
+        ),
+        Claim(
+            "pg_38",
+            "the smooth invariant hypersurface has geometric genus 38",
+            38,
+            lambda cfg: adjunction_chain().pg_cover,
+        ),
+        Claim(
+            "chi_32",
+            "holomorphic Euler characteristics: 32 upstairs, 1 for the quotient",
+            (32, 1),
+            lambda cfg: attrgetter("chi_cover", "chi_quotient")(adjunction_chain()),
+            show=lambda v: "cover {}, quotient {}".format(*v),
+        ),
+        Claim(
+            "kunneth_list",
+            "cohomology dimensions along the adjunction chain are (5, 32, 11, 7)",
+            (5, 32, 11, 7),
+            _kunneth_list,
+        ),
+        Claim(
+            "q_S_zero",
+            "no one-form on the product is invariant, so the quotient has irregularity 0",
+            0,
+            lambda cfg: one_forms_invariants(),
+            text="0 invariant one-forms",
+        ),
+        Claim(
+            "picard_config",
+            "all linear equivalences and intersection numbers of the branch configuration hold",
+            (),
+            _configuration_audit,
+            text="all configuration identities hold",
+        ),
+        Claim(
+            "independence_ranks",
+            "the three curve families span sublattices of ranks 5, 6 and 6",
+            (5, 6, 6),
+            lambda cfg: theta_cohomology_report().span_ranks,
+        ),
+        Claim(
+            "chi_omega_minus4",
+            "the canonically twisted cotangent bundle has Euler characteristic -4",
+            -4,
+            lambda cfg: theta_cohomology_report().chi_cotangent_twisted,
+        ),
+        Claim(
+            "chi_restricted_zero",
+            "the twisted restrictions to the branch divisors have total Euler characteristic 0",
+            0,
+            lambda cfg: theta_cohomology_report().chi_restricted_total,
+        ),
+        Claim(
+            "theta_bounds_233",
+            "the three character eigenspaces are bounded by 2, 3 and 3 sections",
+            ((2, 3, 3), 8),
+            lambda cfg: attrgetter("character_bounds", "h2_bound")(theta_cohomology_report()),
+            text="eigenspace bounds (2, 3, 3) totalling 8",
+            show=lambda v: "{} totalling {}".format(*v),
+        ),
+        Claim(
+            "theta_h1_4_h2_8",
+            "the tangent sheaf of the quotient surface has h1 = 4 and h2 = 8",
+            (True, 4, 8, 4),
+            lambda cfg: attrgetter("ok", "h1", "h2", "chi_theta")(theta_cohomology_report()),
+            show=lambda v: f"h1 = {v[1]}, h2 = {v[2]}",
+        ),
+        Claim(
+            "character_decomposition",
+            "the invariant part of the section-pair tensor square is 2-dimensional; the triple tensor splits into four characters of multiplicity 2",
+            (2, [2, 2, 2, 2]),
+            _character_decomposition,
+            text="invariant pair dimension 2; four characters of multiplicity 2",
+            show=lambda v: "pair dimension {}; multiplicities {}".format(*v),
+        ),
+        Claim(
+            "pencil_two_invariants",
+            "the residual involution fixes exactly two members of the hypersurface pencil",
+            2,
+            _pencil_invariants,
+            show="{} invariant members".format,
+            moduli=3,
+            skip=("exactly two invariant pencil members", "needs three moduli"),
+        ),
+        Claim(
+            "legendre_identities",
+            "the constructed degree-2 elliptic function satisfies its defining functional equations",
+            (),
+            _identity_problems,
+            text="all residuals < {eps:g}",
+            moduli=1,
+            skip=("all identity residuals under eps", "no modulus supplied"),
+        ),
     )
-    return _finding(not problems, f"all residuals < {tol.eps:g}", actual)
-
-
-# name -> (claim anchor, implementation); output order is sorted(name)
-CHECKS: dict[str, tuple[str, object]] = {
-    "homology_h1": (
-        "first integral homology of the quotient surface is Z/4 x (Z/2)^4",
-        _check_homology_h1,
-    ),
-    "commutator_table": (
-        "pairwise commutators of the five generators are the frozen half-lattice translations",
-        _check_commutator_table,
-    ),
-    "sign_condition": (
-        "every coordinate is negated by some generator and sign patterns span the quotient",
-        _check_sign_condition,
-    ),
-    "hurwitz_genus5": (
-        "the (Z/2)^4 cover of the line branched in five points has genus 5",
-        _check_hurwitz_genus5,
-    ),
-    "subgroup_classification": (
-        "the 15 index-2 subgroups split as 5 with one branch image (genus 1 quotient) and 10 with three (genus 0)",
-        _check_subgroup_classification,
-    ),
-    "fixed_points_8": (
-        "exactly the five branch involutions act with fixed points, eight each",
-        _check_fixed_points_8,
-    ),
-    "orbifold_bound_64": (
-        "the orbifold surjection caps the homology order at 64 and the cap is attained",
-        _check_orbifold_bound_64,
-    ),
-    "k2_hat_224": (
-        "the adjoint class on the product threefold has triple self-product 224 against the hypersurface",
-        _check_k2_hat_224,
-    ),
-    "ks2_7": (
-        "dividing 224 by the group order 32 gives canonical self-intersection 7",
-        _check_ks2_7,
-    ),
-    "pg_38": (
-        "the smooth invariant hypersurface has geometric genus 38",
-        _check_pg_38,
-    ),
-    "chi_32": (
-        "holomorphic Euler characteristics: 32 upstairs, 1 for the quotient",
-        _check_chi_32,
-    ),
-    "kunneth_list": (
-        "cohomology dimensions along the adjunction chain are (5, 32, 11, 7)",
-        _check_kunneth_list,
-    ),
-    "q_S_zero": (
-        "no one-form on the product is invariant, so the quotient has irregularity 0",
-        _check_q_s_zero,
-    ),
-    "picard_config": (
-        "all linear equivalences and intersection numbers of the branch configuration hold",
-        _check_picard_config,
-    ),
-    "independence_ranks": (
-        "the three curve families span sublattices of ranks 5, 6 and 6",
-        _check_independence_ranks,
-    ),
-    "chi_omega_minus4": (
-        "the canonically twisted cotangent bundle has Euler characteristic -4",
-        _check_chi_omega_minus4,
-    ),
-    "chi_restricted_zero": (
-        "the twisted restrictions to the branch divisors have total Euler characteristic 0",
-        _check_chi_restricted_zero,
-    ),
-    "theta_bounds_233": (
-        "the three character eigenspaces are bounded by 2, 3 and 3 sections",
-        _check_theta_bounds_233,
-    ),
-    "theta_h1_4_h2_8": (
-        "the tangent sheaf of the quotient surface has h1 = 4 and h2 = 8",
-        _check_theta_h1_h2,
-    ),
-    "character_decomposition": (
-        "the invariant part of the section-pair tensor square is 2-dimensional; the triple tensor splits into four characters of multiplicity 2",
-        _check_character_decomposition,
-    ),
-    "pencil_two_invariants": (
-        "the residual involution fixes exactly two members of the hypersurface pencil",
-        _check_pencil_two_invariants,
-    ),
-    "legendre_identities": (
-        "the constructed degree-2 elliptic function satisfies its defining functional equations",
-        _check_legendre_identities,
-    ),
 }
 
 
@@ -431,21 +428,17 @@ def resolve_names(requested: tuple[str, ...]) -> list[str]:
 def run(config: RunConfig) -> list[CheckResult]:
     results = []
     for name in resolve_names(config.checks):
-        anchor, impl = CHECKS[name]
+        claim = CHECKS[name]
         start = time.perf_counter()
-        verdict, expected, actual = impl(config)
+        status, expected, actual = claim.verdict(config)
         elapsed = (time.perf_counter() - start) * 1000.0
-        if verdict == "skipped":
-            status = "skipped"
-        else:
-            status = "pass" if verdict else "fail"
         results.append(
             CheckResult(
                 name=name,
                 status=status,
                 expected=expected,
                 actual=actual,
-                paper_anchor=anchor,
+                paper_anchor=claim.anchor,
                 elapsed_ms=elapsed if config.timings else None,
             )
         )

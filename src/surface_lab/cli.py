@@ -10,6 +10,7 @@ trade that away for per-check wall times).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -31,9 +32,11 @@ from .checks import (
 def parse_tau(text: str) -> complex:
     """Parse a modulus written RE+IMi, e.g. 0+1i, 0.5+1.5i, 2i."""
     try:
-        value = complex(text.replace("i", "j"))
+        value = complex(text[:-1] + "j" if text.endswith("i") else text)
     except ValueError:
         raise ValueError(f"cannot parse modulus {text!r}; expected RE+IMi") from None
+    if not cmath.isfinite(value):
+        raise ValueError(f"modulus {text!r} is not finite")
     if not value.imag > 0:
         raise ValueError(f"modulus {text!r} must have positive imaginary part")
     return value
@@ -47,12 +50,10 @@ def format_tau(tau: complex) -> str:
 def render_text(results: list[CheckResult]) -> str:
     lines = []
     for r in results:
-        if r.status == "pass":
-            detail = r.actual
-        elif r.status == "skipped":
-            detail = r.actual
-        else:
+        if r.status == "fail":
             detail = f"expected {r.expected}; got {r.actual}"
+        else:
+            detail = r.actual
         timing = f"  [{r.elapsed_ms:.1f} ms]" if r.elapsed_ms is not None else ""
         lines.append(f"{r.name:<26} {r.status:<8} {detail}{timing}")
     passed = sum(r.status == "pass" for r in results)
@@ -76,17 +77,7 @@ def render_json(config: RunConfig, results: list[CheckResult]) -> str:
             "seed": config.seed,
             "format": config.output_format,
         },
-        "results": [
-            {
-                "name": r.name,
-                "status": r.status,
-                "expected": r.expected,
-                "actual": r.actual,
-                "paper_anchor": r.paper_anchor,
-                "elapsed_ms": r.elapsed_ms,
-            }
-            for r in results
-        ],
+        "results": [vars(r) for r in results],
     }
     return json.dumps(document, indent=2, sort_keys=True)
 

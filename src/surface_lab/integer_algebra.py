@@ -9,9 +9,6 @@ matrices this package produces (group presentations, divisor spans).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd
-from itertools import combinations
 
 
 @dataclass(frozen=True)
@@ -159,11 +156,6 @@ def _add_col(m: list[list[int]], dst: int, src: int, c: int) -> None:
 
 def _scale_row(m: list[list[int]], i: int, c: int) -> None:
     m[i] = [c * v for v in m[i]]
-
-
-def _scale_col(m: list[list[int]], j: int, c: int) -> None:
-    for row in m:
-        row[j] *= c
 
 
 def smith_normal_form(m: IntMatrix, *, transforms: bool = False) -> SmithForm:
@@ -343,92 +335,3 @@ def determinant(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def groups_isomorphic(a: FinAbGroup, b: FinAbGroup) -> bool:
-    """Isomorphism test; invariant factors are a complete invariant."""
-    return a.free_rank == b.free_rank and a.torsion == b.torsion
-
-
-def gcd_of_minors(m: IntMatrix, k: int) -> int:
-    """gcd of all k x k minors (0 if every minor vanishes).
-
-    Exponential in the matrix size, so only suitable as a test oracle on
-    small matrices.
-    """
-    if k == 0:
-        return 1
-    g = 0
-    for rows in combinations(range(m.nrows), k):
-        for cols in combinations(range(m.ncols), k):
-            sub = IntMatrix.from_rows([[m.entries[i][j] for j in cols] for i in rows])
-            g = gcd(g, determinant(sub))
-            if g == 1:
-                return 1
-    return g
-
-
-def symmetric_signature(gram: IntMatrix) -> tuple[int, int, int]:
-    """Signature (positive, negative, zero) of a symmetric integer matrix.
-
-    Congruence diagonalization over the rationals; exact, no eigenvalues.
-    """
-    n = gram.nrows
-    if gram.ncols != n:
-        raise ValueError("gram matrix must be square")
-    a = [[Fraction(v) for v in row] for row in gram.entries]
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != a[j][i]:
-                raise ValueError("matrix is not symmetric")
-    pos = neg = zero = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            # bring a nonzero diagonal entry to position k if possible
-            swapped = False
-            for i in range(k + 1, n):
-                if a[i][i] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    for row in a:
-                        row[k], row[i] = row[i], row[k]
-                    swapped = True
-                    break
-            if not swapped:
-                # all remaining diagonal entries vanish; use an off-diagonal
-                found = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if a[i][j] != 0:
-                            found = (i, j)
-                            break
-                    if found:
-                        break
-                if found is None:
-                    zero += n - k
-                    break
-                i, j = found
-                # row/col i += row/col j creates 2*a[i][j] on the diagonal
-                for col in range(n):
-                    a[i][col] += a[j][col]
-                for row in a:
-                    row[i] += row[j]
-                if i != k:
-                    a[k], a[i] = a[i], a[k]
-                    for row in a:
-                        row[k], row[i] = row[i], row[k]
-        pivot = a[k][k]
-        if pivot == 0:
-            zero += 1
-            continue
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                factor = a[i][k] / pivot
-                for col in range(n):
-                    a[i][col] -= factor * a[k][col]
-                for row in a:
-                    row[i] -= factor * row[k]
-    return pos, neg, zero

@@ -206,9 +206,3 @@ def homology_bound(data=None) -> tuple[int, int]:
     bound = 2 * ((orb.order() or 0) * 2)
     actual = abelianize_extension(data).order() or 0
     return bound, actual
-
-
-def homology_bound_check(data=None) -> bool:
-    """True when the computed homology order attains the orbifold bound."""
-    bound, actual = homology_bound(data)
-    return bound == actual

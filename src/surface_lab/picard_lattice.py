@@ -250,12 +250,6 @@ def rank_of_span(classes: list[DivisorClass]) -> int:
     return rank(IntMatrix.from_rows([list(c.vector()) for c in classes]))
 
 
-def gram_matrix(classes: list[DivisorClass]) -> IntMatrix:
-    return IntMatrix.from_rows(
-        [[intersect(a, b) for b in classes] for a in classes]
-    )
-
-
 def chi_bundle_hrr(rk: int, c1: DivisorClass, c2: int) -> int:
     """chi of a rank-rk bundle on Y by Hirzebruch-Riemann-Roch."""
     k = catalog().K

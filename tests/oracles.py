@@ -1,0 +1,190 @@
+"""Test oracles: slow or redundant routes to quantities the package
+computes another way.  `surface-lab verify` never calls them, so they live
+with the tests, and numpy (for the lattice sum) stays off the runtime path.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from fractions import Fraction
+from itertools import combinations
+from math import gcd
+
+import numpy as np
+
+from surface_lab.affine_groups import ExtensionData
+from surface_lab.integer_algebra import FinAbGroup, IntMatrix, determinant
+from surface_lab.legendre_numerics import PoleAtLatticePoint, _check_tau, _reduce
+from surface_lab.orbifold_covers import homology_bound
+from surface_lab.picard_lattice import DivisorClass, intersect
+
+
+def groups_isomorphic(a: FinAbGroup, b: FinAbGroup) -> bool:
+    """Isomorphism test; invariant factors are a complete invariant."""
+    return a.free_rank == b.free_rank and a.torsion == b.torsion
+
+
+def gcd_of_minors(m: IntMatrix, k: int) -> int:
+    """gcd of all k x k minors (0 if every minor vanishes).
+
+    Exponential in the matrix size, so only suitable as a test oracle on
+    small matrices.
+    """
+    if k == 0:
+        return 1
+    g = 0
+    for rows in combinations(range(m.nrows), k):
+        for cols in combinations(range(m.ncols), k):
+            sub = IntMatrix.from_rows([[m.entries[i][j] for j in cols] for i in rows])
+            g = gcd(g, determinant(sub))
+            if g == 1:
+                return 1
+    return g
+
+
+def symmetric_signature(gram: IntMatrix) -> tuple[int, int, int]:
+    """Signature (positive, negative, zero) of a symmetric integer matrix.
+
+    Congruence diagonalization over the rationals; exact, no eigenvalues.
+    """
+    n = gram.nrows
+    if gram.ncols != n:
+        raise ValueError("gram matrix must be square")
+    a = [[Fraction(v) for v in row] for row in gram.entries]
+    for i in range(n):
+        for j in range(n):
+            if a[i][j] != a[j][i]:
+                raise ValueError("matrix is not symmetric")
+    pos = neg = zero = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            # bring a nonzero diagonal entry to position k if possible
+            swapped = False
+            for i in range(k + 1, n):
+                if a[i][i] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    for row in a:
+                        row[k], row[i] = row[i], row[k]
+                    swapped = True
+                    break
+            if not swapped:
+                # all remaining diagonal entries vanish; use an off-diagonal
+                found = None
+                for i in range(k, n):
+                    for j in range(i + 1, n):
+                        if a[i][j] != 0:
+                            found = (i, j)
+                            break
+                    if found:
+                        break
+                if found is None:
+                    zero += n - k
+                    break
+                i, j = found
+                # row/col i += row/col j creates 2*a[i][j] on the diagonal
+                for col in range(n):
+                    a[i][col] += a[j][col]
+                for row in a:
+                    row[i] += row[j]
+                if i != k:
+                    a[k], a[i] = a[i], a[k]
+                    for row in a:
+                        row[k], row[i] = row[i], row[k]
+        pivot = a[k][k]
+        if pivot == 0:
+            zero += 1
+            continue
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                factor = a[i][k] / pivot
+                for col in range(n):
+                    a[i][col] -= factor * a[k][col]
+                for row in a:
+                    row[i] -= factor * row[k]
+    return pos, neg, zero
+
+
+def sign_condition_witnesses(data: ExtensionData) -> list[tuple[int, ...]] | None:
+    """For each coordinate, a generator word (as index tuple) negating it.
+
+    Returns None if some coordinate is never negated.  Words are found by
+    breadth-first search over products, so they are shortest.
+    """
+    start = (0,) * data.n
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {start: ()}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for idx, g in enumerate(data.generators):
+            pattern = tuple(1 if s == -1 else 0 for s in g.signs)
+            w = tuple(a ^ b for a, b in zip(pattern, v))
+            if w not in seen:
+                seen[w] = seen[v] + (idx,)
+                queue.append(w)
+    witnesses: list[tuple[int, ...]] = []
+    for i in range(data.n):
+        best = None
+        for v, word in seen.items():
+            if v[i] and (best is None or len(word) < len(best)):
+                best = word
+        if best is None:
+            return None
+        witnesses.append(best)
+    return witnesses
+
+
+def homology_bound_check(data=None) -> bool:
+    """True when the computed homology order attains the orbifold bound."""
+    bound, actual = homology_bound(data)
+    return bound == actual
+
+
+def gram_matrix(classes: list[DivisorClass]) -> IntMatrix:
+    return IntMatrix.from_rows(
+        [[intersect(a, b) for b in classes] for a in classes]
+    )
+
+
+def _frame_distance(tau: complex) -> float:
+    """min |x + y tau| over the unit square frame max(|x|, |y|) = 1."""
+    tr, ti = tau.real, tau.imag
+
+    def edge_x_fixed(x: float) -> float:
+        y = max(-1.0, min(1.0, -x * tr / (tr * tr + ti * ti)))
+        return abs(x + y * tau)
+
+    def edge_y_fixed(y: float) -> float:
+        x = max(-1.0, min(1.0, -y * tr))
+        return abs(x + y * tau)
+
+    return min(edge_x_fixed(1), edge_x_fixed(-1), edge_y_fixed(1), edge_y_fixed(-1))
+
+
+def weierstrass_p_lattice_sum(
+    z: complex, tau: complex, *, terms: int = 40
+) -> tuple[complex, float]:
+    """Brute-force lattice sum oracle: (value, tail bound).
+
+    Sums 1/(z-w)^2 - 1/w^2 over max(|m|, |n|) <= terms.  Pairing w with
+    -w bounds each omitted pair by 11.6 |z|^2 / |w|^4, which summed over
+    the omitted frames gives the returned tail estimate.
+    """
+    _check_tau(tau)
+    x, y = _reduce(z, tau)
+    if max(abs(x), abs(y)) < 1e-12:
+        raise PoleAtLatticePoint(f"{z} reduces to a lattice point")
+    zr = x + y * tau
+    c = _frame_distance(tau)
+    if terms * c < 2 * abs(zr):
+        raise ValueError("too few terms for a valid tail bound")
+    rng = np.arange(-terms, terms + 1)
+    m, n = np.meshgrid(rng, rng)
+    w = m + n * complex(tau)
+    w = w[(m != 0) | (n != 0)]
+    value = complex(np.sum(1.0 / (zr - w) ** 2 - 1.0 / w**2)) + 1.0 / zr**2
+    tail = 47.0 * abs(zr) ** 2 / (c**4 * terms**2)
+    return value, tail

@@ -28,7 +28,6 @@ from surface_lab.integer_algebra import (
     FinAbGroup,
     IntMatrix,
     determinant,
-    groups_isomorphic,
     smith_normal_form,
 )
 from surface_lab.legendre_numerics import (
@@ -54,6 +53,8 @@ from surface_lab.product_threefold import (
     ks_squared,
     standard_factors,
 )
+
+from oracles import groups_isomorphic
 
 EPS = 1e-9
 DEFAULT_TAUS = (1j, (1 + 3j) / 2, 2j, (1 + 5j) / 3)

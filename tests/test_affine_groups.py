@@ -17,10 +17,11 @@ from surface_lab.affine_groups import (
     commutator,
     commutator_subspan_rank,
     standard_generators,
-    sign_condition_witnesses,
     square_translation,
 )
-from surface_lab.integer_algebra import FinAbGroup, groups_isomorphic
+from surface_lab.integer_algebra import FinAbGroup
+
+from oracles import groups_isomorphic, sign_condition_witnesses
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surface_lab import character_calculus
 from surface_lab.affine_groups import standard_generators
 from surface_lab.character_calculus import (
     GradedSpace,
@@ -177,6 +178,12 @@ class TestBranchElements:
     def test_three_elements_avoid_the_first_generator(self):
         elements = d_factor_branch_elements()
         assert sum(1 for v in elements if v[0] == 0) == 3
+
+    def test_wrong_genus_raises(self, monkeypatch):
+        # a raised error, not an assert statement, so python -O keeps it
+        monkeypatch.setattr(character_calculus, "cover_genus", lambda data: 4)
+        with pytest.raises(AssertionError, match="genus 4"):
+            d_factor_branch_elements()
 
 
 class TestOneForms:

@@ -1,6 +1,12 @@
 """Tests for the check registry, the run engine, and the CLI wrapper."""
 
+import dataclasses
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +23,17 @@ from surface_lab.checks import (
     run,
 )
 from surface_lab.cli import format_tau, main, parse_tau, render_json, render_text
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN_NO_TAUS = Path(__file__).parent / "data" / "verify_all_no_default_taus.json"
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports surface_lab from this checkout."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env)
+
 
 ALGEBRAIC_SUBSET = (
     "homology_h1",
@@ -50,8 +67,9 @@ class TestRegistry:
             resolve_names(("definitely_not_a_check",))
 
     def test_anchor_strings_present(self):
-        for name, (anchor, _) in CHECKS.items():
-            assert anchor and isinstance(anchor, str), name
+        for name, claim in CHECKS.items():
+            assert claim.name == name
+            assert claim.anchor and isinstance(claim.anchor, str), name
 
 
 class TestRunConfig:
@@ -67,6 +85,12 @@ class TestRunConfig:
             RunConfig(checks=())
         with pytest.raises(ValueError):
             RunConfig(output_format="xml")
+        for eps in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps"):
+                RunConfig(eps=eps)
+        for tau in (complex(math.nan, 1), complex(0, math.inf)):
+            with pytest.raises(ValueError, match="modulus"):
+                RunConfig(taus=(tau,))
 
 
 class TestRun:
@@ -100,9 +124,8 @@ class TestRun:
         assert results[0].status == "skipped"
 
     def test_failure_reported_with_both_sides(self, monkeypatch):
-        monkeypatch.setitem(
-            checks_mod.CHECKS, "ks2_7", ("claim", lambda cfg: (False, "7", "6"))
-        )
+        wrong = dataclasses.replace(CHECKS["ks2_7"], measure=lambda cfg: 6)
+        monkeypatch.setitem(checks_mod.CHECKS, "ks2_7", wrong)
         results = run(RunConfig(checks=("ks2_7",)))
         assert results[0].status == "fail"
         assert results[0].expected == "7" and results[0].actual == "6"
@@ -195,12 +218,16 @@ class TestMain:
         assert "unknown check" in capsys.readouterr().err
 
     def test_bad_tau_is_usage_error(self, capsys):
-        assert main(["verify", "legendre_identities", "--tau", "wat"]) == 2
-        assert "modulus" in capsys.readouterr().err
+        for bad in ("wat", "nan+1i", "0+nani", "0+infi", "inf+1i", "1e999+1i"):
+            assert main(["verify", "legendre_identities", "--tau", bad]) == 2
+            err = capsys.readouterr().err
+            assert "modulus" in err and bad in err and err.count("\n") == 1, err
 
     def test_bad_eps_is_usage_error(self, capsys):
-        assert main(["verify", "ks2_7", "--eps", "-1"]) == 2
-        assert "eps" in capsys.readouterr().err
+        for bad, shown in (("-1", "-1.0"), ("0", "0.0"), ("nan", "nan"), ("inf", "inf")):
+            assert main(["verify", "ks2_7", "--eps", bad]) == 2
+            err = capsys.readouterr().err
+            assert "eps" in err and shown in err and err.count("\n") == 1, err
 
     def test_no_default_taus_skips(self, capsys):
         assert main(["verify", "legendre_identities", "--no-default-taus"]) == 0
@@ -214,17 +241,32 @@ class TestMain:
         assert "pass" in capsys.readouterr().out
 
     def test_failure_exit_code(self, monkeypatch, capsys):
-        monkeypatch.setitem(
-            checks_mod.CHECKS, "ks2_7", ("claim", lambda cfg: (False, "7", "6"))
-        )
+        wrong = dataclasses.replace(CHECKS["ks2_7"], measure=lambda cfg: 6)
+        monkeypatch.setitem(checks_mod.CHECKS, "ks2_7", wrong)
         assert main(["verify", "ks2_7"]) == 1
+        assert "expected 7; got 6" in capsys.readouterr().out
 
     def test_json_output_parses(self, capsys):
         assert main(["verify", "ks2_7", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["results"][0]["status"] == "pass"
 
+    def test_no_default_taus_json_matches_golden_file(self):
+        # the file is this command's output at the commit before the claims
+        # table; it holds no floating-point residual, so no platform drift
+        args = ("verify", "all", "--no-default-taus", "--format", "json")
+        out = run_python("-m", "surface_lab.cli", *args)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == GOLDEN_NO_TAUS.read_bytes()
+
+    def test_cli_import_leaves_numpy_out(self):
+        out = run_python(
+            "-c", "import sys, surface_lab.cli; assert 'numpy' not in sys.modules"
+        )
+        assert out.returncode == 0, out.stderr
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+

@@ -10,13 +10,12 @@ from surface_lab.integer_algebra import (
     SmithForm,
     cokernel,
     determinant,
-    gcd_of_minors,
-    groups_isomorphic,
     rank,
     rank_mod2,
     smith_normal_form,
-    symmetric_signature,
 )
+
+from oracles import gcd_of_minors, groups_isomorphic, symmetric_signature
 
 
 def padded_diagonal(diag: tuple[int, ...], nrows: int, ncols: int) -> IntMatrix:

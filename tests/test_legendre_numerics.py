@@ -33,10 +33,11 @@ from surface_lab.legendre_numerics import (
     sample_points,
     verify_identities,
     weierstrass_p,
-    weierstrass_p_lattice_sum,
     weierstrass_p_prime,
     weierstrass_p_theta,
 )
+
+from oracles import weierstrass_p_lattice_sum
 
 DEFAULT_TAUS = [1j, (1 + 3j) / 2, 2j, (1 + 5j) / 3]
 SQUARE_LATTICE_A = 3 + 2 * math.sqrt(2)  # frozen from the lattice-sum oracle
@@ -329,6 +330,9 @@ class TestTolerance:
             Tolerance(eps=0.0)
         with pytest.raises(ValueError):
             Tolerance(eps=-1e-9)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=str(eps)):
+                Tolerance(eps=eps)
         with pytest.raises(ValueError):
             Tolerance(samples=0)
 

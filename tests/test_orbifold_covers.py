@@ -14,11 +14,12 @@ from surface_lab.orbifold_covers import (
     classify_corank1_subgroups,
     cover_genus,
     fixed_point_count,
-    homology_bound_check,
     orbifold_abelianization,
     quotient_genus,
     standard_cover_data,
 )
+
+from oracles import homology_bound_check
 
 
 def test_standard_cover_data():

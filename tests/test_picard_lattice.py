@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surface_lab.integer_algebra import symmetric_signature
 from surface_lab.picard_lattice import (
     E,
     L,
@@ -17,7 +16,6 @@ from surface_lab.picard_lattice import (
     chi_bundle_hrr,
     chi_restricted_twist,
     cls,
-    gram_matrix,
     intersect,
     rank_of_span,
     selfint,
@@ -25,6 +23,8 @@ from surface_lab.picard_lattice import (
     twisted_cotangent_chern,
     verify_configuration,
 )
+
+from oracles import gram_matrix, symmetric_signature
 
 BASIS = [L, *E]
 
