@@ -178,11 +178,12 @@ def pencil_spaces() -> list[GradedSpace]:
     ]
 
 
-def _d_factor_action(word: tuple[int, ...]) -> list[tuple[int, int, int]]:
+def _d_factor_action(
+    gens: Sequence[AffineElement], word: tuple[int, ...]
+) -> list[tuple[int, int, int]]:
     """(sign, e-halves, tau-halves) on the two curve coordinates for the
-    image of g2^a g3^b g4^c g5^d; well defined mod 2 since commutators
-    translate by full lattice vectors."""
-    gens = standard_generators().generators[1:]
+    image of g2^a g3^b g4^c g5^d (gens = g2 .. g5); well defined mod 2
+    since commutators translate by full lattice vectors."""
     element = AffineElement((1, 1, 1, 1), (0,) * 8)
     for g, e in zip(gens, word):
         if e % 2:
@@ -209,11 +210,12 @@ def d_factor_branch_elements() -> tuple[tuple[int, ...], ...]:
     * one sign +1: fixed points exist iff that coordinate's translation
       vanishes, and then the fixed fibers meet the curve.
     """
+    gens = standard_generators().generators[1:]
     chosen = []
     for word in product((0, 1), repeat=4):
         if word == (0, 0, 0, 0):
             continue
-        action = _d_factor_action(word)
+        action = _d_factor_action(gens, word)
         ok = True
         for sign, u, v in action:
             if sign == 1 and (u or v):

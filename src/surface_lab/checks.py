@@ -2,10 +2,14 @@
 
 Every check is one row of the claims table CHECKS: the paper claim it
 verifies, the frozen expected value, and a function that recomputes the
-value from scratch.  The engine compares the two.  Checks are pure and
-independent; the engine runs whatever subset is requested and reports
-results in a fixed canonical order (sorted by check name), so identical
-configurations produce byte-identical machine output.
+value from the run's Facts.  The engine compares the two.  Facts builds
+each shared intermediate (the theta report, the adjunction chain, ...)
+on first use and lives for one run only, so every run recomputes from
+scratch and checks that read the same report read the same object.  The
+engine runs whatever subset is requested and reports results in a fixed
+canonical order (sorted by check name), so identical configurations
+produce byte-identical machine output.  A check that raises is reported
+with status "error" and does not stop the others.
 
 Algebraic checks ignore the numeric knobs entirely.  The two numeric
 checks (legendre_identities, pencil_two_invariants) consume the moduli
@@ -20,11 +24,13 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
 from typing import Any, Callable
 
 from .affine_groups import (
+    ExtensionData,
     abelianize_extension,
     check_sign_condition,
     commutator,
@@ -48,15 +54,22 @@ from .legendre_numerics import (
     verify_identities,
 )
 from .orbifold_covers import (
+    BranchedCoverData,
     classify_corank1_subgroups,
     cover_genus,
     fixed_point_count,
-    homology_bound,
     orbifold_abelianization,
     standard_cover_data,
 )
-from .picard_lattice import catalog, theta_cohomology_report, verify_configuration
-from .product_threefold import adjunction_chain, ks_squared
+from .picard_lattice import (
+    ConfigCatalog,
+    ConfigReport,
+    ThetaReport,
+    catalog,
+    theta_cohomology_report,
+    verify_configuration,
+)
+from .product_threefold import AdjunctionReport, adjunction_chain, ks_squared
 
 DEFAULT_TAUS: tuple[complex, ...] = (1j, (1 + 3j) / 2, 2j, (1 + 5j) / 3)
 DEFAULT_EPS = 1e-9
@@ -85,6 +98,8 @@ class RunConfig:
             raise ValueError("checks must be nonempty")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples!r}")
         for tau in self.taus:
             if not cmath.isfinite(tau):
                 raise ValueError(f"modulus {tau!r} is not finite")
@@ -99,7 +114,7 @@ class RunConfig:
 @dataclass
 class CheckResult:
     name: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail | skipped | error
     expected: str
     actual: str
     paper_anchor: str
@@ -118,11 +133,56 @@ class Problems(tuple):
         return self.text
 
 
+class Facts:
+    """The intermediates that several checks share, for one run.
+
+    run() makes one per call and passes it to every measure.  Each member
+    is built on first use by the builder this module imports, looked up at
+    call time (so a replaced builder is seen by the next run), and kept
+    until the run ends; nothing outlives the Facts object.
+    """
+
+    def __init__(self, config: RunConfig) -> None:
+        self.config = config
+
+    @cached_property
+    def generators(self) -> ExtensionData:
+        return standard_generators()
+
+    @cached_property
+    def cover(self) -> BranchedCoverData:
+        return standard_cover_data(4)
+
+    @cached_property
+    def catalog(self) -> ConfigCatalog:
+        return catalog()
+
+    @cached_property
+    def audit(self) -> ConfigReport:
+        return verify_configuration(self.catalog)
+
+    @cached_property
+    def theta(self) -> ThetaReport:
+        return theta_cohomology_report(configuration=self.catalog, audit=self.audit)
+
+    @cached_property
+    def chain(self) -> AdjunctionReport:
+        return adjunction_chain()
+
+    @cached_property
+    def h1(self) -> FinAbGroup:
+        return abelianize_extension(self.generators)
+
+    @cached_property
+    def orbifold5(self) -> FinAbGroup:
+        return orbifold_abelianization(5)
+
+
 @dataclass(frozen=True)
 class Claim:
     """One row of the claims table.
 
-    The check passes when measure(config) equals expected.  show renders a
+    The check passes when measure(facts) equals expected.  show renders a
     value as report text; the expected text is show(expected) unless text
     overrides it (text may name the run's tolerance as {eps}).  With fewer
     than `moduli` moduli the check is skipped with the texts in skip.
@@ -131,23 +191,24 @@ class Claim:
     name: str
     anchor: str
     expected: Any
-    measure: Callable[[RunConfig], Any]
+    measure: Callable[[Facts], Any]
     text: str | None = None
     show: Callable[[Any], str] = str
     moduli: int = 0
     skip: tuple[str, str] = ("", "")
 
-    def verdict(self, config: RunConfig) -> tuple[str, str, str]:
-        """(status, expected text, actual text) of this claim on a run."""
-        if len(config.taus) < self.moduli:
-            return ("skipped", *self.skip)
-        got = self.measure(config)
-        status = "pass" if got == self.expected else "fail"
+    def expected_text(self, config: RunConfig) -> str:
         if self.text is None:
-            expected = self.show(self.expected)
-        else:
-            expected = self.text.format(eps=config.eps)
-        return status, expected, self.show(got)
+            return self.show(self.expected)
+        return self.text.format(eps=config.eps)
+
+    def verdict(self, facts: Facts) -> tuple[str, str, str]:
+        """(status, expected text, actual text) of this claim on a run."""
+        if len(facts.config.taus) < self.moduli:
+            return ("skipped", *self.skip)
+        got = self.measure(facts)
+        status = "pass" if got == self.expected else "fail"
+        return status, self.expected_text(facts.config), self.show(got)
 
 
 _COMMUTATOR_TABLE: dict[tuple[int, int], tuple[int, ...]] = {
@@ -164,8 +225,8 @@ _COMMUTATOR_TABLE: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
-def _commutators(cfg: RunConfig) -> dict[tuple[int, int], tuple[int, ...]]:
-    gens = standard_generators().generators
+def _commutators(f: Facts) -> dict[tuple[int, int], tuple[int, ...]]:
+    gens = f.generators.generators
     return {
         (i, j): commutator(gens[i], gens[j]).coords
         for i, j in combinations(range(len(gens)), 2)
@@ -181,35 +242,37 @@ def _show_commutators(got: dict[tuple[int, int], tuple[int, ...]]) -> str:
     return "; ".join(bad) or "10/10 pairs exact"
 
 
-def _fixed_point_histogram(cfg: RunConfig) -> dict[int, int]:
-    data = standard_cover_data(4)
+def _fixed_point_histogram(f: Facts) -> dict[int, int]:
     counts = Counter(
-        fixed_point_count(data, tuple((k >> i) & 1 for i in range(4)))
+        fixed_point_count(f.cover, tuple((k >> i) & 1 for i in range(4)))
         for k in range(1, 16)
     )
     return dict(sorted(counts.items()))
 
 
-def _orbifold_bound(cfg: RunConfig) -> tuple[int, int, FinAbGroup, int]:
-    bound, order = homology_bound()
-    orbifold = orbifold_abelianization(5)
-    return bound, order, orbifold, commutator_subspan_rank(standard_generators(), 0)
+def _orbifold_bound(f: Facts) -> tuple[int, int, FinAbGroup, int]:
+    # the surface group maps onto the five-point orbifold group extended by
+    # a central involution, and abelianizing adds at most one more factor
+    # of 2: the homology order is at most 2 * (|orbifold| * 2)
+    bound = 2 * ((f.orbifold5.order() or 0) * 2)
+    order = f.h1.order() or 0
+    return bound, order, f.orbifold5, commutator_subspan_rank(f.generators, 0)
 
 
-def _kunneth_list(cfg: RunConfig) -> tuple[int, int, int, int]:
-    c = adjunction_chain()
+def _kunneth_list(f: Facts) -> tuple[int, int, int, int]:
+    c = f.chain
     return c.h_canonical[0], c.h_adjoint[0], c.h_canonical[1], c.h_canonical[2]
 
 
-def _configuration_audit(cfg: RunConfig) -> Problems:
-    report = verify_configuration(catalog())
+def _configuration_audit(f: Facts) -> Problems:
+    report = f.audit
     text = f"{report.checks_run} identities checked, {len(report.failures)} failures"
     if report.failures:
         text += ": " + "; ".join(report.failures[:3])
     return Problems(report.failures, text)
 
 
-def _character_decomposition(cfg: RunConfig) -> tuple[int, list[int]]:
+def _character_decomposition(f: Facts) -> tuple[int, list[int]]:
     # two-factor model with three involutions: negate first coordinate,
     # negate second, shift both by a half period
     v1 = legendre_pair_space([(-1, 0), (1, 0), (1, 1)])
@@ -218,12 +281,13 @@ def _character_decomposition(cfg: RunConfig) -> tuple[int, list[int]]:
     return pair_dim, sorted(tensor(pencil_spaces()).components.values())
 
 
-def _pencil_invariants(cfg: RunConfig) -> int:
-    constant = invariant_pencil_constant(tuple(cfg.taus[:3]), cfg.tolerance)
+def _pencil_invariants(f: Facts) -> int:
+    constant = invariant_pencil_constant(tuple(f.config.taus[:3]), f.config.tolerance)
     return pencil_invariant_count(constant)
 
 
-def _identity_problems(cfg: RunConfig) -> Problems:
+def _identity_problems(f: Facts) -> Problems:
+    cfg = f.config
     tol = cfg.tolerance
     worst = 0.0
     problems = []
@@ -253,7 +317,7 @@ CHECKS: dict[str, Claim] = {
             "homology_h1",
             "first integral homology of the quotient surface is Z/4 x (Z/2)^4",
             FinAbGroup(0, (2, 2, 2, 2, 4)),
-            lambda cfg: abelianize_extension(standard_generators()),
+            lambda f: f.h1,
             text="Z/4 x (Z/2)^4, factors (2, 2, 2, 2, 4)",
         ),
         Claim(
@@ -268,7 +332,7 @@ CHECKS: dict[str, Claim] = {
             "sign_condition",
             "every coordinate is negated by some generator and sign patterns span the quotient",
             True,
-            lambda cfg: check_sign_condition(standard_generators()),
+            lambda f: check_sign_condition(f.generators),
             text="sign condition holds",
             show=lambda ok: "holds" if ok else "violated",
         ),
@@ -276,14 +340,14 @@ CHECKS: dict[str, Claim] = {
             "hurwitz_genus5",
             "the (Z/2)^4 cover of the line branched in five points has genus 5",
             5,
-            lambda cfg: cover_genus(standard_cover_data(4)),
+            lambda f: cover_genus(f.cover),
             show="genus {}".format,
         ),
         Claim(
             "subgroup_classification",
             "the 15 index-2 subgroups split as 5 with one branch image (genus 1 quotient) and 10 with three (genus 0)",
             {(1, 1): 5, (3, 0): 10},
-            lambda cfg: dict(sorted(classify_corank1_subgroups(standard_cover_data(4)).items())),
+            lambda f: dict(sorted(classify_corank1_subgroups(f.cover).items())),
         ),
         Claim(
             "fixed_points_8",
@@ -304,25 +368,25 @@ CHECKS: dict[str, Claim] = {
             "k2_hat_224",
             "the adjoint class on the product threefold has triple self-product 224 against the hypersurface",
             224,
-            lambda cfg: ks_squared(group_order=1),
+            lambda f: ks_squared(group_order=1),
         ),
         Claim(
             "ks2_7",
             "dividing 224 by the group order 32 gives canonical self-intersection 7",
             7,
-            lambda cfg: ks_squared(),
+            lambda f: ks_squared(),
         ),
         Claim(
             "pg_38",
             "the smooth invariant hypersurface has geometric genus 38",
             38,
-            lambda cfg: adjunction_chain().pg_cover,
+            lambda f: f.chain.pg_cover,
         ),
         Claim(
             "chi_32",
             "holomorphic Euler characteristics: 32 upstairs, 1 for the quotient",
             (32, 1),
-            lambda cfg: attrgetter("chi_cover", "chi_quotient")(adjunction_chain()),
+            attrgetter("chain.chi_cover", "chain.chi_quotient"),
             show=lambda v: "cover {}, quotient {}".format(*v),
         ),
         Claim(
@@ -335,7 +399,7 @@ CHECKS: dict[str, Claim] = {
             "q_S_zero",
             "no one-form on the product is invariant, so the quotient has irregularity 0",
             0,
-            lambda cfg: one_forms_invariants(),
+            lambda f: one_forms_invariants(),
             text="0 invariant one-forms",
         ),
         Claim(
@@ -349,25 +413,25 @@ CHECKS: dict[str, Claim] = {
             "independence_ranks",
             "the three curve families span sublattices of ranks 5, 6 and 6",
             (5, 6, 6),
-            lambda cfg: theta_cohomology_report().span_ranks,
+            lambda f: f.theta.span_ranks,
         ),
         Claim(
             "chi_omega_minus4",
             "the canonically twisted cotangent bundle has Euler characteristic -4",
             -4,
-            lambda cfg: theta_cohomology_report().chi_cotangent_twisted,
+            lambda f: f.theta.chi_cotangent_twisted,
         ),
         Claim(
             "chi_restricted_zero",
             "the twisted restrictions to the branch divisors have total Euler characteristic 0",
             0,
-            lambda cfg: theta_cohomology_report().chi_restricted_total,
+            lambda f: f.theta.chi_restricted_total,
         ),
         Claim(
             "theta_bounds_233",
             "the three character eigenspaces are bounded by 2, 3 and 3 sections",
             ((2, 3, 3), 8),
-            lambda cfg: attrgetter("character_bounds", "h2_bound")(theta_cohomology_report()),
+            attrgetter("theta.character_bounds", "theta.h2_bound"),
             text="eigenspace bounds (2, 3, 3) totalling 8",
             show=lambda v: "{} totalling {}".format(*v),
         ),
@@ -375,7 +439,7 @@ CHECKS: dict[str, Claim] = {
             "theta_h1_4_h2_8",
             "the tangent sheaf of the quotient surface has h1 = 4 and h2 = 8",
             (True, 4, 8, 4),
-            lambda cfg: attrgetter("ok", "h1", "h2", "chi_theta")(theta_cohomology_report()),
+            attrgetter("theta.ok", "theta.h1", "theta.h2", "theta.chi_theta"),
             show=lambda v: f"h1 = {v[1]}, h2 = {v[2]}",
         ),
         Claim(
@@ -426,11 +490,23 @@ def resolve_names(requested: tuple[str, ...]) -> list[str]:
 
 
 def run(config: RunConfig) -> list[CheckResult]:
+    """Run the requested checks on one fresh Facts object.
+
+    An exception raised inside a check becomes that check's status
+    "error", with "<type>: <message>" as its actual text; the other checks
+    still run.  Unknown names raise UnknownCheck before any check runs.
+    """
+    facts = Facts(config)
     results = []
     for name in resolve_names(config.checks):
         claim = CHECKS[name]
         start = time.perf_counter()
-        status, expected, actual = claim.verdict(config)
+        try:
+            status, expected, actual = claim.verdict(facts)
+        except Exception as err:  # noqa: BLE001 - one check must not sink the report
+            status = "error"
+            expected = claim.expected_text(config)
+            actual = f"{type(err).__name__}: {err}"
         elapsed = (time.perf_counter() - start) * 1000.0
         results.append(
             CheckResult(
@@ -446,4 +522,8 @@ def run(config: RunConfig) -> list[CheckResult]:
 
 
 def exit_code(results: list[CheckResult]) -> int:
-    return 1 if any(r.status == "fail" for r in results) else 0
+    """3 if any check errored, else 1 if any failed, else 0."""
+    statuses = {r.status for r in results}
+    if "error" in statuses:
+        return 3
+    return 1 if "fail" in statuses else 0

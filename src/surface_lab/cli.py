@@ -1,10 +1,12 @@
 """Command line front end: `surface-lab verify [CHECK ...|all] [options]`.
 
 Exit codes: 0 all requested checks pass (or are skipped), 1 any check
-fails, 2 usage or configuration error.  With --format json the output is
-a single document {schema_version, config, results}; the same
-configuration always produces byte-identical output (pass --timings to
-trade that away for per-check wall times).
+fails, 2 usage or configuration error (reported before any check runs),
+3 any check raised an exception (status "error"; the report is still
+complete).  With --format json the output is a single document
+{schema_version, config, results}; the same configuration always
+produces byte-identical output (pass --timings to trade that away for
+per-check wall times).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .checks import (
     UnknownCheck,
     canonical_names,
     exit_code,
+    resolve_names,
     run,
 )
 
@@ -52,6 +55,8 @@ def render_text(results: list[CheckResult]) -> str:
     for r in results:
         if r.status == "fail":
             detail = f"expected {r.expected}; got {r.actual}"
+        elif r.status == "error":
+            detail = f"expected {r.expected}; raised {r.actual}"
         else:
             detail = r.actual
         timing = f"  [{r.elapsed_ms:.1f} ms]" if r.elapsed_ms is not None else ""
@@ -59,9 +64,12 @@ def render_text(results: list[CheckResult]) -> str:
     passed = sum(r.status == "pass" for r in results)
     failed = sum(r.status == "fail" for r in results)
     skipped = sum(r.status == "skipped" for r in results)
+    errored = sum(r.status == "error" for r in results)
     summary = f"{len(results)} checks: {passed} passed, {failed} failed"
     if skipped:
         summary += f", {skipped} skipped"
+    if errored:
+        summary += f", {errored} errored"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -148,11 +156,12 @@ def main(argv: list[str] | None = None) -> int:
             output_format=args.format,
             timings=args.timings,
         )
-        results = run(config)
+        resolve_names(config.checks)
     except (UnknownCheck, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
+    results = run(config)
     if config.output_format == "json":
         print(render_json(config, results))
     else:

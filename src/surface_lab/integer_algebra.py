@@ -31,10 +31,6 @@ class IntMatrix:
         return cls(tuple(tuple(int(v) for v in row) for row in rows))
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls(tuple((0,) * ncols for _ in range(nrows)))
-
-    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
@@ -309,29 +305,3 @@ def rank_mod2(m: IntMatrix) -> int:
             rk += 1
     return rk
 
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    if m.nrows != m.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.nrows
-    if n == 0:
-        return 1
-    a = m.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]

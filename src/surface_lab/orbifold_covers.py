@@ -188,21 +188,3 @@ def orbifold_abelianization(m: int) -> FinAbGroup:
         rows.append(row)
     return cokernel(IntMatrix.from_rows(rows))
 
-
-def homology_bound(data=None) -> tuple[int, int]:
-    """(bound, actual): orbifold cap on the homology order versus the
-    computed abelianization order.
-
-    The surface group maps onto the five-point orbifold group extended by
-    one extra central involution, and its abelianization adds at most one
-    more factor of 2, capping the order at
-    2 * |orbifold_abelianization(5) x Z/2| = 2 * (16 * 2) = 64.
-    """
-    from .affine_groups import abelianize_extension, standard_generators
-
-    if data is None:
-        data = standard_generators()
-    orb = orbifold_abelianization(5)
-    bound = 2 * ((orb.order() or 0) * 2)
-    actual = abelianize_extension(data).order() or 0
-    return bound, actual

@@ -21,8 +21,10 @@ blow-ups adds one to e(P^2) = 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .integer_algebra import IntMatrix, rank
 
@@ -63,6 +65,8 @@ def cls(d: int, *m: int) -> DivisorClass:
 
 L = cls(1, 0, 0, 0, 0, 0, 0)
 E = [cls(0, *(1 if j == i else 0 for j in range(6))) for i in range(6)]
+# the canonical class of the plane blown up in six points
+K = -3 * L + E[0] + E[1] + E[2] + E[3] + E[4] + E[5]
 
 
 def intersect(a: DivisorClass, b: DivisorClass) -> int:
@@ -120,10 +124,9 @@ def catalog() -> ConfigCatalog:
     f1 = 2 * L - E[1] - E[3] - E[4] - E[5]
     f2 = 2 * L - E[0] - E[2] - E[4] - E[5]
     f3 = 2 * L - E[0] - E[1] - E[2] - E[3]
-    k = -3 * L + E[0] + E[1] + E[2] + E[3] + E[4] + E[5]
-    l1 = -1 * k + f1 - E[3]
-    l2 = -2 * k - E[4] - E[5]
-    l3 = -1 * k + L - E[0] - E[1] - E[2]
+    l1 = -1 * K + f1 - E[3]
+    l2 = -2 * K - E[4] - E[5]
+    l3 = -1 * K + L - E[0] - E[1] - E[2]
     branch1 = (
         Component("Delta1", d1),
         Component("f2", f2),
@@ -142,87 +145,90 @@ def catalog() -> ConfigCatalog:
         S=(s1, s2, s3, s4),
         Delta=(d1, d2, d3),
         f=(f1, f2, f3),
-        K=k,
+        K=K,
         chern=(l1, l2, l3),
         branch_components=(branch1, branch2, branch3),
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConfigReport:
-    checks_run: int = 0
-    failures: list[str] = field(default_factory=list)
+    checks_run: int
+    failures: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
-    def expect(self, label: str, got, want) -> None:
-        self.checks_run += 1
-        if got != want:
-            self.failures.append(f"{label}: got {got}, want {want}")
-
 
 def verify_configuration(c: ConfigCatalog) -> ConfigReport:
     """Exact arithmetic audit of the configuration relations."""
-    r = ConfigReport()
+    checks_run = 0
+    failures: list[str] = []
+
+    def expect(label: str, got, want) -> None:
+        nonlocal checks_run
+        checks_run += 1
+        if got != want:
+            failures.append(f"{label}: got {got}, want {want}")
+
     minus_k = -c.K
 
     for i in range(3):
-        r.expect(f"Delta{i+1} + f{i+1} = -K", c.Delta[i] + c.f[i], minus_k)
+        expect(f"Delta{i+1} + f{i+1} = -K", c.Delta[i] + c.f[i], minus_k)
 
     for i in range(4):
         for j in range(i + 1, 4):
-            r.expect(f"S{i+1}.S{j+1} = 0", intersect(c.S[i], c.S[j]), 0)
+            expect(f"S{i+1}.S{j+1} = 0", intersect(c.S[i], c.S[j]), 0)
         for j in range(3):
-            r.expect(f"S{i+1}.Delta{j+1} = 0", intersect(c.S[i], c.Delta[j]), 0)
-            r.expect(f"S{i+1}.f{j+1} = 0", intersect(c.S[i], c.f[j]), 0)
-        r.expect(f"S{i+1}^2 = -2", selfint(c.S[i]), -2)
-        r.expect(f"K.S{i+1} = 0", intersect(c.K, c.S[i]), 0)
+            expect(f"S{i+1}.Delta{j+1} = 0", intersect(c.S[i], c.Delta[j]), 0)
+            expect(f"S{i+1}.f{j+1} = 0", intersect(c.S[i], c.f[j]), 0)
+        expect(f"S{i+1}^2 = -2", selfint(c.S[i]), -2)
+        expect(f"K.S{i+1} = 0", intersect(c.K, c.S[i]), 0)
 
     for i in range(3):
         for j in range(3):
             want = 2 if i == j else 0
-            r.expect(f"Delta{i+1}.f{j+1} = {want}", intersect(c.Delta[i], c.f[j]), want)
-        r.expect(f"f{i+1}^2 = 0", selfint(c.f[i]), 0)
-        r.expect(f"-K.Delta{i+1} = 1", intersect(minus_k, c.Delta[i]), 1)
-        r.expect(f"-K.f{i+1} = 2", intersect(minus_k, c.f[i]), 2)
+            expect(f"Delta{i+1}.f{j+1} = {want}", intersect(c.Delta[i], c.f[j]), want)
+        expect(f"f{i+1}^2 = 0", selfint(c.f[i]), 0)
+        expect(f"-K.Delta{i+1} = 1", intersect(minus_k, c.Delta[i]), 1)
+        expect(f"-K.f{i+1} = 2", intersect(minus_k, c.f[i]), 2)
     for i in range(3):
         for j in range(i + 1, 3):
-            r.expect(f"f{i+1}.f{j+1} = 2", intersect(c.f[i], c.f[j]), 2)
+            expect(f"f{i+1}.f{j+1} = 2", intersect(c.f[i], c.f[j]), 2)
 
-    r.expect(
+    expect(
         "S1 + S4 - S2 - S3 = -2E1 + 2E3",
         c.S[0] + c.S[3] - c.S[1] - c.S[2],
         -2 * E[0] + 2 * E[2],
     )
-    r.expect(
+    expect(
         "K + L2 + Delta2 = S1+S2+S3+S4+E1+E3",
         c.K + c.chern[1] + c.Delta[1],
         c.S[0] + c.S[1] + c.S[2] + c.S[3] + E[0] + E[2],
     )
-    r.expect(
+    expect(
         "K + L3 + Delta3 = S1+S2+E2",
         c.K + c.chern[2] + c.Delta[2],
         c.S[0] + c.S[1] + E[1],
     )
-    r.expect("K + L1 = f1 - E4", c.K + c.chern[0], c.f[0] - E[3])
+    expect("K + L1 = f1 - E4", c.K + c.chern[0], c.f[0] - E[3])
 
     # bidouble consistency: 2 L_i = D_j + D_k for {i, j, k} = {1, 2, 3}
     for i, (j, k) in enumerate([(1, 2), (0, 2), (0, 1)]):
-        r.expect(
+        expect(
             f"2L{i+1} = D{j+1} + D{k+1}",
             2 * c.chern[i],
             c.branch_divisor(j) + c.branch_divisor(k),
         )
 
     # negativity inputs for the two exceptional-case reductions
-    r.expect(
+    expect(
         "(2Delta2 - E5 - E6).Delta2 = -2",
         intersect(2 * c.Delta[1] - E[4] - E[5], c.Delta[1]),
         -2,
     )
-    r.expect(
+    expect(
         "(K + 2Delta3 + L - E1 - E2 - E3).Delta3 = -2",
         intersect(c.K + 2 * c.Delta[2] + L - E[0] - E[1] - E[2], c.Delta[2]),
         -2,
@@ -230,18 +236,18 @@ def verify_configuration(c: ConfigCatalog) -> ConfigReport:
 
     # restriction degrees feeding the character-wise bounds
     d1_total = c.branch_divisor(0)
-    r.expect(
+    expect(
         "(D1 + f1 - E4).f1 = 3",
         intersect(d1_total + c.f[0] - E[3], c.f[0]),
         3,
     )
     log2 = c.f[2] + c.S[0] + c.S[1] + c.S[2] + c.S[3] + E[0] + E[2]
-    r.expect("E1-degree = 2", intersect(E[0], log2), 2)
-    r.expect("E3-degree = 2", intersect(E[2], log2), 2)
+    expect("E1-degree = 2", intersect(E[0], log2), 2)
+    expect("E3-degree = 2", intersect(E[2], log2), 2)
     log3 = 2 * c.f[0] + c.S[0] + c.S[1] + c.S[2] + c.S[3] + E[1]
-    r.expect("E2-degree = 3", intersect(E[1], log3), 3)
+    expect("E2-degree = 3", intersect(E[1], log3), 3)
 
-    return r
+    return ConfigReport(checks_run, tuple(failures))
 
 
 def rank_of_span(classes: list[DivisorClass]) -> int:
@@ -252,11 +258,10 @@ def rank_of_span(classes: list[DivisorClass]) -> int:
 
 def chi_bundle_hrr(rk: int, c1: DivisorClass, c2: int) -> int:
     """chi of a rank-rk bundle on Y by Hirzebruch-Riemann-Roch."""
-    k = catalog().K
     value = (
         Fraction(rk) * CHI_TRIVIAL
         + Fraction(selfint(c1) - 2 * c2, 2)
-        - Fraction(intersect(c1, k), 2)
+        - Fraction(intersect(c1, K), 2)
     )
     if value.denominator != 1:
         raise ValueError(f"non-integral chi {value}; invalid Chern data")
@@ -265,9 +270,8 @@ def chi_bundle_hrr(rk: int, c1: DivisorClass, c2: int) -> int:
 
 def twisted_cotangent_chern(twist: DivisorClass) -> tuple[int, DivisorClass, int]:
     """(rank, c1, c2) of the cotangent bundle twisted by a line class."""
-    k = catalog().K
-    c1 = k + 2 * twist
-    c2 = EULER_NUMBER + intersect(k, twist) + selfint(twist)
+    c1 = K + 2 * twist
+    c2 = EULER_NUMBER + intersect(K, twist) + selfint(twist)
     return 2, c1, c2
 
 
@@ -276,7 +280,7 @@ def chi_restricted_twist(component: DivisorClass, genus: int, twist: DivisorClas
     return intersect(twist, component) + 1 - genus
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThetaReport:
     """Arithmetic skeleton of the tangent-sheaf cohomology bounds."""
 
@@ -284,32 +288,42 @@ class ThetaReport:
     chi_restricted_total: int
     invariant_h1: int
     span_ranks: tuple[int, int, int]
-    restriction_degrees: dict[str, int]
+    restriction_degrees: Mapping[str, int]
     character_bounds: tuple[int, int, int]
     h2_bound: int
     chi_theta: int
     h1: int
     h2: int
-    failures: list[str]
+    failures: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-def theta_cohomology_report(ks_squared: int = 7, chi_os: int = 1) -> ThetaReport:
+def theta_cohomology_report(
+    ks_squared: int = 7,
+    chi_os: int = 1,
+    *,
+    configuration: ConfigCatalog | None = None,
+    audit: ConfigReport | None = None,
+) -> ThetaReport:
     """Assemble the h1/h2 computation for the tangent sheaf downstairs.
 
     Inputs mirror the chain: chi of the twisted cotangent bundle plus chi
     of the branch restrictions give the invariant-part dimension; span
     ranks and restriction degrees give per-character bounds upstairs; the
     surface chi(Theta) = 2K^2 - 10 chi(O) pins h1 and h2.
+
+    configuration defaults to catalog() and audit to its
+    verify_configuration report; a caller that already holds them passes
+    them in.
     """
     failures: list[str] = []
-    c = catalog()
-    config = verify_configuration(c)
-    if not config.ok:
-        failures.extend(config.failures)
+    c = catalog() if configuration is None else configuration
+    if audit is None:
+        audit = verify_configuration(c)
+    failures.extend(audit.failures)
 
     rk, c1, c2 = twisted_cotangent_chern(c.K)
     chi_tw = chi_bundle_hrr(rk, c1, c2)
@@ -369,11 +383,11 @@ def theta_cohomology_report(ks_squared: int = 7, chi_os: int = 1) -> ThetaReport
         chi_restricted_total=chi_restr,
         invariant_h1=invariant_h1,
         span_ranks=ranks,
-        restriction_degrees=degrees,
+        restriction_degrees=MappingProxyType(degrees),
         character_bounds=bounds,
         h2_bound=h2_bound,
         chi_theta=chi_theta,
         h1=h1,
         h2=h2,
-        failures=failures,
+        failures=tuple(failures),
     )

@@ -12,16 +12,47 @@ from math import gcd
 
 import numpy as np
 
-from surface_lab.affine_groups import ExtensionData
-from surface_lab.integer_algebra import FinAbGroup, IntMatrix, determinant
+from surface_lab.affine_groups import (
+    ExtensionData,
+    abelianize_extension,
+    standard_generators,
+)
+from surface_lab.integer_algebra import FinAbGroup, IntMatrix
 from surface_lab.legendre_numerics import PoleAtLatticePoint, _check_tau, _reduce
-from surface_lab.orbifold_covers import homology_bound
+from surface_lab.orbifold_covers import orbifold_abelianization
 from surface_lab.picard_lattice import DivisorClass, intersect
 
 
 def groups_isomorphic(a: FinAbGroup, b: FinAbGroup) -> bool:
     """Isomorphism test; invariant factors are a complete invariant."""
     return a.free_rank == b.free_rank and a.torsion == b.torsion
+
+
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant via fraction-free Bareiss elimination."""
+    if m.nrows != m.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.nrows
+    if n == 0:
+        return 1
+    a = m.to_lists()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def gcd_of_minors(m: IntMatrix, k: int) -> int:
@@ -135,6 +166,23 @@ def sign_condition_witnesses(data: ExtensionData) -> list[tuple[int, ...]] | Non
             return None
         witnesses.append(best)
     return witnesses
+
+
+def homology_bound(data=None) -> tuple[int, int]:
+    """(bound, actual): orbifold cap on the homology order versus the
+    computed abelianization order.
+
+    The surface group maps onto the five-point orbifold group extended by
+    one extra central involution, and its abelianization adds at most one
+    more factor of 2, capping the order at
+    2 * |orbifold_abelianization(5) x Z/2| = 2 * (16 * 2) = 64.
+    """
+    if data is None:
+        data = standard_generators()
+    orb = orbifold_abelianization(5)
+    bound = 2 * ((orb.order() or 0) * 2)
+    actual = abelianize_extension(data).order() or 0
+    return bound, actual
 
 
 def homology_bound_check(data=None) -> bool:

@@ -27,7 +27,6 @@ from surface_lab.character_calculus import (
 from surface_lab.integer_algebra import (
     FinAbGroup,
     IntMatrix,
-    determinant,
     smith_normal_form,
 )
 from surface_lab.legendre_numerics import (
@@ -41,7 +40,6 @@ from surface_lab.orbifold_covers import (
     classify_corank1_subgroups,
     cover_genus,
     fixed_point_count,
-    homology_bound,
     orbifold_abelianization,
     standard_cover_data,
 )
@@ -54,7 +52,7 @@ from surface_lab.product_threefold import (
     standard_factors,
 )
 
-from oracles import groups_isomorphic
+from oracles import determinant, groups_isomorphic, homology_bound
 
 EPS = 1e-9
 DEFAULT_TAUS = (1j, (1 + 3j) / 2, 2j, (1 + 5j) / 3)

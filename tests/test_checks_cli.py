@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,9 +24,11 @@ from surface_lab.checks import (
     run,
 )
 from surface_lab.cli import format_tau, main, parse_tau, render_json, render_text
+from surface_lab.picard_lattice import E, L, catalog
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN_NO_TAUS = Path(__file__).parent / "data" / "verify_all_no_default_taus.json"
+GOLDEN_NO_TAUS_TEXT = Path(__file__).parent / "data" / "verify_all_no_default_taus.txt"
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -42,6 +45,33 @@ ALGEBRAIC_SUBSET = (
     "picard_config",
     "character_decomposition",
 )
+
+SHARED_BUILDERS = (
+    "theta_cohomology_report",
+    "verify_configuration",
+    "adjunction_chain",
+    "abelianize_extension",
+)
+
+
+def count_calls(monkeypatch, names) -> Counter:
+    """Wrap the builders that checks looks up by name; count their calls."""
+    calls: Counter = Counter()
+    for name in names:
+        def counted(*args, _fn=getattr(checks_mod, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(checks_mod, name, counted)
+    return calls
+
+
+def raise_in_pg_38(monkeypatch) -> None:
+    def boom(facts):
+        raise ZeroDivisionError("seeded defect")
+
+    raising = dataclasses.replace(CHECKS["pg_38"], measure=boom)
+    monkeypatch.setitem(checks_mod.CHECKS, "pg_38", raising)
 
 
 class TestRegistry:
@@ -144,6 +174,54 @@ class TestRun:
         assert results[0].status == "pass"
         assert "residual" in results[0].actual
 
+    def test_raising_shared_builder_errors_only_its_readers(self, monkeypatch):
+        def boom():
+            raise RuntimeError("no chain")
+
+        monkeypatch.setattr(checks_mod, "adjunction_chain", boom)
+        results = run(RunConfig(taus=()))
+        errored = {r.name for r in results if r.status == "error"}
+        assert errored == {"chi_32", "kunneth_list", "pg_38"}
+        assert all(
+            r.actual == "RuntimeError: no chain" for r in results if r.name in errored
+        )
+        assert {r.status for r in results if r.name not in errored} == {"pass", "skipped"}
+
+    def test_exit_code_error_outranks_fail(self):
+        fail = CheckResult("a", "fail", "7", "6", "c")
+        error = CheckResult("b", "error", "7", "KeyError: 'x'", "c")
+        assert exit_code([fail]) == 1
+        assert exit_code([fail, error]) == 3
+        assert exit_code([CheckResult("c", "skipped", "x", "y", "c")]) == 0
+
+
+class TestSharedFacts:
+    def test_one_run_builds_each_shared_report_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, SHARED_BUILDERS)
+        results = run(RunConfig(taus=()))
+        assert all(r.status in ("pass", "skipped") for r in results)
+        assert calls == {name: 1 for name in SHARED_BUILDERS}
+
+    def test_every_run_recomputes(self, monkeypatch):
+        calls = count_calls(monkeypatch, SHARED_BUILDERS)
+        run(RunConfig(taus=()))
+        run(RunConfig(taus=()))
+        assert calls == {name: 2 for name in SHARED_BUILDERS}
+
+    def test_patched_builder_is_seen_by_the_next_run(self, monkeypatch):
+        config = RunConfig(checks=("picard_config", "theta_h1_4_h2_8"), taus=())
+        assert [r.status for r in run(config)] == ["pass", "pass"]
+        good = catalog()
+        broken = dataclasses.replace(good, S=(L - E[0] - E[1], *good.S[1:]))
+        monkeypatch.setattr(checks_mod, "catalog", lambda: broken)
+        assert [r.status for r in run(config)] == ["fail", "fail"]
+
+    def test_unread_reports_are_not_built(self, monkeypatch):
+        names = (*SHARED_BUILDERS, "catalog")
+        calls = count_calls(monkeypatch, names)
+        assert run(RunConfig(checks=("ks2_7",)))[0].status == "pass"
+        assert not calls
+
 
 class TestTauParsing:
     def test_accepts_standard_forms(self):
@@ -175,6 +253,16 @@ class TestRenderers:
             CheckResult("b", "skipped", "x", "no modulus", "c"),
         ]
         assert "1 passed, 0 failed, 1 skipped" in render_text(rs)
+        assert "errored" not in render_text(rs)
+
+    def test_text_error_line_and_summary(self):
+        rs = [
+            CheckResult("a", "pass", "x", "x", "c"),
+            CheckResult("b", "error", "7", "ValueError: boom", "c"),
+        ]
+        text = render_text(rs)
+        assert "expected 7; raised ValueError: boom" in text
+        assert text.endswith("2 checks: 1 passed, 0 failed, 1 errored")
 
     def test_json_document_shape(self):
         cfg = RunConfig(checks=("ks2_7", "homology_h1"))
@@ -250,6 +338,40 @@ class TestMain:
         assert main(["verify", "ks2_7", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["results"][0]["status"] == "pass"
+
+    def test_bad_samples_is_usage_error(self, capsys):
+        assert main(["verify", "legendre_identities", "--samples", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "samples" in captured.err and captured.err.count("\n") == 1
+
+    def test_raising_check_text_report_is_complete(self, monkeypatch, capsys):
+        raise_in_pg_38(monkeypatch)
+        assert main(["verify", "all", "--no-default-taus"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:-1]] == canonical_names()
+        [row] = [line for line in lines if line.startswith("pg_38 ")]
+        assert row.split()[1] == "error"
+        assert "expected 38; raised ZeroDivisionError: seeded defect" in row
+        assert lines[-1] == "22 checks: 19 passed, 0 failed, 2 skipped, 1 errored"
+
+    def test_raising_check_json_report_is_complete(self, monkeypatch, capsys):
+        raise_in_pg_38(monkeypatch)
+        assert main(["verify", "all", "--no-default-taus", "--format", "json"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert [r["name"] for r in doc["results"]] == canonical_names()
+        by_name = {r["name"]: r for r in doc["results"]}
+        bad = by_name.pop("pg_38")
+        assert bad["status"] == "error"
+        assert bad["expected"] == "38"
+        assert bad["actual"] == "ZeroDivisionError: seeded defect"
+        assert {r["status"] for r in by_name.values()} == {"pass", "skipped"}
+
+    def test_no_default_taus_text_matches_golden_file(self, capsys):
+        # the file is this command's output at the commit before checks
+        # could report "error"; no status other than pass/skipped appears
+        assert main(["verify", "all", "--no-default-taus"]) == 0
+        assert capsys.readouterr().out.encode() == GOLDEN_NO_TAUS_TEXT.read_bytes()
 
     def test_no_default_taus_json_matches_golden_file(self):
         # the file is this command's output at the commit before the claims

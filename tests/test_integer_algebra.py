@@ -9,13 +9,12 @@ from surface_lab.integer_algebra import (
     IntMatrix,
     SmithForm,
     cokernel,
-    determinant,
     rank,
     rank_mod2,
     smith_normal_form,
 )
 
-from oracles import gcd_of_minors, groups_isomorphic, symmetric_signature
+from oracles import determinant, gcd_of_minors, groups_isomorphic, symmetric_signature
 
 
 def padded_diagonal(diag: tuple[int, ...], nrows: int, ncols: int) -> IntMatrix:
@@ -113,7 +112,7 @@ def test_symmetric_signature():
     assert symmetric_signature(gram) == (1, 6, 0)
     hyper = IntMatrix.from_rows([[0, 1], [1, 0]])
     assert symmetric_signature(hyper) == (1, 1, 0)
-    assert symmetric_signature(IntMatrix.zeros(3, 3)) == (0, 0, 3)
+    assert symmetric_signature(IntMatrix.from_rows([[0] * 3] * 3)) == (0, 0, 3)
 
 
 small_matrices = st.integers(1, 5).flatmap(

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from surface_lab.integer_algebra import FinAbGroup
 from surface_lab.orbifold_covers import (
-    homology_bound,
     BranchedCoverData,
     IdentityElement,
     NonIntegralGenus,
@@ -19,7 +18,7 @@ from surface_lab.orbifold_covers import (
     standard_cover_data,
 )
 
-from oracles import homology_bound_check
+from oracles import homology_bound, homology_bound_check
 
 
 def test_standard_cover_data():

@@ -98,7 +98,7 @@ class TestVerifyConfiguration:
     def test_full_catalog_passes(self):
         report = verify_configuration(catalog())
         assert report.ok
-        assert report.failures == []
+        assert report.failures == ()
         assert report.checks_run > 40
 
     def test_mutated_side_fails_disjointness(self):
@@ -227,6 +227,29 @@ class TestThetaReport:
     def test_wrong_surface_invariants_are_flagged(self):
         report = theta_cohomology_report(ks_squared=6, chi_os=1)
         assert not report.ok
+
+    def test_reports_are_frozen(self):
+        theta = theta_cohomology_report()
+        audit = verify_configuration(catalog())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            theta.h1 = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            audit.checks_run = 0
+        with pytest.raises(TypeError):
+            theta.restriction_degrees["f1"] = 0
+        assert isinstance(theta.failures, tuple) and isinstance(audit.failures, tuple)
+
+    def test_given_catalog_and_audit_are_used(self):
+        c = catalog()
+        broken = dataclasses.replace(c, S=(L - E[0] - E[1], *c.S[1:]))
+        audit = verify_configuration(broken)
+        assert not audit.ok
+        report = theta_cohomology_report(configuration=broken, audit=audit)
+        assert not report.ok
+        assert report.failures[: len(audit.failures)] == audit.failures
+        assert theta_cohomology_report(configuration=c, audit=verify_configuration(c)) == (
+            theta_cohomology_report()
+        )
 
 
 class TestLatticeInvariants:
