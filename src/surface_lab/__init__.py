@@ -13,26 +13,36 @@ Subpackages split by machinery:
 - checks / cli: the named verification suite behind `surface-lab verify`
 """
 
-from .affine_groups import abelianize_extension, standard_generators
-from .checks import RunConfig, run
-from .integer_algebra import FinAbGroup, IntMatrix, smith_normal_form
-from .legendre_numerics import Tolerance, legendre_params, verify_identities
-from .picard_lattice import theta_cohomology_report, verify_configuration
-from .product_threefold import adjunction_chain, ks_squared
+from importlib import import_module
 
-__all__ = [
-    "FinAbGroup",
-    "IntMatrix",
-    "RunConfig",
-    "Tolerance",
-    "abelianize_extension",
-    "adjunction_chain",
-    "ks_squared",
-    "legendre_params",
-    "run",
-    "smith_normal_form",
-    "standard_generators",
-    "theta_cohomology_report",
-    "verify_configuration",
-    "verify_identities",
-]
+# public name -> defining submodule; each submodule is imported on first
+# access (PEP 562), so `from surface_lab import legendre_numerics` loads the
+# numerics alone and not the six algebra modules
+_EXPORTS = {
+    "FinAbGroup": "integer_algebra",
+    "IntMatrix": "integer_algebra",
+    "RunConfig": "checks",
+    "Tolerance": "legendre_numerics",
+    "abelianize_extension": "affine_groups",
+    "adjunction_chain": "product_threefold",
+    "ks_squared": "product_threefold",
+    "legendre_params": "legendre_numerics",
+    "run": "checks",
+    "smith_normal_form": "integer_algebra",
+    "standard_generators": "affine_groups",
+    "theta_cohomology_report": "picard_lattice",
+    "verify_configuration": "picard_lattice",
+    "verify_identities": "legendre_numerics",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    # not cached in the package namespace: a rebinding of the submodule
+    # attribute (a monkeypatch, a tracer) is seen by the next lookup
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f".{module}", __name__), name)

@@ -45,20 +45,6 @@ class IntMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries))) if self.entries else IntMatrix(())
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = other.transpose().entries
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            )
-        )
-
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 

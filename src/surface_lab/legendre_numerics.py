@@ -10,10 +10,21 @@ value table
 which pins M up to the two-fold ambiguity a <-> 1/a (swapping the curve
 parameter); a deterministic selection rule makes reports reproducible.
 
-wp itself is evaluated two independent ways: a cosecant (Eisenstein) row
-series, and a theta-function quotient.  A truncated lattice sum with an
-explicit tail bound, weierstrass_p_lattice_sum in tests/oracles.py, serves
-the tests as a third, slow oracle.
+wp itself is evaluated two independent ways: a row series in nome form on
+the modular-reduced lattice, and a theta-function quotient on the lattice
+as given, so their agreement also checks the modular transformation.  A
+truncated lattice sum with an explicit tail bound, weierstrass_p_lattice_sum
+in tests/oracles.py, serves the tests as a third, slow oracle.
+
+The row series (DLMF 23.8) first moves tau by SL2(Z) into the fundamental
+domain |Re tau'| <= 1/2, |tau'| >= 1 (DLMF 23.18): with j = c tau + d,
+wp(z; tau) = j^-2 wp(z/j; tau') and wp'(z; tau) = j^-3 wp'(z/j; tau').  There
+the nome q = exp(2 pi i tau') has |q| <= exp(-pi sqrt 3), and each row is
+rational in q^n t and q^n / t with t = exp(2 pi i z/j), so about seven rows
+reach 1e-16 whatever the modulus.  Domain: every tau with Im tau > 0 whose
+reduced Im tau' is at most 700/pi (about 223), where t, 1/t and the n = 0
+term stay inside the float range; beyond it (tau = 0.001i reduces to 1000i)
+the evaluators raise DegenerateModulus.
 
 Conventions: lattice <1, tau> with Im tau > 0; half-period values are
 e1 = wp(1/2), e2 = wp(tau/2), e3 = wp((1+tau)/2); nome q = exp(i pi tau);
@@ -78,6 +89,8 @@ class EllipticParams:
 def _check_tau(tau: complex) -> None:
     if not tau.imag > 0:
         raise ValueError("modulus must have positive imaginary part")
+    if not cmath.isfinite(tau):
+        raise ValueError(f"modulus must be finite, got {tau!r}")
 
 
 def _reduce(z: complex, tau: complex) -> tuple[float, float]:
@@ -87,56 +100,118 @@ def _reduce(z: complex, tau: complex) -> tuple[float, float]:
     return x - round(x), y - round(y)
 
 
-def _csc2(w: complex) -> complex:
-    s = cmath.sin(PI * w)
-    return (PI * PI) / (s * s)
+def modular_reduction(tau: complex) -> tuple[complex, tuple[int, int, int, int]]:
+    """(tau', (a, b, c, d)) with ad - bc = 1, tau' = (a tau + b)/(c tau + d)
+    and tau' in the fundamental domain |Re tau'| <= 1/2, |tau'| >= 1.
+
+    Translations and inversions are applied until the modulus stops moving;
+    the lattice <1, tau> equals (c tau + d) <1, tau'>.
+    """
+    _check_tau(tau)
+    a, b, c, d = 1, 0, 0, 1
+    w = tau
+    while True:
+        k = round(w.real)
+        if k:
+            w -= k
+            a, b = a - k * c, b - k * d
+        # the slack stops a modulus on the unit circle from being
+        # inverted back and forth by rounding
+        if abs(w) >= 1 - 1e-15:
+            return w, (a, b, c, d)
+        w = -1 / w
+        a, b, c, d = -c, -d, a, b
+
+
+# exp(pi * _IM_TAU_MAX) = 1e304: t = exp(2 pi i z'), 1/t and sin(pi z')^2
+# stay finite for every reduced z'
+_IM_TAU_MAX = 700 / PI
+_PI2 = PI * PI
+_M4PI2 = -4 * _PI2
+_PI3 = _PI2 * PI
+
+
+def _nome_frame(z: complex, tau: complex) -> tuple[complex, complex, complex, complex]:
+    """(j, z', t, q) for the row series on the reduced lattice <1, tau'>:
+    j = c tau + d, z' = z / j reduced to the central cell, t = exp(2 pi i z'),
+    q = exp(2 pi i tau'), so wp(z; tau) = j^-2 wp(z'; tau')."""
+    tau_r, (_, _, c, d) = modular_reduction(tau)
+    if tau_r.imag > _IM_TAU_MAX:
+        raise DegenerateModulus(
+            f"reduced modulus {tau_r} has Im > {_IM_TAU_MAX:.1f}; "
+            "its nome form leaves the float range"
+        )
+    j = c * tau + d
+    x, y = _reduce(z / j, tau_r)
+    if max(abs(x), abs(y)) < 1e-12:
+        raise PoleAtLatticePoint(f"{z} reduces to a lattice point")
+    zr = x + y * tau_r
+    return j, zr, cmath.exp(2j * PI * zr), cmath.exp(2j * PI * tau_r)
 
 
 def weierstrass_p(z: complex, tau: complex, *, eps: float = 1e-14) -> complex:
-    """wp(z; 1, tau) by the cosecant row series.
+    """wp(z; 1, tau) by the row series in nome form on the reduced lattice.
 
-    Rows n and -n are paired with the constant row value, so each term
-    decays like exp(-2 pi n Im tau) and the truncation error is below the
-    last kept term.
+    Row n of the cosecant series, pi^2 (csc^2 pi(z + n tau) +
+    csc^2 pi(z - n tau) - 2 csc^2 pi n tau), is -4 pi^2 times
+    u/(1-u)^2 + v/(1-v)^2 - 2 q^n/(1-q^n)^2 with u = q^n t, v = q^n / t.
+    After the modular reduction |q| <= exp(-pi sqrt 3), so rows decay by a
+    factor of at least 230; rows are added until one is below eps |j|^2,
+    which keeps the truncation error of the returned j^-2 wp(z') below eps.
     """
-    _check_tau(tau)
-    x, y = _reduce(z, tau)
-    if max(abs(x), abs(y)) < 1e-12:
-        raise PoleAtLatticePoint(f"{z} reduces to a lattice point")
-    zr = x + y * tau
-    total = _csc2(zr) - PI * PI / 3
-    for n in range(1, 401):
-        term = _csc2(zr - n * tau) + _csc2(zr + n * tau) - 2 * _csc2(n * tau)
+    j, zr, t, q = _nome_frame(z, tau)
+    s = cmath.sin(PI * zr)
+    total = _PI2 / (s * s) - _PI2 / 3
+    it = 1 / t
+    tol = eps * abs(j) ** 2
+    qn = q
+    for _ in range(400):
+        u, v = qn * t, qn * it
+        mu, mv, mq = 1 - u, 1 - v, 1 - qn
+        term = _M4PI2 * (v / (mv * mv) + u / (mu * mu) - 2 * qn / (mq * mq))
         total += term
-        if abs(term) < eps:
-            return total
-    raise DegenerateModulus("cosecant series did not converge; Im tau too small")
+        if abs(term) < tol:
+            return total / (j * j)
+        qn *= q
+    raise DegenerateModulus("row series did not converge")
+
+
+# q^((n+1/2)^2) and q^((n+1)^2) are running products from q^(1/4) and q:
+# (n+3/2)^2 - (n+1/2)^2 = 2n + 2 and (n+2)^2 - (n+1)^2 = 2n + 3, so the
+# principal branch of q^(1/4) carries through and no complex power with a
+# float exponent is taken per term
 
 
 def _theta_nulls(q: complex, eps: float) -> tuple[complex, complex, complex]:
     t2 = t3 = t4 = 0j
+    half, full, q2 = q**0.25, q, q * q
+    step = q2  # q^(2n+2)
     for n in range(60):
-        half = q ** ((n + 0.5) ** 2)
-        full = q ** ((n + 1) ** 2)
         t2 += 2 * half
         t3 += 2 * full
         t4 += 2 * ((-1) ** (n + 1)) * full
         if abs(half) < eps and abs(full) < eps and n > 1:
             return t2, 1 + t3, 1 + t4
+        half *= step
+        full *= step * q
+        step *= q2
     raise DegenerateModulus("theta series did not converge")
 
 
 def _theta1_theta4(v: complex, q: complex, eps: float) -> tuple[complex, complex]:
     t1 = t4 = 0j
+    half, full, q2 = q**0.25, q, q * q
+    step = q2
     for n in range(60):
-        half = q ** ((n + 0.5) ** 2)
-        full = q ** ((n + 1) ** 2)
         inc1 = 2 * ((-1) ** n) * half * cmath.sin((2 * n + 1) * v)
         inc4 = 2 * ((-1) ** (n + 1)) * full * cmath.cos(2 * (n + 1) * v)
         t1 += inc1
         t4 += inc4
         if abs(inc1) < eps and abs(inc4) < eps and n > 1:
             return t1, 1 + t4
+        half *= step
+        full *= step * q
+        step *= q2
     raise DegenerateModulus("theta series did not converge")
 
 
@@ -231,23 +306,22 @@ def legendre_value(
 
 
 def weierstrass_p_prime(z: complex, tau: complex, *, eps: float = 1e-14) -> complex:
-    """wp'(z) by the termwise derivative of the cosecant row series."""
-    _check_tau(tau)
-    x, y = _reduce(z, tau)
-    if max(abs(x), abs(y)) < 1e-12:
-        raise PoleAtLatticePoint(f"{z} reduces to a lattice point")
-    zr = x + y * tau
-
-    def row(w: complex) -> complex:
-        s = cmath.sin(PI * w)
-        return -2 * PI**3 * cmath.cos(PI * w) / (s * s * s)
-
-    total = row(zr)
-    for n in range(1, 401):
-        term = row(zr - n * tau) + row(zr + n * tau)
+    """wp'(z) by the termwise derivative of the nome-form rows of
+    weierstrass_p, on the same reduced lattice: wp'(z; tau) = j^-3 wp'(z')."""
+    j, zr, t, q = _nome_frame(z, tau)
+    s = cmath.sin(PI * zr)
+    total = -2 * _PI3 * (cmath.cos(PI * zr) / s) / (s * s)
+    it = 1 / t
+    tol = eps * abs(j) ** 3
+    qn = q
+    for _ in range(400):
+        u, v = qn * t, qn * it
+        mu, mv = 1 - u, 1 - v
+        term = 8j * _PI3 * (v * (1 + v) / (mv * mv * mv) - u * (1 + u) / (mu * mu * mu))
         total += term
-        if abs(term) < eps:
-            return total
+        if abs(term) < tol:
+            return total / (j * j * j)
+        qn *= q
     raise DegenerateModulus("derivative series did not converge")
 
 
@@ -255,7 +329,11 @@ def legendre_derivative(
     params: EllipticParams, z: complex, *, eps: float = 1e-14
 ) -> complex:
     """L'(z) by the chain rule through the analytic wp' series."""
-    w = weierstrass_p(z, params.tau, eps=eps)
+    return _chain_rule(params, z, weierstrass_p(z, params.tau, eps=eps), eps)
+
+
+def _chain_rule(params: EllipticParams, z: complex, w: complex, eps: float) -> complex:
+    """L'(z) = M'(w) wp'(z), given w = wp(z)."""
     _, q, _, s = params.mobius
     m_prime = (s - q) / ((w + s) * (w + s))
     return m_prime * weierstrass_p_prime(z, params.tau, eps=eps)
@@ -283,7 +361,7 @@ def sample_points(
 
 DERIVATIVE_METHOD = (
     "central differences with h = eps^(1/3) for the half-period check; "
-    "analytic cosecant-series wp' for the quadratic ratio"
+    "analytic nome-form row-series wp' for the quadratic ratio"
 )
 
 
@@ -331,7 +409,10 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
     }
     ratios = []
     for z in pts:
-        value = lv(z)
+        # sample points avoid the lattice, so wp(z) is finite and shared
+        # by L(z) and the chain rule for L'(z)
+        w = weierstrass_p(z, tau, eps=se)
+        value = _mobius(params.mobius, w)
         residuals["evenness"] = max(residuals["evenness"], _residual(lv(-z), value))
         residuals["period_one"] = max(
             residuals["period_one"], _residual(lv(z + 1), value)
@@ -345,7 +426,7 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
         residuals["tau_half_product"] = max(
             residuals["tau_half_product"], _residual(lv(z + tau / 2) * value, a)
         )
-        d = legendre_derivative(params, z, eps=se)
+        d = _chain_rule(params, z, w, se)
         ratios.append(d * d / ((value**2 - 1) * (value**2 - a**2)))
 
     h = tol.eps ** (1.0 / 3.0)

@@ -28,6 +28,22 @@ def groups_isomorphic(a: FinAbGroup, b: FinAbGroup) -> bool:
     return a.free_rank == b.free_rank and a.torsion == b.torsion
 
 
+def matmul(*factors: IntMatrix) -> IntMatrix:
+    """Exact product of integer matrices, left to right."""
+    out = factors[0]
+    for m in factors[1:]:
+        if out.ncols != m.nrows:
+            raise ValueError("shape mismatch")
+        cols = tuple(zip(*m.entries))
+        out = IntMatrix(
+            tuple(
+                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                for row in out.entries
+            )
+        )
+    return out
+
+
 def determinant(m: IntMatrix) -> int:
     """Exact determinant via fraction-free Bareiss elimination."""
     if m.nrows != m.ncols:

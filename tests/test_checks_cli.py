@@ -387,6 +387,19 @@ class TestMain:
         )
         assert out.returncode == 0, out.stderr
 
+    def test_numerics_import_leaves_algebra_out(self):
+        script = (
+            "import sys\n"
+            "from surface_lab import legendre_numerics\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('surface_lab.'))\n"
+            "assert loaded == ['surface_lab.legendre_numerics'], loaded\n"
+            "from surface_lab import run, Tolerance\n"
+            "assert Tolerance is legendre_numerics.Tolerance\n"
+            "assert run.__module__ == 'surface_lab.checks'\n"
+        )
+        out = run_python("-c", script)
+        assert out.returncode == 0, out.stderr
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main([])

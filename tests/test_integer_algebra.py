@@ -14,7 +14,13 @@ from surface_lab.integer_algebra import (
     smith_normal_form,
 )
 
-from oracles import determinant, gcd_of_minors, groups_isomorphic, symmetric_signature
+from oracles import (
+    determinant,
+    gcd_of_minors,
+    groups_isomorphic,
+    matmul,
+    symmetric_signature,
+)
 
 
 def padded_diagonal(diag: tuple[int, ...], nrows: int, ncols: int) -> IntMatrix:
@@ -47,7 +53,7 @@ def test_snf_transforms_certify_frozen_example():
     m = IntMatrix.from_rows([[2, 4], [4, 2]])
     f = smith_normal_form(m, transforms=True)
     assert f.diagonal == (2, 6)
-    assert f.left @ m @ f.right == padded_diagonal(f.diagonal, 2, 2)
+    assert matmul(f.left, m, f.right) == padded_diagonal(f.diagonal, 2, 2)
     assert abs(determinant(f.left)) == 1
     assert abs(determinant(f.right)) == 1
 
@@ -131,7 +137,7 @@ small_matrices = st.integers(1, 5).flatmap(
 def test_snf_certified_by_transforms(rows):
     m = IntMatrix.from_rows(rows)
     f = smith_normal_form(m, transforms=True)
-    assert f.left @ m @ f.right == padded_diagonal(f.diagonal, m.nrows, m.ncols)
+    assert matmul(f.left, m, f.right) == padded_diagonal(f.diagonal, m.nrows, m.ncols)
     assert abs(determinant(f.left)) == 1
     assert abs(determinant(f.right)) == 1
     for a, b in zip(f.diagonal, f.diagonal[1:]):
@@ -184,6 +190,6 @@ def test_snf_bulk_random_certification():
             [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
         )
         f = smith_normal_form(m, transforms=True)
-        assert f.left @ m @ f.right == padded_diagonal(f.diagonal, r, c)
+        assert matmul(f.left, m, f.right) == padded_diagonal(f.diagonal, r, c)
         assert abs(determinant(f.left)) == 1
         assert abs(determinant(f.right)) == 1

@@ -15,7 +15,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from surface_lab.character_calculus import pencil_fixed_parameters
@@ -30,6 +30,7 @@ from surface_lab.legendre_numerics import (
     legendre_derivative,
     legendre_params,
     legendre_value,
+    modular_reduction,
     sample_points,
     verify_identities,
     weierstrass_p,
@@ -133,6 +134,65 @@ class TestWeierstrassEvaluators:
         tau = DEFAULT_TAUS[k]
         z = u + v * tau
         assert rel(weierstrass_p(z, tau), weierstrass_p_theta(z, tau)) < 1e-11
+
+
+class TestModularReduction:
+    """The nome-form kernel evaluates on the SL2(Z)-reduced lattice; the
+    unreduced theta quotient is the cross-check."""
+
+    @given(
+        re=st.floats(min_value=-0.5, max_value=0.5),
+        im=st.floats(min_value=0.05, max_value=0.9),
+        u=st.floats(min_value=0.12, max_value=0.38),
+        v=st.floats(min_value=0.12, max_value=0.38),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_inverted_moduli_agree_with_theta(self, re, im, u, v):
+        tau = complex(re, im)
+        assume(abs(tau) < 1)
+        z = u + v * tau
+        assert rel(weierstrass_p(z, tau), weierstrass_p_theta(z, tau)) < 1e-11
+        h = 1e-5 * im  # wp varies on the scale of the short period
+        numeric = (weierstrass_p(z + h, tau) - weierstrass_p(z - h, tau)) / (2 * h)
+        assert rel(weierstrass_p_prime(z, tau), numeric) < 1e-6
+
+    @given(
+        re=st.floats(min_value=-50, max_value=50),
+        im=st.floats(min_value=1e-3, max_value=50),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_reduction_lands_in_fundamental_domain(self, re, im):
+        tau = complex(re, im)
+        reduced, (a, b, c, d) = modular_reduction(tau)
+        assert all(isinstance(e, int) for e in (a, b, c, d))
+        assert a * d - b * c == 1
+        assert abs(reduced.real) <= 0.5
+        assert abs(reduced) >= 1 - 1e-12
+        assert rel((a * tau + b) / (c * tau + d), reduced) < 1e-9
+
+    @pytest.mark.parametrize("tau", [0.1 + 0.3j, (1 + 3j) / 2, 0.02 + 0.01j, 0.1 + 4j])
+    def test_translation_invariance(self, tau):
+        z = 0.31 + 0.27 * tau
+        p = weierstrass_p(z, tau)
+        assert rel(weierstrass_p(z, tau + 1), p) < 1e-13
+        assert rel(weierstrass_p(z, tau + 7), p) < 1e-13
+
+    def test_small_imaginary_part_agrees_with_theta(self):
+        # the unreduced row series needs ~1/Im tau rows and gave up here
+        tau = 0.02 + 0.01j
+        for u in GRID:
+            z = u.real + u.imag * tau
+            assert rel(weierstrass_p(z, tau), weierstrass_p_theta(z, tau)) < 1e-10
+
+    def test_huge_reduced_modulus_is_degenerate(self):
+        for fn in (weierstrass_p, weierstrass_p_prime):
+            with pytest.raises(DegenerateModulus):
+                fn(0.3 + 0.2j, 300j)
+
+    def test_non_finite_modulus_rejected(self):
+        for tau in (complex(math.inf, 1), complex(math.nan, 1), complex(0, math.inf)):
+            with pytest.raises(ValueError):
+                weierstrass_p(0.3 + 0.2j, tau)
 
 
 class TestLegendreParams:
