@@ -27,7 +27,7 @@ term stay inside the float range; beyond it (tau = 0.001i reduces to 1000i)
 the evaluators raise DegenerateModulus.
 
 Conventions: lattice <1, tau> with Im tau > 0; half-period values are
-e1 = wp(1/2), e2 = wp(tau/2), e3 = wp((1+tau)/2); nome q = exp(i pi tau);
+e1 = wp(1/2), e2 = wp(tau/2), e3 = wp((1+tau)/2); theta nome q = exp(i pi tau);
 theta series in the sin-like convention theta1(v) =
 2 sum (-1)^n q^((n+1/2)^2) sin((2n+1)v), so theta1'(0) =
 theta2(0) theta3(0) theta4(0).
@@ -100,7 +100,7 @@ def _reduce(z: complex, tau: complex) -> tuple[float, float]:
     return x - round(x), y - round(y)
 
 
-def modular_reduction(tau: complex) -> tuple[complex, tuple[int, int, int, int]]:
+def _modular_reduction(tau: complex) -> tuple[complex, tuple[int, int, int, int]]:
     """(tau', (a, b, c, d)) with ad - bc = 1, tau' = (a tau + b)/(c tau + d)
     and tau' in the fundamental domain |Re tau'| <= 1/2, |tau'| >= 1.
 
@@ -135,7 +135,7 @@ def _nome_frame(z: complex, tau: complex) -> tuple[complex, complex, complex, co
     """(j, z', t, q) for the row series on the reduced lattice <1, tau'>:
     j = c tau + d, z' = z / j reduced to the central cell, t = exp(2 pi i z'),
     q = exp(2 pi i tau'), so wp(z; tau) = j^-2 wp(z'; tau')."""
-    tau_r, (_, _, c, d) = modular_reduction(tau)
+    tau_r, (_, _, c, d) = _modular_reduction(tau)
     if tau_r.imag > _IM_TAU_MAX:
         raise DegenerateModulus(
             f"reduced modulus {tau_r} has Im > {_IM_TAU_MAX:.1f}; "

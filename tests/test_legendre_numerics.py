@@ -25,12 +25,12 @@ from surface_lab.legendre_numerics import (
     IdentityFailure,
     PoleAtLatticePoint,
     Tolerance,
+    _modular_reduction,
     evaluator_agreement,
     invariant_pencil_constant,
     legendre_derivative,
     legendre_params,
     legendre_value,
-    modular_reduction,
     sample_points,
     verify_identities,
     weierstrass_p,
@@ -163,7 +163,7 @@ class TestModularReduction:
     @settings(max_examples=80, deadline=None)
     def test_reduction_lands_in_fundamental_domain(self, re, im):
         tau = complex(re, im)
-        reduced, (a, b, c, d) = modular_reduction(tau)
+        reduced, (a, b, c, d) = _modular_reduction(tau)
         assert all(isinstance(e, int) for e in (a, b, c, d))
         assert a * d - b * c == 1
         assert abs(reduced.real) <= 0.5
