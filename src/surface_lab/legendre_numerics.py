@@ -21,10 +21,10 @@ domain |Re tau'| <= 1/2, |tau'| >= 1 (DLMF 23.18): with j = c tau + d,
 wp(z; tau) = j^-2 wp(z/j; tau') and wp'(z; tau) = j^-3 wp'(z/j; tau').  There
 the nome q = exp(2 pi i tau') has |q| <= exp(-pi sqrt 3), and each row is
 rational in q^n t and q^n / t with t = exp(2 pi i z/j), so about seven rows
-reach 1e-16 whatever the modulus.  Domain: every tau with Im tau > 0 whose
-reduced Im tau' is at most 700/pi (about 223), where t, 1/t and the n = 0
-term stay inside the float range; beyond it (tau = 0.001i reduces to 1000i)
-the evaluators raise DegenerateModulus.
+reach 1e-16 whatever the modulus.  Domain: every finite tau with
+Im tau > 0 whose reduced Im tau' is at most 700/pi (about 223), where t,
+1/t and the n = 0 term stay inside the float range; beyond it (tau = 0.001i
+reduces to 1000i) the evaluators raise DegenerateModulus.
 
 Conventions: lattice <1, tau> with Im tau > 0; half-period values are
 e1 = wp(1/2), e2 = wp(tau/2), e3 = wp((1+tau)/2); theta nome q = exp(i pi tau);
