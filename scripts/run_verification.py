@@ -48,6 +48,8 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     for tau in taus:
+        # fixed precision, so long moduli keep the columns aligned
+        label = f"{tau.real:.6f}{tau.imag:+.6f}i"
         for eps in EPS_GRID:
             tol = Tolerance(eps=eps, samples=args.samples, seed=args.seed)
             params = legendre_params(tau, tol)
@@ -55,7 +57,7 @@ def main() -> int:
             gap = evaluator_agreement(tau, tol)
             flag = "" if report.ok else "  FAILED"
             print(
-                f"{format_tau(tau):<22} {eps:>8.0e} "
+                f"{label:<22} {eps:>8.0e} "
                 f"{report.worst_residual:>15.3e} {gap:>14.3e}{flag}"
             )
             if not report.ok:

@@ -12,9 +12,20 @@ parameter); a deterministic selection rule makes reports reproducible.
 
 wp itself is evaluated two independent ways: a row series in nome form on
 the modular-reduced lattice, and a theta-function quotient on the lattice
-as given, so their agreement also checks the modular transformation.  A
-truncated lattice sum with an explicit tail bound, weierstrass_p_lattice_sum
-in tests/oracles.py, serves the tests as a third, slow oracle.
+translated to |Re tau| <= 1/2 (exact, since 1 is a period; it keeps the
+phase of the theta nome at any Re tau) but not inverted, so their agreement
+also checks the modular inversion.  A truncated lattice sum with an
+explicit tail bound, weierstrass_p_lattice_sum in tests/oracles.py, serves
+the tests as a third, slow oracle.
+
+Each evaluator keeps what depends on tau alone in a per-modulus frame, built
+once: the reduction, the nome and a row table extended on demand for the
+row series (_NomeFrame, which EllipticParams carries, so L and L' of a
+modulus share it); the translated nome, theta nulls, wp(tau/2) and the
+signed theta coefficients for the quotient (_ThetaFrame).  The frames do
+the same float operations in the same order as a per-point evaluation, so
+results are bit-identical; nothing is kept beyond a call or an
+EllipticParams.
 
 The row series (DLMF 23.8) first moves tau by SL2(Z) into the fundamental
 domain |Re tau'| <= 1/2, |tau'| >= 1 (DLMF 23.18): with j = c tau + d,
@@ -38,7 +49,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 PI = math.pi
 
@@ -84,6 +95,9 @@ class EllipticParams:
     mobius: tuple[complex, complex, complex, complex]  # (p, q, r, s)
     a: complex
     b: complex
+    # the row-series frame of tau that built e1, e2, e3, reused by every
+    # evaluation of L and L'; it lives and dies with these parameters
+    frame: _NomeFrame = field(compare=False, repr=False)
 
 
 def _check_tau(tau: complex) -> None:
@@ -129,106 +143,194 @@ _IM_TAU_MAX = 700 / PI
 _PI2 = PI * PI
 _M4PI2 = -4 * _PI2
 _PI3 = _PI2 * PI
+_MAX_ROWS = 400
 
 
-def _nome_frame(z: complex, tau: complex) -> tuple[complex, complex, complex, complex]:
-    """(j, z', t, q) for the row series on the reduced lattice <1, tau'>:
-    j = c tau + d, z' = z / j reduced to the central cell, t = exp(2 pi i z'),
-    q = exp(2 pi i tau'), so wp(z; tau) = j^-2 wp(z'; tau')."""
-    tau_r, (_, _, c, d) = _modular_reduction(tau)
-    if tau_r.imag > _IM_TAU_MAX:
-        raise DegenerateModulus(
-            f"reduced modulus {tau_r} has Im > {_IM_TAU_MAX:.1f}; "
-            "its nome form leaves the float range"
-        )
-    j = c * tau + d
-    x, y = _reduce(z / j, tau_r)
-    if max(abs(x), abs(y)) < 1e-12:
-        raise PoleAtLatticePoint(f"{z} reduces to a lattice point")
-    zr = x + y * tau_r
-    return j, zr, cmath.exp(2j * PI * zr), cmath.exp(2j * PI * tau_r)
+class _NomeFrame:
+    """The row series of one modulus: everything about tau that does not
+    depend on the point, built once.
+
+    tau is reduced by SL2(Z) to tau' with j = c tau + d, so that
+    wp(z; tau) = j^-2 wp(z/j; tau') and wp'(z; tau) = j^-3 wp'(z/j; tau').
+    rows holds (q^n, 2 q^n / (1 - q^n)^2) for n = 1, 2, ... with
+    q = exp(2 pi i tau'), q^n as running products; a series that needs one
+    more row extends it, so every series stops at the row it would stop at
+    alone.
+    rows is replaced, never mutated, so a reader keeps a consistent table.
+    """
+
+    __slots__ = ("tau_r", "j", "j2", "j3", "abs_j2", "abs_j3", "q", "rows")
+
+    def __init__(self, tau: complex) -> None:
+        tau_r, (_, _, c, d) = _modular_reduction(tau)
+        if tau_r.imag > _IM_TAU_MAX:
+            raise DegenerateModulus(
+                f"reduced modulus {tau_r} has Im > {_IM_TAU_MAX:.1f}; "
+                "its nome form leaves the float range"
+            )
+        j = c * tau + d
+        self.tau_r, self.j = tau_r, j
+        self.j2 = j * j
+        self.j3 = self.j2 * j
+        self.abs_j2, self.abs_j3 = abs(j) ** 2, abs(j) ** 3
+        self.q = q = cmath.exp(2j * PI * tau_r)
+        mq = 1 - q
+        self.rows = ((q, 2 * q / (mq * mq)),)
+
+    def _more_rows(self) -> tuple[tuple[complex, complex], ...]:
+        qn = self.rows[-1][0] * self.q
+        mq = 1 - qn
+        self.rows = rows = self.rows + ((qn, 2 * qn / (mq * mq)),)
+        return rows
+
+    def _point(self, z: complex) -> tuple[complex, complex]:
+        """(z', t): z / j reduced to the central cell of <1, tau'> and
+        t = exp(2 pi i z')."""
+        x, y = _reduce(z / self.j, self.tau_r)
+        if max(abs(x), abs(y)) < 1e-12:
+            raise PoleAtLatticePoint(f"{z} reduces to a lattice point")
+        zr = x + y * self.tau_r
+        return zr, cmath.exp(2j * PI * zr)
+
+    def wp(self, z: complex, eps: float) -> complex:
+        """Row n of the cosecant series, pi^2 (csc^2 pi(z + n tau) +
+        csc^2 pi(z - n tau) - 2 csc^2 pi n tau), is -4 pi^2 times
+        u/(1-u)^2 + v/(1-v)^2 - 2 q^n/(1-q^n)^2 with u = q^n t, v = q^n / t.
+        As |q| <= exp(-pi sqrt 3), rows decay by a factor of at least 230;
+        rows are added until one is below eps |j|^2, which keeps the
+        truncation error of the returned j^-2 wp(z') below eps."""
+        zr, t = self._point(z)
+        s = cmath.sin(PI * zr)
+        total = _PI2 / (s * s) - _PI2 / 3
+        it = 1 / t
+        tol = eps * self.abs_j2
+        rows = self.rows
+        for n in range(_MAX_ROWS):
+            if n == len(rows):
+                rows = self._more_rows()
+            qn, const = rows[n]
+            u, v = qn * t, qn * it
+            mu, mv = 1 - u, 1 - v
+            term = _M4PI2 * (v / (mv * mv) + u / (mu * mu) - const)
+            total += term
+            if abs(term) < tol:
+                return total / self.j2
+        raise DegenerateModulus("row series did not converge")
+
+    def wp_prime(self, z: complex, eps: float) -> complex:
+        """The termwise derivative of the rows of wp, stopped below
+        eps |j|^3."""
+        zr, t = self._point(z)
+        s = cmath.sin(PI * zr)
+        total = -2 * _PI3 * (cmath.cos(PI * zr) / s) / (s * s)
+        it = 1 / t
+        tol = eps * self.abs_j3
+        rows = self.rows
+        for n in range(_MAX_ROWS):
+            if n == len(rows):
+                rows = self._more_rows()
+            qn = rows[n][0]
+            u, v = qn * t, qn * it
+            mu, mv = 1 - u, 1 - v
+            term = 8j * _PI3 * (v * (1 + v) / (mv * mv * mv) - u * (1 + u) / (mu * mu * mu))
+            total += term
+            if abs(term) < tol:
+                return total / self.j3
+        raise DegenerateModulus("derivative series did not converge")
 
 
 def weierstrass_p(z: complex, tau: complex, *, eps: float = 1e-14) -> complex:
-    """wp(z; 1, tau) by the row series in nome form on the reduced lattice.
-
-    Row n of the cosecant series, pi^2 (csc^2 pi(z + n tau) +
-    csc^2 pi(z - n tau) - 2 csc^2 pi n tau), is -4 pi^2 times
-    u/(1-u)^2 + v/(1-v)^2 - 2 q^n/(1-q^n)^2 with u = q^n t, v = q^n / t.
-    After the modular reduction |q| <= exp(-pi sqrt 3), so rows decay by a
-    factor of at least 230; rows are added until one is below eps |j|^2,
-    which keeps the truncation error of the returned j^-2 wp(z') below eps.
-    """
-    j, zr, t, q = _nome_frame(z, tau)
-    s = cmath.sin(PI * zr)
-    total = _PI2 / (s * s) - _PI2 / 3
-    it = 1 / t
-    tol = eps * abs(j) ** 2
-    qn = q
-    for _ in range(400):
-        u, v = qn * t, qn * it
-        mu, mv, mq = 1 - u, 1 - v, 1 - qn
-        term = _M4PI2 * (v / (mv * mv) + u / (mu * mu) - 2 * qn / (mq * mq))
-        total += term
-        if abs(term) < tol:
-            return total / (j * j)
-        qn *= q
-    raise DegenerateModulus("row series did not converge")
+    """wp(z; 1, tau) by the row series in nome form on the reduced lattice."""
+    return _NomeFrame(tau).wp(z, eps)
 
 
-# q^((n+1/2)^2) and q^((n+1)^2) are running products from q^(1/4) and q:
-# (n+3/2)^2 - (n+1/2)^2 = 2n + 2 and (n+2)^2 - (n+1)^2 = 2n + 3, so the
-# principal branch of q^(1/4) carries through and no complex power with a
-# float exponent is taken per term
+def weierstrass_p_prime(z: complex, tau: complex, *, eps: float = 1e-14) -> complex:
+    """wp'(z) by the termwise derivative of the nome-form rows of
+    weierstrass_p, on the same reduced lattice: wp'(z; tau) = j^-3 wp'(z')."""
+    return _NomeFrame(tau).wp_prime(z, eps)
 
 
-def _theta_nulls(q: complex, eps: float) -> tuple[complex, complex, complex]:
-    t2 = t3 = t4 = 0j
+_MAX_THETA_TERMS = 60
+
+
+def _theta_powers(q: complex):
+    """q^((n+1/2)^2) and q^((n+1)^2) for n = 0, 1, ... as running products
+    from q^(1/4) and q: (n+3/2)^2 - (n+1/2)^2 = 2n + 2 and (n+2)^2 -
+    (n+1)^2 = 2n + 3, so the principal branch of q^(1/4) carries through and
+    no complex power with a float exponent is taken per term."""
     half, full, q2 = q**0.25, q, q * q
     step = q2  # q^(2n+2)
-    for n in range(60):
-        t2 += 2 * half
-        t3 += 2 * full
-        t4 += 2 * ((-1) ** (n + 1)) * full
-        if abs(half) < eps and abs(full) < eps and n > 1:
-            return t2, 1 + t3, 1 + t4
+    while True:
+        yield half, full
         half *= step
         full *= step * q
         step *= q2
-    raise DegenerateModulus("theta series did not converge")
 
 
-def _theta1_theta4(v: complex, q: complex, eps: float) -> tuple[complex, complex]:
-    t1 = t4 = 0j
-    half, full, q2 = q**0.25, q, q * q
-    step = q2
-    for n in range(60):
-        inc1 = 2 * ((-1) ** n) * half * cmath.sin((2 * n + 1) * v)
-        inc4 = 2 * ((-1) ** (n + 1)) * full * cmath.cos(2 * (n + 1) * v)
-        t1 += inc1
-        t4 += inc4
-        if abs(inc1) < eps and abs(inc4) < eps and n > 1:
-            return t1, 1 + t4
-        half *= step
-        full *= step * q
-        step *= q2
-    raise DegenerateModulus("theta series did not converge")
+class _ThetaFrame:
+    """The theta quotient wp(z) - wp(tau/2) =
+    (pi theta2(0) theta3(0) theta4(pi z) / theta1(pi z))^2 of one modulus
+    and series threshold eps, with the point-free parts built once.
+
+    tau is first moved by the translation tau -> tau - round(Re tau), which
+    is exact because 1 is a period; it keeps the phase of the theta nome
+    q = exp(i pi tau) for any Re tau.  terms holds the signed coefficients
+    2 (-1)^n q^((n+1/2)^2) of theta1 and 2 (-1)^(n+1) q^((n+1)^2) of
+    theta4, extended on demand.
+    """
+
+    __slots__ = ("tau", "eps", "e_half", "scale", "terms", "_powers")
+
+    def __init__(self, tau: complex, eps: float) -> None:
+        _check_tau(tau)
+        self.tau = tau = tau - round(tau.real)
+        self.eps = eps
+        self.terms: list[tuple[complex, complex]] = []
+        self._powers = _theta_powers(cmath.exp(1j * PI * tau))
+        t2 = t3 = 0j
+        for n in range(_MAX_THETA_TERMS):
+            half, full = self._more_terms()
+            t2 += 2 * half
+            t3 += 2 * full
+            if abs(half) < eps and abs(full) < eps and n > 1:
+                break
+        else:
+            raise DegenerateModulus("theta series did not converge")
+        t3 = 1 + t3
+        self.e_half = -(PI * PI) * (t2**4 + t3**4) / 3  # wp(tau/2), translated tau
+        self.scale = PI * t2 * t3
+
+    def _more_terms(self) -> tuple[complex, complex]:
+        """Append term n = len(terms); return (q^((n+1/2)^2), q^((n+1)^2))."""
+        n = len(self.terms)
+        half, full = next(self._powers)
+        self.terms.append((2 * ((-1) ** n) * half, 2 * ((-1) ** (n + 1)) * full))
+        return half, full
+
+    def wp(self, z: complex) -> complex:
+        tau, eps, terms = self.tau, self.eps, self.terms
+        x, y = _reduce(z, tau)
+        if max(abs(x), abs(y)) < 1e-12:
+            raise PoleAtLatticePoint(f"{z} reduces to a lattice point")
+        v = PI * (x + y * tau)
+        t1 = t4 = 0j
+        for n in range(_MAX_THETA_TERMS):
+            if n == len(terms):
+                self._more_terms()
+            c1, c4 = terms[n]
+            inc1 = c1 * cmath.sin((2 * n + 1) * v)
+            inc4 = c4 * cmath.cos(2 * (n + 1) * v)
+            t1 += inc1
+            t4 += inc4
+            if abs(inc1) < eps and abs(inc4) < eps and n > 1:
+                quotient = self.scale * (1 + t4) / t1
+                return self.e_half + quotient * quotient
+        raise DegenerateModulus("theta series did not converge")
 
 
 def weierstrass_p_theta(z: complex, tau: complex, *, eps: float = 1e-14) -> complex:
-    """wp by the theta quotient wp(z) - wp(tau/2) =
-    (pi theta2(0) theta3(0) theta4(pi z) / theta1(pi z))^2."""
-    _check_tau(tau)
-    x, y = _reduce(z, tau)
-    if max(abs(x), abs(y)) < 1e-12:
-        raise PoleAtLatticePoint(f"{z} reduces to a lattice point")
-    zr = x + y * tau
-    q = cmath.exp(1j * PI * tau)
-    t2, t3, _ = _theta_nulls(q, eps)
-    t1v, t4v = _theta1_theta4(PI * zr, q, eps)
-    e_at_tau_half = -(PI * PI) * (t2**4 + t3**4) / 3
-    quotient = PI * t2 * t3 * t4v / t1v
-    return e_at_tau_half + quotient * quotient
+    """wp by the theta quotient on the lattice <1, tau - round(Re tau)>."""
+    return _ThetaFrame(tau, eps).wp(z)
 
 
 def _mobius(mob, w: complex) -> complex:
@@ -240,12 +342,7 @@ def _residual(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def legendre_params(
-    tau: complex,
-    tol: Tolerance = Tolerance(),
-    *,
-    _wp=weierstrass_p,
-) -> EllipticParams:
+def legendre_params(tau: complex, tol: Tolerance = Tolerance()) -> EllipticParams:
     """Solve the Moebius constraints M(inf) = 1, M(e1) = -1, M(e2) = -M(e3).
 
     Writing M(w) = (w + q)/(w + s), the constraints reduce to
@@ -253,11 +350,11 @@ def legendre_params(
     swap a with 1/a.  Selection: larger |a|, ties by larger real part,
     then larger imaginary part.
     """
-    _check_tau(tau)
+    frame = _NomeFrame(tau)
     se = tol.series_eps
-    ee1 = _wp(0.5 + 0j, tau, eps=se)
-    ee2 = _wp(tau / 2, tau, eps=se)
-    ee3 = _wp((1 + tau) / 2, tau, eps=se)
+    ee1 = frame.wp(0.5 + 0j, se)
+    ee2 = frame.wp(tau / 2, se)
+    ee3 = frame.wp((1 + tau) / 2, se)
     scale = max(abs(ee1), abs(ee2), abs(ee3), 1.0)
     disc = cmath.sqrt(2 * ee1 * ee1 + ee2 * ee3)
 
@@ -288,10 +385,12 @@ def legendre_params(
 
     if _residual(_mobius(mob, ee3), -a) > max(tol.eps, 1e-10):
         raise IdentityFailure("root selection lost M(e3) = -M(e2)")
-    b = _mobius(mob, _wp(tau / 4, tau, eps=se))
+    b = _mobius(mob, frame.wp(tau / 4, se))
     if _residual(b * b, a) > max(tol.eps, 1e-10):
         raise IdentityFailure("b^2 = a violated at working precision")
-    return EllipticParams(tau=tau, e1=ee1, e2=ee2, e3=ee3, mobius=mob, a=a, b=b)
+    return EllipticParams(
+        tau=tau, e1=ee1, e2=ee2, e3=ee3, mobius=mob, a=a, b=b, frame=frame
+    )
 
 
 def legendre_value(
@@ -299,48 +398,24 @@ def legendre_value(
 ) -> complex:
     """L(z) = M(wp(z)); at lattice points the limit M(inf) = 1."""
     try:
-        w = weierstrass_p(z, params.tau, eps=eps)
+        w = params.frame.wp(z, eps)
     except PoleAtLatticePoint:
         return 1 + 0j
     return _mobius(params.mobius, w)
-
-
-def weierstrass_p_prime(z: complex, tau: complex, *, eps: float = 1e-14) -> complex:
-    """wp'(z) by the termwise derivative of the nome-form rows of
-    weierstrass_p, on the same reduced lattice: wp'(z; tau) = j^-3 wp'(z')."""
-    j, zr, t, q = _nome_frame(z, tau)
-    s = cmath.sin(PI * zr)
-    total = -2 * _PI3 * (cmath.cos(PI * zr) / s) / (s * s)
-    it = 1 / t
-    tol = eps * abs(j) ** 3
-    qn = q
-    for _ in range(400):
-        u, v = qn * t, qn * it
-        mu, mv = 1 - u, 1 - v
-        term = 8j * _PI3 * (v * (1 + v) / (mv * mv * mv) - u * (1 + u) / (mu * mu * mu))
-        total += term
-        if abs(term) < tol:
-            return total / (j * j * j)
-        qn *= q
-    raise DegenerateModulus("derivative series did not converge")
 
 
 def legendre_derivative(
     params: EllipticParams, z: complex, *, eps: float = 1e-14
 ) -> complex:
     """L'(z) by the chain rule through the analytic wp' series."""
-    return _chain_rule(params, z, weierstrass_p(z, params.tau, eps=eps), eps)
+    return _chain_rule(params, z, params.frame.wp(z, eps), eps)
 
 
 def _chain_rule(params: EllipticParams, z: complex, w: complex, eps: float) -> complex:
     """L'(z) = M'(w) wp'(z), given w = wp(z)."""
     _, q, _, s = params.mobius
     m_prime = (s - q) / ((w + s) * (w + s))
-    return m_prime * weierstrass_p_prime(z, params.tau, eps=eps)
-
-
-def _clear_of_half_grid(t: float, margin: float) -> bool:
-    return min(abs(t), abs(t - 0.5), abs(t - 1.0)) > margin
+    return m_prime * params.frame.wp_prime(z, eps)
 
 
 def sample_points(
@@ -354,7 +429,10 @@ def sample_points(
     points = []
     while len(points) < tol.samples:
         u, v = rng.random(), rng.random()
-        if _clear_of_half_grid(u, margin) and _clear_of_half_grid(v, margin):
+        if (
+            min(abs(u), abs(u - 0.5), abs(u - 1.0)) > margin
+            and min(abs(v), abs(v - 0.5), abs(v - 1.0)) > margin
+        ):
             points.append(u + v * tau)
     return points
 
@@ -411,7 +489,7 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
     for z in pts:
         # sample points avoid the lattice, so wp(z) is finite and shared
         # by L(z) and the chain rule for L'(z)
-        w = weierstrass_p(z, tau, eps=se)
+        w = params.frame.wp(z, se)
         value = _mobius(params.mobius, w)
         residuals["evenness"] = max(residuals["evenness"], _residual(lv(-z), value))
         residuals["period_one"] = max(
@@ -460,11 +538,11 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
 
 def evaluator_agreement(tau: complex, tol: Tolerance) -> float:
     """Worst disagreement between the two wp strategies on the seeded grid."""
+    se = tol.series_eps
+    rows, theta = _NomeFrame(tau), _ThetaFrame(tau, se)
     worst = 0.0
     for z in sample_points(tau, tol):
-        p1 = weierstrass_p(z, tau, eps=tol.series_eps)
-        p2 = weierstrass_p_theta(z, tau, eps=tol.series_eps)
-        worst = max(worst, _residual(p1, p2))
+        worst = max(worst, _residual(rows.wp(z, se), theta.wp(z)))
     return worst
 
 

@@ -29,6 +29,7 @@ from surface_lab.picard_lattice import E, L, catalog
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN_NO_TAUS = Path(__file__).parent / "data" / "verify_all_no_default_taus.json"
 GOLDEN_NO_TAUS_TEXT = Path(__file__).parent / "data" / "verify_all_no_default_taus.txt"
+GOLDEN_DEFAULT = Path(__file__).parent / "data" / "verify_all.json"
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -380,6 +381,14 @@ class TestMain:
         out = run_python("-m", "surface_lab.cli", *args)
         assert out.returncode == 0, out.stderr
         assert out.stdout == GOLDEN_NO_TAUS.read_bytes()
+
+    def test_default_json_matches_golden_file(self, capsys):
+        # the file is this command's output at the commit before the
+        # per-modulus Weierstrass frames; its legendre_identities residual
+        # text pins the numerics on the four default moduli, which the
+        # --no-default-taus files cannot
+        assert main(["verify", "all", "--format", "json"]) == 0
+        assert capsys.readouterr().out.encode() == GOLDEN_DEFAULT.read_bytes()
 
     def test_cli_import_leaves_numpy_out(self):
         out = run_python(

@@ -189,6 +189,27 @@ class TestModularReduction:
             with pytest.raises(DegenerateModulus):
                 fn(0.3 + 0.2j, 300j)
 
+    def test_theta_translates_huge_real_part(self):
+        # <1, 1e16 + i> = <1, i>; before the translation the theta nome
+        # exp(i pi tau) lost its phase and theta returned -2.49-14.12i
+        z = 0.3 + 0.2j
+        p = weierstrass_p_theta(z, 1e16 + 1j)
+        assert rel(p, weierstrass_p(z, 1e16 + 1j)) < 1e-13
+        assert rel(p, weierstrass_p_theta(z, 1j)) < 1e-13
+
+    def test_theta_translation_keeps_digits(self):
+        # the two evaluators disagreed by about 5e-10 before the translation
+        z, tau = 0.3 + 0.2j, 1e6 + 0.37j
+        assert rel(weierstrass_p_theta(z, tau), weierstrass_p(z, tau)) < 1e-13
+
+    def test_theta_tiny_imaginary_part_is_degenerate(self):
+        # used to end in an untyped OverflowError from the point reduction
+        tau = 1e300 + 1e-300j
+        with pytest.raises(DegenerateModulus):
+            weierstrass_p_theta(0.3 + 0.2j, tau)
+        with pytest.raises(DegenerateModulus):
+            evaluator_agreement(tau, Tolerance(samples=3))
+
     def test_non_finite_modulus_rejected(self):
         for tau in (complex(math.inf, 1), complex(math.nan, 1), complex(0, math.inf)):
             with pytest.raises(ValueError):
@@ -238,6 +259,34 @@ class TestLegendreParams:
         p1 = legendre_params((1 + 3j) / 2)
         p2 = legendre_params((1 + 3j) / 2)
         assert p1.a == p2.a and p1.b == p2.b and p1.mobius == p2.mobius
+
+    def test_frame_is_not_part_of_the_value(self):
+        p1, p2 = legendre_params(2j), legendre_params(2j)
+        assert p1.frame is not p2.frame
+        assert p1 == p2 and hash(p1) == hash(p2)
+        assert "frame" not in repr(p1) and "Frame" not in repr(p1)
+
+    def test_interleaved_moduli_match_separate_runs(self):
+        # each EllipticParams owns its frame: using one modulus between the
+        # steps of another, at another tolerance, changes no report
+        tight, loose = Tolerance(eps=1e-12, samples=40, seed=4), Tolerance(samples=40)
+        taus = (1j, 0.3 + 0.15j)
+        alone = [
+            verify_identities(legendre_params(t, tight), tol)
+            for t in taus
+            for tol in (tight, loose)
+        ]
+        pa = legendre_params(taus[0], tight)
+        pb = legendre_params(taus[1], tight)
+        mixed = [
+            verify_identities(pb, loose),
+            verify_identities(pa, tight),
+            verify_identities(pb, tight),
+            verify_identities(pa, loose),
+        ]
+        assert mixed == [alone[3], alone[0], alone[2], alone[1]]
+        assert pa == legendre_params(taus[0], tight)
+        assert pb == legendre_params(taus[1], tight)
 
     def test_mobius_is_monic(self):
         params = legendre_params(2j)
