@@ -156,7 +156,6 @@ class _NomeFrame:
     q = exp(2 pi i tau'), q^n as running products; a series that needs one
     more row extends it, so every series stops at the row it would stop at
     alone.
-    rows is replaced, never mutated, so a reader keeps a consistent table.
     """
 
     __slots__ = ("tau_r", "j", "j2", "j3", "abs_j2", "abs_j3", "q", "rows")
@@ -177,10 +176,13 @@ class _NomeFrame:
         mq = 1 - q
         self.rows = ((q, 2 * q / (mq * mq)),)
 
-    def _more_rows(self) -> tuple[tuple[complex, complex], ...]:
-        qn = self.rows[-1][0] * self.q
+    def _more_rows(self, rows: tuple) -> tuple[tuple[complex, complex], ...]:
+        """rows and one more row, kept as the frame's table.  Extending the
+        caller's own table, not self.rows, keeps this right when two threads
+        grow one frame: every table stored is a prefix of the same series."""
+        qn = rows[-1][0] * self.q
         mq = 1 - qn
-        self.rows = rows = self.rows + ((qn, 2 * qn / (mq * mq)),)
+        self.rows = rows = rows + ((qn, 2 * qn / (mq * mq)),)
         return rows
 
     def _point(self, z: complex) -> tuple[complex, complex]:
@@ -207,7 +209,7 @@ class _NomeFrame:
         rows = self.rows
         for n in range(_MAX_ROWS):
             if n == len(rows):
-                rows = self._more_rows()
+                rows = self._more_rows(rows)
             qn, const = rows[n]
             u, v = qn * t, qn * it
             mu, mv = 1 - u, 1 - v
@@ -228,7 +230,7 @@ class _NomeFrame:
         rows = self.rows
         for n in range(_MAX_ROWS):
             if n == len(rows):
-                rows = self._more_rows()
+                rows = self._more_rows(rows)
             qn = rows[n][0]
             u, v = qn * t, qn * it
             mu, mv = 1 - u, 1 - v
@@ -276,7 +278,7 @@ class _ThetaFrame:
     is exact because 1 is a period; it keeps the phase of the theta nome
     q = exp(i pi tau) for any Re tau.  terms holds the signed coefficients
     2 (-1)^n q^((n+1/2)^2) of theta1 and 2 (-1)^(n+1) q^((n+1)^2) of
-    theta4, extended on demand.
+    theta4, extended on demand.  A theta frame lives inside one call.
     """
 
     __slots__ = ("tau", "eps", "e_half", "scale", "terms", "_powers")
