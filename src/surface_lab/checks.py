@@ -47,6 +47,7 @@ from .character_calculus import (
 )
 from .integer_algebra import FinAbGroup
 from .legendre_numerics import (
+    EllipticParams,
     Tolerance,
     evaluator_agreement,
     invariant_pencil_constant,
@@ -137,13 +138,22 @@ class Facts:
     """The intermediates that several checks share, for one run.
 
     run() makes one per call and passes it to every measure.  Each member
-    is built on first use by the builder this module imports, looked up at
-    call time (so a replaced builder is seen by the next run), and kept
-    until the run ends; nothing outlives the Facts object.
+    (and each modulus's Legendre parameters, elliptic(i)) is built on first
+    use by the builder this module imports, looked up at call time (so a
+    replaced builder is seen by the next run), and kept until the run
+    ends; nothing outlives the Facts object.
     """
 
     def __init__(self, config: RunConfig) -> None:
         self.config = config
+        self._elliptic: dict[int, EllipticParams] = {}
+
+    def elliptic(self, i: int) -> EllipticParams:
+        """The Legendre parameters of the run's i-th modulus, which both
+        numeric checks read."""
+        if i not in self._elliptic:
+            self._elliptic[i] = legendre_params(self.config.taus[i], self.config.tolerance)
+        return self._elliptic[i]
 
     @cached_property
     def generators(self) -> ExtensionData:
@@ -282,8 +292,8 @@ def _character_decomposition(f: Facts) -> tuple[int, list[int]]:
 
 
 def _pencil_invariants(f: Facts) -> int:
-    constant = invariant_pencil_constant(tuple(f.config.taus[:3]), f.config.tolerance)
-    return pencil_invariant_count(constant)
+    params = tuple(f.elliptic(i) for i in range(3))
+    return pencil_invariant_count(invariant_pencil_constant(params, f.config.tolerance))
 
 
 def _identity_problems(f: Facts) -> Problems:
@@ -291,20 +301,23 @@ def _identity_problems(f: Facts) -> Problems:
     tol = cfg.tolerance
     worst = 0.0
     problems = []
-    for tau in cfg.taus:
-        params = legendre_params(tau, tol)
+    for i, tau in enumerate(cfg.taus):
+        params = f.elliptic(i)
         report = verify_identities(params, tol)
         worst = max(worst, report.worst_residual)
         if not report.ok:
             problems.extend(f"tau={tau}: {f}" for f in report.failures)
-        agreement = evaluator_agreement(tau, tol)
+        agreement = evaluator_agreement(params, tol)
         worst = max(worst, agreement)
         if agreement > tol.eps:
             problems.append(f"tau={tau}: evaluator disagreement {agreement:.3e}")
-        b_residual = abs(params.b**2 - params.a) / max(1.0, abs(params.a))
-        worst = max(worst, b_residual)
-        if b_residual > tol.eps:
-            problems.append(f"tau={tau}: |b^2 - a| = {b_residual:.3e}")
+        # M(e3) = -a with e3 from the row series and a from theta, compared
+        # in the wp coordinate: M has a pole near e3 when |a| is large
+        e3, e3_of_a = params.e3, params.inverse_mobius(-params.a)
+        e3_residual = abs(e3 - e3_of_a) / max(1.0, abs(e3), abs(e3_of_a))
+        worst = max(worst, e3_residual)
+        if e3_residual > tol.eps:
+            problems.append(f"tau={tau}: M(e3) = -a off by {e3_residual:.3e}")
     summary = f"worst residual {worst:.3e} over {len(cfg.taus)} moduli"
     return Problems(problems, "; ".join(problems[:4]) or summary)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import os
 import sys
 
 from .checks import (
@@ -163,9 +164,15 @@ def main(argv: list[str] | None = None) -> int:
 
     results = run(config)
     if config.output_format == "json":
-        print(render_json(config, results))
+        rendered = render_json(config, results)
     else:
-        print(render_text(results))
+        rendered = render_text(results)
+    try:
+        print(rendered, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout (`surface-lab verify | head -1`): point
+        # stdout at devnull so the interpreter's final flush cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return exit_code(results)
 
 

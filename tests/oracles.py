@@ -9,6 +9,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+import random
 
 import numpy as np
 
@@ -252,3 +253,27 @@ def weierstrass_p_lattice_sum(
     value = complex(np.sum(1.0 / (zr - w) ** 2 - 1.0 / w**2)) + 1.0 / zr**2
     tail = 47.0 * abs(zr) ** 2 / (c**4 * terms**2)
     return value, tail
+
+
+def sample_points_rejection(tau: complex, tol, *, margin: float = 0.1) -> list[complex]:
+    """The sample-point draw as first written, with min() over a tuple of
+    distances per draw; the package's sample_points must return the same
+    list."""
+    rng = random.Random(tol.seed)
+    points = []
+    while len(points) < tol.samples:
+        u, v = rng.random(), rng.random()
+        if (
+            min(abs(u), abs(u - 0.5), abs(u - 1.0)) > margin
+            and min(abs(v), abs(v - 0.5), abs(v - 1.0)) > margin
+        ):
+            points.append(u + v * tau)
+    return points
+
+
+def legendre_derivative(params, z: complex, *, eps: float = 1e-14) -> complex:
+    """L'(z) = M'(wp(z)) wp'(z) by the chain rule through the row series,
+    independent of the theta series the package differentiates."""
+    _, q, _, s = params.mobius
+    w = params.rows.wp(z, eps)
+    return (s - q) / ((w + s) * (w + s)) * params.rows.wp_prime(z, eps)

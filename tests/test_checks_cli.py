@@ -24,6 +24,7 @@ from surface_lab.checks import (
     run,
 )
 from surface_lab.cli import format_tau, main, parse_tau, render_json, render_text
+from surface_lab.legendre_numerics import legendre_params
 from surface_lab.picard_lattice import E, L, catalog
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -175,6 +176,29 @@ class TestRun:
         assert results[0].status == "pass"
         assert "residual" in results[0].actual
 
+    def test_large_a_and_translated_moduli_pass(self):
+        # 6i, 8i and 1e16+i ended in IdentityFailure and 10i in a false
+        # fail while L was built from a quadratic root solve
+        taus = (6j, 8j, 10j, 1e16 + 1j)
+        config = RunConfig(checks=("legendre_identities", "pencil_two_invariants"), taus=taus)
+        assert [r.status for r in run(config)] == ["pass", "pass"]
+
+    def test_outside_the_domain_is_a_typed_error(self):
+        for tau in (0.05j, 0.5 + 0.01j):
+            [result] = run(RunConfig(checks=("legendre_identities",), taus=(1j, tau)))
+            assert result.status == "error"
+            assert result.actual.startswith("OutsideDomain: ")
+
+    def test_wrong_e3_fails_legendre_identities(self, monkeypatch):
+        def shifted(tau, tol):
+            params = legendre_params(tau, tol)
+            return dataclasses.replace(params, e3=params.e3 + 1e-6 * abs(params.e1))
+
+        monkeypatch.setattr(checks_mod, "legendre_params", shifted)
+        [result] = run(RunConfig(checks=("legendre_identities",), taus=(1j,)))
+        assert result.status == "fail"
+        assert "M(e3) = -a off by" in result.actual
+
     def test_raising_shared_builder_errors_only_its_readers(self, monkeypatch):
         def boom():
             raise RuntimeError("no chain")
@@ -216,6 +240,14 @@ class TestSharedFacts:
         broken = dataclasses.replace(good, S=(L - E[0] - E[1], *good.S[1:]))
         monkeypatch.setattr(checks_mod, "catalog", lambda: broken)
         assert [r.status for r in run(config)] == ["fail", "fail"]
+
+    def test_one_run_builds_each_modulus_once(self, monkeypatch):
+        # legendre_identities reads all four default moduli and
+        # pencil_two_invariants the first three, from the same parameters
+        calls = count_calls(monkeypatch, ("legendre_params",))
+        results = run(RunConfig())
+        assert {r.status for r in results} == {"pass"}
+        assert calls == {"legendre_params": len(DEFAULT_TAUS)}
 
     def test_unread_reports_are_not_built(self, monkeypatch):
         names = (*SHARED_BUILDERS, "catalog")
@@ -383,10 +415,11 @@ class TestMain:
         assert out.stdout == GOLDEN_NO_TAUS.read_bytes()
 
     def test_default_json_matches_golden_file(self, capsys):
-        # the file is this command's output at the commit before the
-        # per-modulus Weierstrass frames; its legendre_identities residual
-        # text pins the numerics on the four default moduli, which the
-        # --no-default-taus files cannot
+        # the file is this command's output with the theta-form L; its
+        # legendre_identities residual text pins the numerics on the four
+        # default moduli, which the --no-default-taus files cannot.  Only
+        # that text has changed since the file was first written
+        # (2.383e-11 -> 2.641e-11 -> 2.866e-15)
         assert main(["verify", "all", "--format", "json"]) == 0
         assert capsys.readouterr().out.encode() == GOLDEN_DEFAULT.read_bytes()
 
@@ -408,6 +441,22 @@ class TestMain:
         )
         out = run_python("-c", script)
         assert out.returncode == 0, out.stderr
+
+    def test_closed_stdout_exits_cleanly(self):
+        # `surface-lab verify all | head -1`: the reader is gone before the
+        # report is written; this ended in a BrokenPipeError traceback
+        path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "surface_lab.cli", "verify", "all", "--no-default-taus"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert stderr == b""
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:

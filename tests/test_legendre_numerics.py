@@ -9,26 +9,31 @@ Oracle notes
   lattice-sum oracle alone (solving the Moebius constraints from the
   oracle's half-period values) and matches 3 + 2 sqrt(2); that closed
   form is frozen below as a regression pin.
+* tests/reference.py sums the theta series in mpmath at 40 digits and
+  more; the theta-form L, L' and a must stay within a recorded error of
+  it over the whole stated domain of tau.
 """
 
 import cmath
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from surface_lab.character_calculus import pencil_fixed_parameters
 from surface_lab.legendre_numerics import (
+    IM_TAU_DOMAIN,
     DegenerateModulus,
     EllipticParams,
     IdentityFailure,
+    OutsideDomain,
     PoleAtLatticePoint,
     Tolerance,
+    _LegendreFrame,
     _modular_reduction,
     evaluator_agreement,
     invariant_pencil_constant,
-    legendre_derivative,
     legendre_params,
     legendre_value,
     sample_points,
@@ -38,7 +43,12 @@ from surface_lab.legendre_numerics import (
     weierstrass_p_theta,
 )
 
-from oracles import weierstrass_p_lattice_sum
+from oracles import (
+    legendre_derivative,
+    sample_points_rejection,
+    weierstrass_p_lattice_sum,
+)
+from reference import legendre_reference, theta, wp_reference
 
 DEFAULT_TAUS = [1j, (1 + 3j) / 2, 2j, (1 + 5j) / 3]
 SQUARE_LATTICE_A = 3 + 2 * math.sqrt(2)  # frozen from the lattice-sum oracle
@@ -360,8 +370,8 @@ class TestVerifyIdentities:
         report = verify_identities(legendre_params(1j, tol), tol)
         assert report.residuals["quadratic_ratio_constancy"] < 1e-9
         assert abs(report.quadratic_constant) > 1e-6
-        assert "central differences" in report.derivative_method
-        assert "wp'" in report.derivative_method
+        assert "analytic L'" in report.derivative_method
+        assert "theta series" in report.derivative_method
 
     def test_report_is_reproducible(self):
         tol = Tolerance(samples=40)
@@ -386,6 +396,14 @@ class TestSamplePoints:
             x = z.real - y * tau.real
             for t in (x, y):
                 assert min(abs(t), abs(t - 0.5), abs(t - 1.0)) > 0.1
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 2**31 - 1])
+    def test_same_points_as_the_rejection_oracle(self, seed):
+        for tau, samples, margin in ((2j, 50, 0.1), (0.3 + 0.2j, 200, 0.1), (1j, 30, 0.2)):
+            tol = Tolerance(samples=samples, seed=seed)
+            assert sample_points(tau, tol, margin=margin) == sample_points_rejection(
+                tau, tol, margin=margin
+            )
 
     def test_seed_controls_stream(self):
         tau = 1j
@@ -448,3 +466,151 @@ class TestTolerance:
     def test_series_eps_floor(self):
         assert Tolerance(eps=1e-6).series_eps == pytest.approx(1e-9)
         assert Tolerance(eps=1e-13).series_eps == 2e-16
+
+
+# parameter a of 0.3+0.2i as the quadratic root selection ("larger |a|")
+# reported it before the theta form; theta gives its inverse
+ROOT_SELECTION_A_AT_0_3_0_2I = 1.775725463441813 - 0.6266841211160922j
+
+
+class TestThetaForm:
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.2j, -0.45 + 0.12j, 0.37 + 7.5j, 2j])
+    def test_translation_negates_a(self, tau):
+        p0, p1 = legendre_params(tau), legendre_params(tau + 1)
+        assert rel(p1.a, -p0.a) < 1e-13
+        assert rel(p1.b, -1j * p0.b) < 1e-13
+        assert rel(p1.e2, p0.e3) < 1e-12 and rel(p1.e3, p0.e2) < 1e-12
+        assert rel(legendre_params(tau + 2).a, p0.a) < 1e-13
+
+    def test_huge_real_part_is_translated(self):
+        # <1, 1e16 + i> = <1, i>; the half periods of the untranslated
+        # modulus round together at this size
+        tol = Tolerance(eps=1e-12)
+        params = legendre_params(1e16 + 1j, tol)
+        assert params.a == legendre_params(1j).a
+        assert verify_identities(params, tol).ok
+        assert evaluator_agreement(params, tol) < 1e-12
+
+    def test_convention_change_at_0_3_0_2i(self):
+        a = legendre_params(0.3 + 0.2j).a
+        assert rel(a, legendre_reference(0.3 + 0.2j)["a"]) < 1e-14
+        assert rel(a * ROOT_SELECTION_A_AT_0_3_0_2I, 1) < 1e-12
+
+    @pytest.mark.parametrize("tau", [0.05j, 0.5 + 0.01j, 0.0999j, 100.5j, 1e300 + 1e-300j])
+    def test_outside_the_domain_is_typed(self, tau):
+        with pytest.raises(OutsideDomain, match="outside the domain"):
+            legendre_params(tau)
+        assert issubclass(OutsideDomain, DegenerateModulus)
+
+    @pytest.mark.parametrize("im", IM_TAU_DOMAIN)
+    def test_domain_edges_pass(self, im):
+        tol = Tolerance(eps=1e-12, samples=60, seed=3)
+        params = legendre_params(complex(0.2, im), tol)
+        assert verify_identities(params, tol).ok
+        assert evaluator_agreement(params, tol) < 1e-12
+
+    @pytest.mark.parametrize("tau", [6j, 8j, 10j])
+    def test_large_a_moduli_pass(self, tau):
+        tol = Tolerance(eps=1e-12)
+        params = legendre_params(tau, tol)
+        assert abs(params.a) > 1e7
+        assert verify_identities(params, tol).ok
+        assert evaluator_agreement(params, tol) < 1e-12
+
+    @pytest.mark.parametrize("tau", DEFAULT_TAUS + [0.3 + 0.2j, 6j])
+    def test_slope_matches_row_series_chain_rule(self, tau):
+        params = legendre_params(tau)
+        for z in sample_points(tau, Tolerance(samples=10)):
+            value, slope = params.frame.value_slope(z)
+            assert rel(slope, legendre_derivative(params, z)) < 1e-9 * max(1.0, abs(value))
+
+    def test_mobius_sends_e3_to_minus_a(self):
+        for tau in DEFAULT_TAUS + [0.1j, 0.3 + 0.2j]:
+            params = legendre_params(tau)
+            assert rel(params.inverse_mobius(-params.a), params.e3) < 1e-12
+
+    def test_broken_evenness_fails_half_period_derivative(self, monkeypatch):
+        # a coefficient table that is not even (the coefficient of w^k
+        # times exp(2 pi i k d), the same as evaluating at z + d) moves the
+        # zeros of L' off the half periods
+        shift = 1e-7
+        original = _LegendreFrame.value_slope
+        monkeypatch.setattr(
+            _LegendreFrame, "value_slope", lambda self, z: original(self, z + shift)
+        )
+        tol = Tolerance()
+        report = verify_identities(legendre_params(1j, tol), tol)
+        assert any(f.startswith("half_period_derivative") for f in report.failures)
+        assert report.residuals["half_period_derivative"] > 1e-7
+
+    def test_wrong_a_fails_the_cross_check(self, monkeypatch):
+        # M solved from a slightly wrong a no longer carries the row-series
+        # wp onto theta L
+        original = _LegendreFrame.__init__
+
+        def init(self, tau):
+            original(self, tau)
+            self.a_minus_1 *= 1 + 1e-5
+
+        monkeypatch.setattr(_LegendreFrame, "__init__", init)
+        for tau in (2j, 0.1j, 0.3 + 0.2j):
+            assert evaluator_agreement(tau, Tolerance()) > 1e-9
+
+
+# worst errors against tests/reference.py measured over 900 random moduli
+# of the domain (Im tau log-uniform in [0.1, 100], Re tau in [-3.5, 3.5],
+# z anywhere in the half cell 0 <= v <= 1/2): 4.0e-14 for a, 3.3e-14 for L
+# and L' (relative to max(1, |reference|)), all at Im tau > 75, where the
+# exponent of exp(i pi tau / 2) carries ~1e-14 of rounding; wp by the row
+# series 7.5e-14, at Im tau near 0.1.  The bounds leave a factor of ~2.5.
+A_ERROR = L_ERROR = 1e-13
+WP_ERROR = 2e-13
+
+
+class TestReference:
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.2j, 2j, 0.1 + 0.1j])
+    def test_reference_matches_jtheta(self, tau):
+        # where mpmath.jtheta is reliable (moderate Im tau and Im v) the
+        # reference sums are the DLMF thetas; |Re tau| < 1 keeps jtheta's
+        # principal q^(1/4) on the reference's branch
+        import mpmath as mp
+
+        with mp.workdps(45):
+            t = mp.mpc(tau.real, tau.imag)
+            nome = mp.exp(1j * mp.pi * t)
+            for v in (mp.mpc(0.3, 0.2), mp.mpc(0), mp.mpc(1.1, -0.3)):
+                for kind in (1, 2, 3, 4):
+                    for d in (0, 1):
+                        want = mp.jtheta(kind, v, nome, d)
+                        error = abs(theta(kind, v, t, d) - want) / max(1, abs(want))
+                        assert error < mp.mpf(10) ** -40
+
+    @given(
+        re=st.floats(min_value=-0.5, max_value=0.5),
+        shift=st.integers(min_value=-3, max_value=3),
+        im=st.floats(min_value=IM_TAU_DOMAIN[0], max_value=IM_TAU_DOMAIN[1]),
+        u=st.floats(min_value=0.0, max_value=1.0),
+        v=st.floats(min_value=0.0, max_value=0.5),
+    )
+    @example(re=0.0, shift=0, im=IM_TAU_DOMAIN[0], u=0.3, v=0.2)
+    @example(re=0.5, shift=1, im=IM_TAU_DOMAIN[0], u=0.7, v=0.45)
+    @example(re=-0.3, shift=0, im=IM_TAU_DOMAIN[1], u=0.1, v=0.4)
+    @example(re=0.5, shift=-2, im=IM_TAU_DOMAIN[1], u=0.6, v=0.5)
+    @settings(max_examples=40, deadline=None)
+    def test_error_of_a_l_and_slope(self, re, shift, im, u, v):
+        # off the poles of L at 1/4 + tau/2 and 3/4 + tau/2
+        assume(abs(v - 0.5) > 0.01 or min(abs(u - 0.25), abs(u - 0.75)) > 0.01)
+        tau = complex(re + shift, im)
+        z = u + v * tau
+        params = legendre_params(tau)
+        ref = legendre_reference(tau, z)
+        value, slope = params.frame.value_slope(z)
+        assert abs(params.a - ref["a"]) / abs(ref["a"]) < A_ERROR
+        assert abs(params.b - ref["b"]) / abs(ref["b"]) < A_ERROR
+        assert abs(value - ref["L"]) / max(1.0, abs(ref["L"])) < L_ERROR
+        assert abs(slope - ref["dL"]) / max(1.0, abs(ref["dL"])) < L_ERROR
+
+    @pytest.mark.parametrize("tau", [0.1j, 0.45 + 0.1j, 1j, 0.3 + 0.2j, 2.2 + 5j, 20j])
+    def test_error_of_wp(self, tau):
+        for z in sample_points(tau, Tolerance(samples=4)):
+            assert rel(weierstrass_p(z, tau), wp_reference(tau, z)) < WP_ERROR
