@@ -54,8 +54,8 @@ def _digits(tau: complex) -> int:
 
 
 def legendre_reference(tau: complex, z: complex = 0j) -> dict[str, complex]:
-    """a, b, L(z) and L'(z) of the modulus tau as given, to DIGITS digits,
-    rounded to complex."""
+    """a, a - 1, b, L(z) and L'(z) of the modulus tau as given, to DIGITS
+    digits, rounded to complex."""
     with mp.workdps(_digits(tau)):
         t, v = 2 * _mpc(tau), 2 * mp.pi * _mpc(z)
         b = theta(3, 0, t) / theta(2, 0, t)
@@ -63,6 +63,7 @@ def legendre_reference(tau: complex, z: complex = 0j) -> dict[str, complex]:
         slope = 2 * mp.pi * b * (theta(2, v, t, 1) * den - num * theta(3, v, t, 1)) / den**2
         return {
             "a": complex(b * b),
+            "a_minus_1": complex(b * b - 1),
             "b": complex(b),
             "L": complex(b * num / den),
             "dL": complex(slope),
