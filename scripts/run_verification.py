@@ -54,7 +54,7 @@ def main() -> int:
             tol = Tolerance(eps=eps, samples=args.samples, seed=args.seed)
             params = legendre_params(tau, tol)
             report = verify_identities(params, tol)
-            gap = evaluator_agreement(tau, tol)
+            gap = evaluator_agreement(params, tol)
             flag = "" if report.ok else "  FAILED"
             print(
                 f"{label:<22} {eps:>8.0e} "
@@ -64,10 +64,10 @@ def main() -> int:
                 code = 1
 
     tol = Tolerance(samples=args.samples, seed=args.seed)
-    constant = invariant_pencil_constant(taus[:3], tol)
+    parts = [legendre_params(t, tol) for t in taus[:3]]
+    constant = invariant_pencil_constant(parts, tol)
     moduli = ", ".join(format_tau(t) for t in taus[:3])
     print(f"\npencil constant for ({moduli}): {constant:.12g}")
-    parts = [legendre_params(t, tol) for t in taus[:3]]
     b_product = parts[0].b * parts[1].b * parts[2].b
     print(f"product of square roots b1 b2 b3:  {b_product:.12g}")
     print(f"|{'(b1 b2 b3)^2 - A':>16}| = {abs(b_product**2 - constant):.3e}")

@@ -9,9 +9,13 @@ Q = exp(2 pi i tau) and Q^(1/4) = exp(i pi tau / 2):
     L(z) = b theta2(2 pi z | 2 tau) / theta3(2 pi z | 2 tau),
     b = theta3(0 | 2 tau) / theta2(0 | 2 tau),  a = b^2.
 
-One loop returns L and its termwise derivative L' (_LegendreFrame).  Theta
-settles the a <-> 1/a ambiguity of the value table: at 0.3+0.2i it gives
-the a that the earlier Moebius root selection reported as 1/a.  L runs on
+One loop returns L and its termwise derivative L' at a point
+(_LegendreFrame.value_slope).  Beside it, a value-only pass over a list of
+points (_LegendreFrame.values) runs the L half of that loop with the same
+float operations in the same order, so its values are value_slope's bit
+for bit; every caller that needs no L' uses it.  Theta settles the
+a <-> 1/a ambiguity of the value table: at 0.3+0.2i it gives the a that
+the earlier Moebius root selection reported as 1/a.  L runs on
 the translated modulus tau - k, k = round(Re tau), exactly (1 is a period):
 L is unchanged and a(tau) = (-1)^k a(tau - k).  Domain: 0.1 <= Im tau <= 100
 (IM_TAU_DOMAIN); below it the 2 tau series cancels, above it the powers of
@@ -363,9 +367,9 @@ class _LegendreFrame:
             if 2 * PI * tau.imag * (n + 1) ** 2 > _TAIL:
                 break
         self.tau, self.terms = tau, tuple(terms)
-        self.null = self.slope = 1.0
+        self.null = 1.0
         # theta2(0) / theta3(0) by the same loop, so that L(0) is exactly 1
-        self.null = self.value_slope(0j)[0]
+        self.null = self.values([0j])[0]
         self.slope = _TWO_PI_I / self.null
         self.b = 1 / self.null
         self.a = self.b * self.b
@@ -401,6 +405,33 @@ class _LegendreFrame:
             pp *= w2
             mm *= iw2
         return t2 / t3 / self.null, (d2 * t3 - t2 * d3) * self.slope / (t3 * t3)
+
+    def values(self, points: list[complex]) -> list[complex]:
+        """[L(z) for z in points]: the t2 and t3 half of value_slope's loop,
+        the same float operations in the same order, so each value equals
+        value_slope(z)[0] bit for bit.  One call serves a whole list."""
+        tau, terms, null = self.tau, self.terms, self.null
+        tr, ti = tau.real, tau.imag
+        exp = cmath.exp
+        out = []
+        for z in points:
+            y = z.imag / ti
+            x = z.real - y * tr
+            w = exp(_TWO_PI_I * (x - round(x) + (y - round(y)) * tau))
+            iw = 1 / w
+            w2, iw2 = w * w, iw * iw
+            p, m, pp, mm = w, iw, w2, iw2
+            t2 = 0j
+            t3 = 1 + 0j
+            for c, _, d, _ in terms:
+                t2 += c * (p + m)
+                t3 += d * (pp + mm)
+                p *= w2
+                m *= iw2
+                pp *= w2
+                mm *= iw2
+            out.append(t2 / t3 / null)
+        return out
 
 
 def legendre_params(tau: complex, tol: Tolerance = Tolerance()) -> EllipticParams:
@@ -438,7 +469,7 @@ def legendre_params(tau: complex, tol: Tolerance = Tolerance()) -> EllipticParam
 
 def legendre_value(params: EllipticParams, z: complex) -> complex:
     """L(z) by the theta form."""
-    return params.frame.value_slope(z)[0]
+    return params.frame.values([z])[0]
 
 
 def sample_points(
@@ -497,16 +528,28 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
     """
     frame = params.frame
     tau, a = frame.tau, frame.a
-    half, lv = tau / 2, frame.value_slope
+    half, lv, values = tau / 2, frame.value_slope, frame.values
+    points = sample_points(tau, tol)
+    shifted = zip(
+        values([-z for z in points]),
+        values([z + 1 for z in points]),
+        values([z + tau for z in points]),
+        values([z + 0.5 for z in points]),
+        values([z + half for z in points]),
+    )
+    abs_a = abs(a)
     worst, ratios = [], []
-    for z in sample_points(tau, tol):
+    # each residual is _residual(lhs, rhs) written out: this is the hot loop
+    for z, (neg, one, per, shift, prod) in zip(points, shifted):
         value, slope = lv(z)
+        size = abs(value)
+        prod *= value
         worst.append((
-            _residual(lv(-z)[0], value),
-            _residual(lv(z + 1)[0], value),
-            _residual(lv(z + tau)[0], value),
-            _residual(lv(z + 0.5)[0], -value),
-            _residual(lv(z + half)[0] * value, a),
+            abs(neg - value) / max(1.0, abs(neg), size),
+            abs(one - value) / max(1.0, abs(one), size),
+            abs(per - value) / max(1.0, abs(per), size),
+            abs(shift + value) / max(1.0, abs(shift), size),
+            abs(prod - a) / max(1.0, abs(prod), abs_a),
         ))
         ratios.append(slope / ((value - 1) * (value + 1)) * slope / ((value - a) * (value + a)))
     residuals = dict(zip(_SAMPLED_IDENTITIES, map(max, zip(*worst))))
@@ -542,8 +585,9 @@ def evaluator_agreement(tau: complex | EllipticParams, tol: Tolerance) -> float:
     frame, rows, se = params.frame, params.rows, tol.series_eps
     _, q, _, s = params.mobius
     worst = 0.0
-    for z in sample_points(frame.tau, tol):
-        value, wp = frame.value_slope(z)[0], rows.wp(z, se)
+    points = sample_points(frame.tau, tol)
+    for z, value in zip(points, frame.values(points)):
+        wp = rows.wp(z, se)
         # |dwp/dL| = |q - s| / |L - 1|^2
         if abs(q - s) * max(1.0, abs(value)) <= abs(value - 1) ** 2 * max(1.0, abs(wp)):
             gap = _residual(wp, params.inverse_mobius(value))
@@ -571,9 +615,13 @@ def invariant_pencil_constant(
     f1, f2 = params[0].frame, params[1].frame
     pts1 = sample_points(f1.tau, tol)
     pts2 = sample_points(f2.tau, Tolerance(tol.eps, tol.samples, tol.seed + 1))
-    l1, l2 = f1.value_slope, f2.value_slope
-    for z, w in zip(pts1, pts2):
-        lhs = l1(z + f1.tau / 2)[0] * l2(w + f2.tau / 2)[0] * l1(z)[0] * l2(w)[0]
+    pairs = zip(
+        pts1, pts2,
+        f1.values([z + f1.tau / 2 for z in pts1]), f2.values([w + f2.tau / 2 for w in pts2]),
+        f1.values(pts1), f2.values(pts2),
+    )
+    for z, w, h1, h2, v1, v2 in pairs:
+        lhs = h1 * h2 * v1 * v2
         if _residual(lhs, f1.a * f2.a) > tol.eps:
             raise IdentityFailure(f"two-variable tau-half identity failed at ({z}, {w})")
     return a_product

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from collections import Counter
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from surface_lab import checks as checks_mod
+from surface_lab import legendre_numerics as numerics_mod
 from surface_lab.checks import (
     CHECKS,
     DEFAULT_TAUS,
@@ -28,6 +30,7 @@ from surface_lab.legendre_numerics import legendre_params
 from surface_lab.picard_lattice import E, L, catalog
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+SCRIPT = SRC.parent / "scripts" / "run_verification.py"
 GOLDEN_NO_TAUS = Path(__file__).parent / "data" / "verify_all_no_default_taus.json"
 GOLDEN_NO_TAUS_TEXT = Path(__file__).parent / "data" / "verify_all_no_default_taus.txt"
 GOLDEN_DEFAULT = Path(__file__).parent / "data" / "verify_all.json"
@@ -248,6 +251,25 @@ class TestSharedFacts:
         results = run(RunConfig())
         assert {r.status for r in results} == {"pass"}
         assert calls == {"legendre_params": len(DEFAULT_TAUS)}
+
+    def test_experiment_script_builds_each_parameter_set_once(self, monkeypatch, capsys):
+        # one legendre_params per row (modulus, eps) of the scaling table and
+        # one per modulus of the pencil triple; run() builds its own through
+        # checks, which this does not count
+        calls: Counter = Counter()
+        build = numerics_mod.legendre_params
+
+        def counted(*args, **kwargs):
+            calls["legendre_params"] += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(numerics_mod, "legendre_params", counted)
+        script = runpy.run_path(str(SCRIPT), run_name="run_verification")
+        monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--samples", "10"])
+        assert script["main"]() == 0
+        assert "pencil constant" in capsys.readouterr().out
+        rows = len(DEFAULT_TAUS) * len(script["EPS_GRID"])
+        assert calls == {"legendre_params": rows + 3}
 
     def test_unread_reports_are_not_built(self, monkeypatch):
         names = (*SHARED_BUILDERS, "catalog")

@@ -16,6 +16,7 @@ Oracle notes
 
 import cmath
 import math
+from collections import Counter
 
 import mpmath as mp
 import pytest
@@ -55,6 +56,9 @@ DEFAULT_TAUS = [1j, (1 + 3j) / 2, 2j, (1 + 5j) / 3]
 SQUARE_LATTICE_A = 3 + 2 * math.sqrt(2)  # frozen from the lattice-sum oracle
 
 GRID = [0.3 + 0.2j, -0.17 + 0.41j, 0.25 + 0.33j, 0.45 - 0.12j]
+SAMPLED_IDENTITIES = (
+    "evenness", "period_one", "period_tau", "half_shift_negates", "tau_half_product"
+)
 
 
 def rel(x: complex, y: complex) -> float:
@@ -345,13 +349,7 @@ class TestVerifyIdentities:
         report = verify_identities(legendre_params(tau, tol), tol)
         assert report.ok
         assert report.samples == 100 and report.seed == 0
-        for name in (
-            "evenness",
-            "period_one",
-            "period_tau",
-            "half_shift_negates",
-            "tau_half_product",
-        ):
+        for name in SAMPLED_IDENTITIES:
             assert report.residuals[name] < 1e-9
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
@@ -553,6 +551,66 @@ class TestThetaForm:
         report = verify_identities(legendre_params(1j, tol), tol)
         assert any(f.startswith("half_period_derivative") for f in report.failures)
         assert report.residuals["half_period_derivative"] > 1e-7
+
+    def test_shifted_values_fail_the_sampled_identities(self, monkeypatch):
+        # the value-only pass evaluating at z + d while value_slope keeps z:
+        # every sampled identity compares a value of that pass with L(z) or a
+        shift = 1e-7
+        original = _LegendreFrame.values
+        monkeypatch.setattr(
+            _LegendreFrame, "values", lambda self, points: original(self, [z + shift for z in points])
+        )
+        tol = Tolerance()
+        for tau in (1j, 0.1j, 6j):
+            report = verify_identities(legendre_params(tau, tol), tol)
+            for name in SAMPLED_IDENTITIES:
+                assert any(f.startswith(name + ":") for f in report.failures), (tau, name)
+
+    @given(
+        re=st.floats(min_value=-0.5, max_value=0.5),
+        shift=st.integers(min_value=-3, max_value=3),
+        im=st.floats(min_value=IM_TAU_DOMAIN[0], max_value=IM_TAU_DOMAIN[1]),
+        coords=st.lists(
+            st.tuples(st.floats(min_value=-1.5, max_value=1.5), st.floats(min_value=-1.5, max_value=1.5)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    # u + v tau on and across the edges u, v = +-1/2 of the central cell
+    @example(re=0.0, shift=0, im=IM_TAU_DOMAIN[0], coords=[(0.5, 0.5), (-0.5, 1.25), (1.5, -0.5)])
+    @example(re=0.5, shift=3, im=IM_TAU_DOMAIN[1], coords=[(0.5, -0.5), (0.7, 0.499), (-1.0, 1.5)])
+    @example(re=-0.5, shift=-3, im=IM_TAU_DOMAIN[1], coords=[(-0.5, 0.5), (0.3, -1.5)])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_values_equal_value_slope_bit_for_bit(self, re, shift, im, coords):
+        tau = complex(re + shift, im)
+        frame = legendre_params(tau).frame
+        points = [u + v * tau for u, v in coords]
+        assert frame.values(points) == [frame.value_slope(z)[0] for z in points]
+
+    def test_every_value_is_a_fresh_evaluation(self, monkeypatch):
+        # no identity is evaluated through its own shift rule: per sample
+        # the base point and its five shifts, plus the four half periods
+        tol = Tolerance(samples=37)
+        params = legendre_params(0.3 + 1.2j, tol)
+        points: Counter = Counter()
+        value_slope, values = _LegendreFrame.value_slope, _LegendreFrame.values
+
+        def counted_value_slope(self, z):
+            points["value_slope"] += 1
+            return value_slope(self, z)
+
+        def counted_values(self, zs):
+            points["values"] += len(zs)
+            return values(self, zs)
+
+        monkeypatch.setattr(_LegendreFrame, "value_slope", counted_value_slope)
+        monkeypatch.setattr(_LegendreFrame, "values", counted_values)
+        verify_identities(params, tol)
+        assert points == {"value_slope": tol.samples + 4, "values": 5 * tol.samples}
+        assert sum(points.values()) == 6 * tol.samples + 4
+        points.clear()
+        evaluator_agreement(params, tol)
+        assert points == {"values": tol.samples}
 
     def test_wrong_a_fails_the_cross_check(self, monkeypatch):
         # M solved from a slightly wrong a no longer carries the row-series
