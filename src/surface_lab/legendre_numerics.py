@@ -540,16 +540,16 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
     abs_a = abs(a)
     worst, ratios = [], []
     # each residual is _residual(lhs, rhs) written out: this is the hot loop
-    for z, (neg, one, per, shift, prod) in zip(points, shifted):
+    for z, (at_neg, at_one, at_tau, at_half, at_half_tau) in zip(points, shifted):
         value, slope = lv(z)
         size = abs(value)
-        prod *= value
+        product = at_half_tau * value
         worst.append((
-            abs(neg - value) / max(1.0, abs(neg), size),
-            abs(one - value) / max(1.0, abs(one), size),
-            abs(per - value) / max(1.0, abs(per), size),
-            abs(shift + value) / max(1.0, abs(shift), size),
-            abs(prod - a) / max(1.0, abs(prod), abs_a),
+            abs(at_neg - value) / max(1.0, abs(at_neg), size),
+            abs(at_one - value) / max(1.0, abs(at_one), size),
+            abs(at_tau - value) / max(1.0, abs(at_tau), size),
+            abs(at_half + value) / max(1.0, abs(at_half), size),
+            abs(product - a) / max(1.0, abs(product), abs_a),
         ))
         ratios.append(slope / ((value - 1) * (value + 1)) * slope / ((value - a) * (value + a)))
     residuals = dict(zip(_SAMPLED_IDENTITIES, map(max, zip(*worst))))

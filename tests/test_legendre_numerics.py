@@ -558,7 +558,7 @@ class TestThetaForm:
         shift = 1e-7
         original = _LegendreFrame.values
         monkeypatch.setattr(
-            _LegendreFrame, "values", lambda self, points: original(self, [z + shift for z in points])
+            _LegendreFrame, "values", lambda self, zs: original(self, [z + shift for z in zs])
         )
         tol = Tolerance()
         for tau in (1j, 0.1j, 6j):
@@ -571,9 +571,7 @@ class TestThetaForm:
         shift=st.integers(min_value=-3, max_value=3),
         im=st.floats(min_value=IM_TAU_DOMAIN[0], max_value=IM_TAU_DOMAIN[1]),
         coords=st.lists(
-            st.tuples(st.floats(min_value=-1.5, max_value=1.5), st.floats(min_value=-1.5, max_value=1.5)),
-            min_size=1,
-            max_size=8,
+            st.tuples(*[st.floats(min_value=-1.5, max_value=1.5)] * 2), min_size=1, max_size=8
         ),
     )
     # u + v tau on and across the edges u, v = +-1/2 of the central cell
