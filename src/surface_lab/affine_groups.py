@@ -22,8 +22,8 @@ in half-lattice coordinates and returned in full-lattice coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from ._record import record
 from .integer_algebra import FinAbGroup, IntMatrix, cokernel, rank_mod2
 
 
@@ -31,7 +31,7 @@ class NotInLattice(Exception):
     """A derived translation fell outside the full lattice."""
 
 
-@dataclass(frozen=True)
+@record
 class LatticeVector:
     """A lattice vector in full-lattice coordinates (length 2n)."""
 
@@ -54,7 +54,7 @@ class LatticeVector:
         return LatticeVector(tuple(-a for a in self.coords))
 
 
-@dataclass(frozen=True)
+@record
 class AffineElement:
     """z |-> signs * z + trans/2 with trans in half-lattice coordinates."""
 
@@ -97,7 +97,7 @@ class AffineElement:
         return AffineElement(self.signs, trans)
 
 
-@dataclass(frozen=True)
+@record
 class ExtensionData:
     """Generators of a group extension 1 -> Lambda -> Gamma -> (Z/2)^m -> 1."""
 

@@ -22,10 +22,10 @@ pair (they swap the pencil members instead) and are rejected.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
+from ._record import record
 from .affine_groups import AffineElement, standard_generators
 from .orbifold_covers import BranchedCoverData, cover_genus
 
@@ -41,7 +41,7 @@ class ZeroParameter(Exception):
 Action = tuple[int, "int | tuple[int, int]"]
 
 
-@dataclass(frozen=True)
+@record
 class SignCharacter:
     """A +-1 string, one entry per generator of the acting group."""
 
@@ -82,7 +82,7 @@ class SignCharacter:
         return value
 
 
-@dataclass(frozen=True)
+@record
 class GradedSpace:
     """A representation recorded as character -> multiplicity."""
 

@@ -23,12 +23,12 @@ import cmath
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
 from typing import Any, Callable
 
+from ._record import record
 from .affine_groups import (
     ExtensionData,
     abelianize_extension,
@@ -49,6 +49,7 @@ from .integer_algebra import FinAbGroup
 from .legendre_numerics import (
     EllipticParams,
     Tolerance,
+    _nan_max,
     evaluator_agreement,
     invariant_pencil_constant,
     legendre_params,
@@ -84,7 +85,7 @@ class UnknownCheck(Exception):
     """A requested check name is not in the registry."""
 
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     checks: tuple[str, ...] = ("all",)
     taus: tuple[complex, ...] = DEFAULT_TAUS
@@ -112,7 +113,7 @@ class RunConfig:
         return Tolerance(eps=self.eps, samples=self.samples, seed=self.seed)
 
 
-@dataclass
+@record
 class CheckResult:
     name: str
     status: str  # pass | fail | skipped | error
@@ -188,7 +189,7 @@ class Facts:
         return orbifold_abelianization(5)
 
 
-@dataclass(frozen=True)
+@record
 class Claim:
     """One row of the claims table.
 
@@ -299,26 +300,26 @@ def _pencil_invariants(f: Facts) -> int:
 def _identity_problems(f: Facts) -> Problems:
     cfg = f.config
     tol = cfg.tolerance
-    worst = 0.0
+    residuals = []
     problems = []
     for i, tau in enumerate(cfg.taus):
         params = f.elliptic(i)
         report = verify_identities(params, tol)
-        worst = max(worst, report.worst_residual)
+        residuals.append(report.worst_residual)
         if not report.ok:
             problems.extend(f"tau={tau}: {f}" for f in report.failures)
         agreement = evaluator_agreement(params, tol)
-        worst = max(worst, agreement)
-        if agreement > tol.eps:
+        residuals.append(agreement)
+        if not agreement <= tol.eps:
             problems.append(f"tau={tau}: evaluator disagreement {agreement:.3e}")
         # M(e3) = -a with e3 from the row series and a from theta, compared
         # in the wp coordinate: M has a pole near e3 when |a| is large
         e3, e3_of_a = params.e3, params.inverse_mobius(-params.a)
         e3_residual = abs(e3 - e3_of_a) / max(1.0, abs(e3), abs(e3_of_a))
-        worst = max(worst, e3_residual)
-        if e3_residual > tol.eps:
+        residuals.append(e3_residual)
+        if not e3_residual <= tol.eps:
             problems.append(f"tau={tau}: M(e3) = -a off by {e3_residual:.3e}")
-    summary = f"worst residual {worst:.3e} over {len(cfg.taus)} moduli"
+    summary = f"worst residual {_nan_max(residuals):.3e} over {len(cfg.taus)} moduli"
     return Problems(problems, "; ".join(problems[:4]) or summary)
 
 
@@ -521,16 +522,8 @@ def run(config: RunConfig) -> list[CheckResult]:
             expected = claim.expected_text(config)
             actual = f"{type(err).__name__}: {err}"
         elapsed = (time.perf_counter() - start) * 1000.0
-        results.append(
-            CheckResult(
-                name=name,
-                status=status,
-                expected=expected,
-                actual=actual,
-                paper_anchor=claim.anchor,
-                elapsed_ms=elapsed if config.timings else None,
-            )
-        )
+        timing = elapsed if config.timings else None
+        results.append(CheckResult(name, status, expected, actual, claim.anchor, timing))
     return results
 
 

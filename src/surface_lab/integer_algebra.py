@@ -8,10 +8,10 @@ matrices this package produces (group presentations, divisor spans).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ._record import record
 
 
-@dataclass(frozen=True)
+@record
 class IntMatrix:
     """An immutable integer matrix stored as a tuple of row tuples."""
 
@@ -49,7 +49,7 @@ class IntMatrix:
         return [list(row) for row in self.entries]
 
 
-@dataclass(frozen=True)
+@record
 class SmithForm:
     """Result of a Smith reduction U @ M @ V = diag(diagonal).
 
@@ -70,7 +70,7 @@ class SmithForm:
             raise ValueError(f"not a divisibility chain: {self.diagonal}")
 
 
-@dataclass(frozen=True)
+@record
 class FinAbGroup:
     """A finitely generated abelian group Z^free_rank x prod Z/d_i.
 
@@ -79,7 +79,7 @@ class FinAbGroup:
     """
 
     free_rank: int
-    torsion: tuple[int, ...] = field(default=())
+    torsion: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.free_rank < 0:

@@ -41,7 +41,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
+
+from ._record import HIDDEN, record
 
 PI = math.pi
 
@@ -62,7 +63,7 @@ class IdentityFailure(Exception):
     """A functional identity exceeded the requested tolerance."""
 
 
-@dataclass(frozen=True)
+@record
 class Tolerance:
     eps: float = 1e-9
     samples: int = 100
@@ -80,7 +81,7 @@ class Tolerance:
         return max(self.eps * 1e-3, 2e-16)
 
 
-@dataclass(frozen=True)
+@record
 class EllipticParams:
     """Everything the identity checks need about one modulus.
 
@@ -98,8 +99,8 @@ class EllipticParams:
     e2: complex
     e3: complex
     mobius: tuple[complex, complex, complex, complex]
-    frame: _LegendreFrame = field(compare=False, repr=False)
-    rows: _NomeFrame = field(compare=False, repr=False)
+    frame: _LegendreFrame = HIDDEN
+    rows: _NomeFrame = HIDDEN
 
     def inverse_mobius(self, value: complex) -> complex:
         """M^-1(value), the wp value at the points where L takes value."""
@@ -336,6 +337,14 @@ def _residual(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
+def _nan_max(residuals) -> float:
+    """The worst of some residuals, or NaN if one is NaN: a residual that is
+    not a number must fail, and max drops a NaN that is not first.  The
+    residuals are nonnegative, so their sum is NaN exactly when one is."""
+    total = sum(residuals)
+    return total if total != total else max(residuals)
+
+
 # the stated domain of L in Im tau; see the module docstring
 IM_TAU_DOMAIN = (0.1, 100.0)
 _TWO_PI_I = 2j * PI
@@ -498,7 +507,7 @@ _SAMPLED_IDENTITIES = ("evenness", "period_one", "period_tau", "half_shift_negat
 DERIVATIVE_METHOD = "analytic L' from the termwise derivative of the theta series"
 
 
-@dataclass
+@record
 class IdentityReport:
     tau: complex
     eps: float
@@ -515,7 +524,7 @@ class IdentityReport:
 
     @property
     def worst_residual(self) -> float:
-        return max(self.residuals.values())
+        return _nan_max(self.residuals.values())
 
 
 def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
@@ -552,13 +561,11 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
             abs(product - a) / max(1.0, abs(product), abs_a),
         ))
         ratios.append(slope / ((value - 1) * (value + 1)) * slope / ((value - a) * (value + a)))
-    residuals = dict(zip(_SAMPLED_IDENTITIES, map(max, zip(*worst))))
-
-    worst_slope = 0.0
-    for p in (0j, 0.5 + 0j, half, 0.5 + half):
-        value, slope = lv(p)
-        worst_slope = max(worst_slope, abs(slope) / max(1.0, abs(value)))
-    residuals["half_period_derivative"] = worst_slope
+    residuals = dict(zip(_SAMPLED_IDENTITIES, map(_nan_max, zip(*worst))))
+    residuals["half_period_derivative"] = _nan_max([
+        abs(slope) / max(1.0, abs(value))
+        for value, slope in map(lv, (0j, 0.5 + 0j, half, 0.5 + half))
+    ])
 
     mean = sum(ratios) / len(ratios)
     spread = math.sqrt(sum(abs(r - mean) ** 2 for r in ratios) / len(ratios))
@@ -567,7 +574,7 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
     failures = [
         f"{name}: worst residual {worst:.3e} > {tol.eps:.3e}"
         for name, worst in residuals.items()
-        if worst > tol.eps
+        if not worst <= tol.eps
     ]
     return IdentityReport(
         params.tau, tol.eps, tol.samples, tol.seed, residuals, mean, DERIVATIVE_METHOD, failures
@@ -584,7 +591,7 @@ def evaluator_agreement(tau: complex | EllipticParams, tol: Tolerance) -> float:
     params = tau if isinstance(tau, EllipticParams) else legendre_params(tau, tol)
     frame, rows, se = params.frame, params.rows, tol.series_eps
     _, q, _, s = params.mobius
-    worst = 0.0
+    gaps = []
     points = sample_points(frame.tau, tol)
     for z, value in zip(points, frame.values(points)):
         wp = rows.wp(z, se)
@@ -593,8 +600,8 @@ def evaluator_agreement(tau: complex | EllipticParams, tol: Tolerance) -> float:
             gap = _residual(wp, params.inverse_mobius(value))
         else:
             gap = _residual(value, (wp + q) / (wp + s))
-        worst = max(worst, gap)
-    return worst
+        gaps.append(gap)
+    return _nan_max(gaps)
 
 
 def invariant_pencil_constant(
@@ -609,7 +616,7 @@ def invariant_pencil_constant(
     params = [t if isinstance(t, EllipticParams) else legendre_params(t, tol) for t in taus]
     a_product = params[0].a * params[1].a * params[2].a
     b_product = params[0].b * params[1].b * params[2].b
-    if _residual(b_product * b_product, a_product) > tol.eps:
+    if not _residual(b_product * b_product, a_product) <= tol.eps:
         raise IdentityFailure("(b1 b2 b3)^2 = a1 a2 a3 failed")
 
     f1, f2 = params[0].frame, params[1].frame
@@ -622,6 +629,6 @@ def invariant_pencil_constant(
     )
     for z, w, h1, h2, v1, v2 in pairs:
         lhs = h1 * h2 * v1 * v2
-        if _residual(lhs, f1.a * f2.a) > tol.eps:
+        if not _residual(lhs, f1.a * f2.a) <= tol.eps:
             raise IdentityFailure(f"two-variable tau-half identity failed at ({z}, {w})")
     return a_product

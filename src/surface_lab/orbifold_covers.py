@@ -13,9 +13,9 @@ points whose image dies stop contributing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
+from ._record import record
 from .integer_algebra import FinAbGroup, IntMatrix, cokernel, rank_mod2
 
 
@@ -36,7 +36,7 @@ def _check_vec(v: Vec, n: int) -> Vec:
     return tuple(x & 1 for x in v)
 
 
-@dataclass(frozen=True)
+@record
 class BranchedCoverData:
     """Branch data of a maximal (Z/2)^n cover of the projective line."""
 
@@ -62,7 +62,7 @@ class BranchedCoverData:
         return len(self.branch_images)
 
 
-@dataclass(frozen=True)
+@record
 class Subgroup:
     """A subgroup of F_2^n given by a generating set (possibly redundant)."""
 

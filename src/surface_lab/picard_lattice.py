@@ -22,17 +22,16 @@ blow-ups adds one to e(P^2) = 3).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 
+from ._record import record
 from .integer_algebra import IntMatrix, rank
 
 EULER_NUMBER = 9
 CHI_TRIVIAL = 1
 
 
-@dataclass(frozen=True)
+@record
 class DivisorClass:
     """d L + sum m_i E_i in the Picard lattice of the blown-up plane."""
 
@@ -77,7 +76,7 @@ def selfint(a: DivisorClass) -> int:
     return intersect(a, a)
 
 
-@dataclass(frozen=True)
+@record
 class Component:
     """An irreducible configuration curve with its genus label."""
 
@@ -86,7 +85,7 @@ class Component:
     genus: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class ConfigCatalog:
     S: tuple[DivisorClass, ...]
     Delta: tuple[DivisorClass, ...]
@@ -151,7 +150,7 @@ def catalog() -> ConfigCatalog:
     )
 
 
-@dataclass(frozen=True)
+@record
 class ConfigReport:
     checks_run: int
     failures: tuple[str, ...]
@@ -257,15 +256,13 @@ def rank_of_span(classes: list[DivisorClass]) -> int:
 
 
 def chi_bundle_hrr(rk: int, c1: DivisorClass, c2: int) -> int:
-    """chi of a rank-rk bundle on Y by Hirzebruch-Riemann-Roch."""
-    value = (
-        Fraction(rk) * CHI_TRIVIAL
-        + Fraction(selfint(c1) - 2 * c2, 2)
-        - Fraction(intersect(c1, K), 2)
-    )
-    if value.denominator != 1:
-        raise ValueError(f"non-integral chi {value}; invalid Chern data")
-    return int(value)
+    """chi of a rank-rk bundle on Y by Hirzebruch-Riemann-Roch:
+    rk chi(O_Y) + (c1^2 - 2 c2 - c1.K) / 2."""
+    twice = selfint(c1) - 2 * c2 - intersect(c1, K)
+    half, odd = divmod(twice, 2)
+    if odd:
+        raise ValueError(f"non-integral chi {2 * rk * CHI_TRIVIAL + twice}/2; invalid Chern data")
+    return rk * CHI_TRIVIAL + half
 
 
 def twisted_cotangent_chern(twist: DivisorClass) -> tuple[int, DivisorClass, int]:
@@ -280,7 +277,7 @@ def chi_restricted_twist(component: DivisorClass, genus: int, twist: DivisorClas
     return intersect(twist, component) + 1 - genus
 
 
-@dataclass(frozen=True)
+@record
 class ThetaReport:
     """Arithmetic skeleton of the tangent-sheaf cohomology bounds."""
 

@@ -18,7 +18,7 @@ Degree bookkeeping for the invariant hypersurface inside the product:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import record
 from itertools import permutations
 
 
@@ -37,7 +37,7 @@ STANDARD_GENERA = (1, 1, 5)
 GROUP_ORDER = 32
 
 
-@dataclass(frozen=True)
+@record
 class MultiClass:
     """a_1 F_1 + a_2 F_2 + a_3 F_3; coefficients double as multidegrees."""
 
@@ -105,7 +105,7 @@ def curve_h(genus: int, degree: int) -> tuple[int, int]:
     raise AmbiguousCase(f"special bundle: genus {genus}, degree {degree}")
 
 
-@dataclass(frozen=True)
+@record
 class FactorData:
     """Per-factor genera and line-bundle degrees on a product of curves."""
 
@@ -141,7 +141,7 @@ def kunneth_h(factors: FactorData) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
+@record
 class AdjunctionReport:
     """Numerical chain from the product threefold down to the quotient."""
 

@@ -1,6 +1,6 @@
 """Tests for the check registry, the run engine, and the CLI wrapper."""
 
-import dataclasses
+import ast
 import json
 import math
 import os
@@ -14,6 +14,7 @@ import pytest
 
 from surface_lab import checks as checks_mod
 from surface_lab import legendre_numerics as numerics_mod
+from surface_lab._record import replace
 from surface_lab.checks import (
     CHECKS,
     DEFAULT_TAUS,
@@ -75,7 +76,7 @@ def raise_in_pg_38(monkeypatch) -> None:
     def boom(facts):
         raise ZeroDivisionError("seeded defect")
 
-    raising = dataclasses.replace(CHECKS["pg_38"], measure=boom)
+    raising = replace(CHECKS["pg_38"], measure=boom)
     monkeypatch.setitem(checks_mod.CHECKS, "pg_38", raising)
 
 
@@ -159,7 +160,7 @@ class TestRun:
         assert results[0].status == "skipped"
 
     def test_failure_reported_with_both_sides(self, monkeypatch):
-        wrong = dataclasses.replace(CHECKS["ks2_7"], measure=lambda cfg: 6)
+        wrong = replace(CHECKS["ks2_7"], measure=lambda cfg: 6)
         monkeypatch.setitem(checks_mod.CHECKS, "ks2_7", wrong)
         results = run(RunConfig(checks=("ks2_7",)))
         assert results[0].status == "fail"
@@ -195,12 +196,23 @@ class TestRun:
     def test_wrong_e3_fails_legendre_identities(self, monkeypatch):
         def shifted(tau, tol):
             params = legendre_params(tau, tol)
-            return dataclasses.replace(params, e3=params.e3 + 1e-6 * abs(params.e1))
+            return replace(params, e3=params.e3 + 1e-6 * abs(params.e1))
 
         monkeypatch.setattr(checks_mod, "legendre_params", shifted)
         [result] = run(RunConfig(checks=("legendre_identities",), taus=(1j,)))
         assert result.status == "fail"
         assert "M(e3) = -a off by" in result.actual
+
+    def test_nan_values_fail_legendre_identities(self, monkeypatch):
+        # the NaN mutant: with every L value NaN the check passed, because
+        # each failure test read `residual > eps`
+        nan = complex(math.nan, math.nan)
+        monkeypatch.setattr(
+            numerics_mod._LegendreFrame, "values", lambda self, zs: [nan] * len(zs)
+        )
+        [result] = run(RunConfig(checks=("legendre_identities",), taus=(1j,)))
+        assert result.status == "fail"
+        assert "worst residual nan" in result.actual
 
     def test_raising_shared_builder_errors_only_its_readers(self, monkeypatch):
         def boom():
@@ -240,7 +252,7 @@ class TestSharedFacts:
         config = RunConfig(checks=("picard_config", "theta_h1_4_h2_8"), taus=())
         assert [r.status for r in run(config)] == ["pass", "pass"]
         good = catalog()
-        broken = dataclasses.replace(good, S=(L - E[0] - E[1], *good.S[1:]))
+        broken = replace(good, S=(L - E[0] - E[1], *good.S[1:]))
         monkeypatch.setattr(checks_mod, "catalog", lambda: broken)
         assert [r.status for r in run(config)] == ["fail", "fail"]
 
@@ -384,7 +396,7 @@ class TestMain:
         assert "pass" in capsys.readouterr().out
 
     def test_failure_exit_code(self, monkeypatch, capsys):
-        wrong = dataclasses.replace(CHECKS["ks2_7"], measure=lambda cfg: 6)
+        wrong = replace(CHECKS["ks2_7"], measure=lambda cfg: 6)
         monkeypatch.setitem(checks_mod.CHECKS, "ks2_7", wrong)
         assert main(["verify", "ks2_7"]) == 1
         assert "expected 7; got 6" in capsys.readouterr().out
@@ -451,12 +463,23 @@ class TestMain:
         )
         assert out.returncode == 0, out.stderr
 
+    def test_cli_import_leaves_the_class_machinery_out(self):
+        # dataclasses (with inspect, ast and dis) and fractions (with decimal)
+        # were a third of the import time of a cold `verify`
+        out = run_python(
+            "-c", "import surface_lab.cli; import sys; print(sorted(sys.modules))"
+        )
+        assert out.returncode == 0, out.stderr
+        loaded = set(ast.literal_eval(out.stdout.decode()))
+        assert loaded.isdisjoint({"dataclasses", "inspect", "fractions"}), loaded
+        assert "surface_lab.checks" in loaded
+
     def test_numerics_import_leaves_algebra_out(self):
         script = (
             "import sys\n"
             "from surface_lab import legendre_numerics\n"
             "loaded = sorted(m for m in sys.modules if m.startswith('surface_lab.'))\n"
-            "assert loaded == ['surface_lab.legendre_numerics'], loaded\n"
+            "assert loaded == ['surface_lab._record', 'surface_lab.legendre_numerics'], loaded\n"
             "from surface_lab import run, Tolerance\n"
             "assert Tolerance is legendre_numerics.Tolerance\n"
             "assert run.__module__ == 'surface_lab.checks'\n"

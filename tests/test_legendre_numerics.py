@@ -34,6 +34,7 @@ from surface_lab.legendre_numerics import (
     Tolerance,
     _LegendreFrame,
     _modular_reduction,
+    _nan_max,
     evaluator_agreement,
     invariant_pencil_constant,
     legendre_params,
@@ -565,6 +566,28 @@ class TestThetaForm:
             report = verify_identities(legendre_params(tau, tol), tol)
             for name in SAMPLED_IDENTITIES:
                 assert any(f.startswith(name + ":") for f in report.failures), (tau, name)
+
+    def test_nan_values_fail_every_identity(self, monkeypatch):
+        # NaN compares false with everything: `worst > eps` let a NaN
+        # residual pass and max(worst, gap) dropped a NaN gap
+        nan = complex(math.nan, math.nan)
+        monkeypatch.setattr(_LegendreFrame, "values", lambda self, zs: [nan] * len(zs))
+        tol = Tolerance()
+        report = verify_identities(legendre_params(1j, tol), tol)
+        assert not report.ok
+        for name in SAMPLED_IDENTITIES:
+            assert math.isnan(report.residuals[name])
+            assert any(f.startswith(name + ":") for f in report.failures), name
+        assert math.isnan(report.worst_residual)
+        assert math.isnan(evaluator_agreement(1j, tol))
+        with pytest.raises(IdentityFailure):
+            invariant_pencil_constant((1j, 2j, 3j), tol)
+
+    def test_nan_max_keeps_nan_anywhere(self):
+        assert _nan_max([0.5, 2.0, 1.0]) == 2.0
+        for residuals in ([math.nan, 1.0], [1.0, math.nan], [0.0, math.inf, math.nan]):
+            assert math.isnan(_nan_max(residuals))
+        assert _nan_max([1.0, math.inf]) == math.inf
 
     @given(
         re=st.floats(min_value=-0.5, max_value=0.5),
