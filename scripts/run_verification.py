@@ -30,8 +30,8 @@ EPS_GRID = (1e-6, 1e-9, 1e-12)
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--tau", action="append", metavar="RE+IMi")
-    ap.add_argument("--samples", type=int, default=100)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--samples", type=int, default=RunConfig.samples)
+    ap.add_argument("--seed", type=int, default=RunConfig.seed)
     args = ap.parse_args()
     taus = tuple(parse_tau(t) for t in args.tau) if args.tau else DEFAULT_TAUS
     if len(taus) < 3:

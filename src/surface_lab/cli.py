@@ -18,9 +18,6 @@ import os
 import sys
 
 from .checks import (
-    DEFAULT_EPS,
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
     DEFAULT_TAUS,
     SCHEMA_VERSION,
     CheckResult,
@@ -112,9 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="RE+IMi",
         help="modulus for numeric checks; repeatable",
     )
-    verify.add_argument("--eps", type=float, default=DEFAULT_EPS, metavar="F")
-    verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, metavar="N")
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="N")
+    verify.add_argument("--eps", type=float, default=RunConfig.eps, metavar="F")
+    verify.add_argument("--samples", type=int, default=RunConfig.samples, metavar="N")
+    verify.add_argument("--seed", type=int, default=RunConfig.seed, metavar="N")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument(
         "--list", action="store_true", help="list check names and exit"

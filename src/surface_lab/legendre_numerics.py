@@ -73,7 +73,7 @@ class Tolerance:
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
         if self.samples <= 0:
-            raise ValueError("need at least one sample")
+            raise ValueError(f"samples must be at least 1, got {self.samples!r}")
 
     @property
     def series_eps(self) -> float:
@@ -87,9 +87,9 @@ class EllipticParams:
 
     tau, a, b and e1 = wp(1/2), e2 = wp(tau/2), e3 = wp((1+tau)/2) are those
     of the modulus as given.  mobius = (1, q, 1, s) is the monic M with
-    M(inf) = 1, M(e1) = -1, M(e2) = a; M(e3) = -a is left to check.  The
-    frames evaluate on the translated modulus frame.tau, whose parameter is
-    frame.a = (-1)^k a; they live and die with these parameters.
+    M(inf) = 1, M(e1) = -1, M(e2) = a; verify_identities checks M(e3) = -a.
+    The frames evaluate on the translated modulus frame.tau, whose parameter
+    is frame.a = (-1)^k a; they live and die with these parameters.
     """
 
     tau: complex
@@ -533,7 +533,8 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
     Residual metric: |lhs - rhs| / max(1, |lhs|, |rhs|), worst case over
     the samples, compared against tol.eps.  Every value, shifted or not,
     is a fresh evaluation of the theta series.  half_period_derivative is
-    |L'(p)| / max(1, |L(p)|) at the four half periods, where L' vanishes.
+    |L'(p)| / max(1, |L(p)|) at the four half periods, where L' vanishes;
+    mobius_e3 ties theta's a to the row series through M(e3) = -a.
     """
     frame = params.frame
     tau, a = frame.tau, frame.a
@@ -570,6 +571,9 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
     mean = sum(ratios) / len(ratios)
     spread = math.sqrt(sum(abs(r - mean) ** 2 for r in ratios) / len(ratios))
     residuals["quadratic_ratio_constancy"] = spread / abs(mean)
+    # M(e3) = -a with e3 from the row series and a from theta, compared in
+    # the wp coordinate: M has a pole near e3 when |a| is large
+    residuals["mobius_e3"] = _residual(params.e3, params.inverse_mobius(-params.a))
 
     failures = [
         f"{name}: worst residual {worst:.3e} > {tol.eps:.3e}"

@@ -71,17 +71,20 @@ def triple_product(x: MultiClass, y: MultiClass, z: MultiClass) -> int:
     )
 
 
-def ks_squared(group_order: int = GROUP_ORDER) -> int:
-    """Self-intersection of the canonical class on the quotient surface.
-
-    The adjoint class (K + hypersurface) squared against the hypersurface
-    class, divided by the order of the free group action.
-    """
+def adjoint_cube() -> int:
+    """The adjoint class (K + hypersurface) squared against the hypersurface
+    class: the canonical self-intersection of the hypersurface upstairs."""
     adjoint = canonical_class() + hypersurface_class()
-    total = triple_product(adjoint, adjoint, hypersurface_class())
-    if total % group_order:
-        raise NonIntegral(f"{total} is not divisible by {group_order}")
-    return total // group_order
+    return triple_product(adjoint, adjoint, hypersurface_class())
+
+
+def ks_squared() -> int:
+    """Self-intersection of the canonical class on the quotient surface:
+    adjoint_cube() divided by the order of the free group action."""
+    total = adjoint_cube()
+    if total % GROUP_ORDER:
+        raise NonIntegral(f"{total} is not divisible by {GROUP_ORDER}")
+    return total // GROUP_ORDER
 
 
 def curve_h(genus: int, degree: int) -> tuple[int, int]:
@@ -151,11 +154,9 @@ class AdjunctionReport:
     q_cover: int
     chi_cover: int
     chi_quotient: int
-    ks_squared: int
-    group_order: int
 
 
-def adjunction_chain(group_order: int = GROUP_ORDER) -> AdjunctionReport:
+def adjunction_chain() -> AdjunctionReport:
     """p_g, q and chi of the invariant hypersurface and its free quotient.
 
     The twisted restriction sequence relating the threefold's canonical
@@ -170,15 +171,13 @@ def adjunction_chain(group_order: int = GROUP_ORDER) -> AdjunctionReport:
     pg = h_adj[0] + h_can[1] - h_can[0]
     q = h_can[2]
     chi_cover = 1 - q + pg
-    if chi_cover % group_order:
-        raise NonIntegral(f"chi {chi_cover} not divisible by {group_order}")
+    if chi_cover % GROUP_ORDER:
+        raise NonIntegral(f"chi {chi_cover} not divisible by {GROUP_ORDER}")
     return AdjunctionReport(
         h_canonical=h_can,
         h_adjoint=h_adj,
         pg_cover=pg,
         q_cover=q,
         chi_cover=chi_cover,
-        chi_quotient=chi_cover // group_order,
-        ks_squared=ks_squared(group_order),
-        group_order=group_order,
+        chi_quotient=chi_cover // GROUP_ORDER,
     )

@@ -43,9 +43,15 @@ from surface_lab.orbifold_covers import (
     orbifold_abelianization,
     standard_cover_data,
 )
-from surface_lab.picard_lattice import catalog, intersect, theta_cohomology_report
+from surface_lab.picard_lattice import (
+    catalog,
+    intersect,
+    theta_cohomology_report,
+    verify_configuration,
+)
 from surface_lab.product_threefold import (
     FactorData,
+    adjoint_cube,
     adjunction_chain,
     kunneth_h,
     ks_squared,
@@ -106,7 +112,7 @@ def test_criterion_4_subgroup_classification():
 
 
 def test_criterion_5_numerical_invariants():
-    assert ks_squared(group_order=1) == 224
+    assert adjoint_cube() == 224
     assert ks_squared() == 7
     chain = adjunction_chain()
     assert chain.pg_cover == 38
@@ -125,15 +131,17 @@ def test_criterion_5_numerical_invariants():
 
 
 def test_criterion_6_picard_and_tangent_sheaf():
-    report = theta_cohomology_report()
-    assert report.ok, report.failures  # every configuration identity, exact
+    audit = verify_configuration(catalog())
+    assert audit.ok, audit.failures  # every configuration identity, exact
+    report = theta_cohomology_report(catalog())
     assert report.span_ranks == (5, 6, 6)
     assert report.chi_cotangent_twisted == -4
     assert report.chi_restricted_total == 0
     assert report.character_bounds == (2, 3, 3)
-    assert report.chi_theta == 4
+    chi_theta = 2 * ks_squared() - 10 * adjunction_chain().chi_quotient
+    assert chi_theta == 4
     assert report.h1 == 4
-    assert report.h2 == 8
+    assert chi_theta + report.h1 == report.h2_bound == 8
 
 
 def test_criterion_7_character_decompositions():

@@ -1,12 +1,21 @@
-"""The legendre_numerics names that bench/ uses, called the way it calls
-them.  The benchmark runs one harness against two commits, so a rename or
-a new required parameter here would break its runs of the newer one."""
+"""The package names that bench/ uses, called the way it calls them.  The
+benchmark runs one harness against two commits, so a rename or a new
+required parameter here would break its runs of the newer one."""
 
+import ast
+import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
 from surface_lab import legendre_numerics as ln
+from surface_lab.affine_groups import abelianization_relations, standard_generators
+from surface_lab.integer_algebra import smith_normal_form
+
+LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+# moved to tests/oracles.py; its per-layer metric reads 0 until the bench drops it
+GONE = {"orbifold_covers.homology_bound"}
 
 TAU = 0.1 + 0.3j  # bench/layers.py's im_low probe
 
@@ -58,3 +67,35 @@ def test_sweep_op_as_the_bench_runs_it():
 def test_identity_failure_is_an_exception():
     assert issubclass(ln.IdentityFailure, Exception)
     assert str(ln.IdentityFailure("b^2 = a violated")) == "b^2 = a violated"
+
+
+def traced_algebra_names() -> set[str]:
+    """The module.function labels of ALGEBRA_SELF and ALGEBRA_COUNTS."""
+    names = set()
+    for node in ast.parse(LAYERS.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("ALGEBRA_SELF", "ALGEBRA_COUNTS")
+            for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def test_traced_algebra_names_are_public_functions():
+    # the tracer reports a span only for a public function defined in the
+    # module it is named after; any other name would read 0
+    names = traced_algebra_names()
+    assert len(names) > len(GONE)
+    for label in sorted(names - GONE):
+        module, name = label.split(".")
+        mod = importlib.import_module(f"surface_lab.{module}")
+        fn = getattr(mod, name, None)
+        assert inspect.isfunction(fn), label
+        assert fn.__module__ == mod.__name__, label
+
+
+def test_smith_normal_form_as_the_bench_calls_it():
+    relations = abelianization_relations(standard_generators())
+    bind(smith_normal_form, relations, transforms=True)
+    form = smith_normal_form(relations, transforms=True)
+    assert form.left is not None and form.right is not None

@@ -201,7 +201,7 @@ class TestRun:
         monkeypatch.setattr(checks_mod, "legendre_params", shifted)
         [result] = run(RunConfig(checks=("legendre_identities",), taus=(1j,)))
         assert result.status == "fail"
-        assert "M(e3) = -a off by" in result.actual
+        assert "mobius_e3: worst residual" in result.actual
 
     def test_nan_values_fail_legendre_identities(self, monkeypatch):
         # the NaN mutant: with every L value NaN the check passed, because
@@ -214,6 +214,44 @@ class TestRun:
         assert result.status == "fail"
         assert "worst residual nan" in result.actual
 
+    def test_wrong_ks_squared_fails_ks2_7_and_theta_h1_h2(self, monkeypatch):
+        # h2 - h1 = 2 K^2 - 10 chi is read from the run's own K^2
+        monkeypatch.setattr(checks_mod, "ks_squared", lambda: 6)
+        results = {r.name: r for r in run(RunConfig(taus=()))}
+        assert {n for n, r in results.items() if r.status == "fail"} == {
+            "ks2_7",
+            "theta_h1_4_h2_8",
+        }
+        theta = results["theta_h1_4_h2_8"]
+        assert theta.expected == "h1 = 4, h2 = 8"
+        assert theta.actual == "h1 = 4, h2 = 6, bound 8"
+
+    def test_broken_catalog_fails_picard_config_only(self, monkeypatch):
+        good = catalog()
+        broken = replace(good, S=(L - E[0] - E[1], *good.S[1:]))
+        monkeypatch.setattr(checks_mod, "catalog", lambda: broken)
+        results = run(RunConfig(taus=()))
+        failed = [r for r in results if r.status == "fail"]
+        assert [r.name for r in failed] == ["picard_config"]
+        assert {r.status for r in results} == {"pass", "fail", "skipped"}
+        assert all(r.expected != r.actual for r in failed)
+
+    def test_broken_identity_fails_pencil_two_invariants(self, monkeypatch):
+        # a false identity is a fail (exit 1), as in legendre_identities;
+        # an exception of any other type still makes the check an error
+        out_of_domain = run(RunConfig(checks=("pencil_two_invariants",), taus=(1j, 2j, 0.05j)))
+        assert out_of_domain[0].status == "error"
+        assert out_of_domain[0].actual.startswith("OutsideDomain: ")
+        nan = complex(math.nan, math.nan)
+        monkeypatch.setattr(
+            numerics_mod._LegendreFrame, "values", lambda self, zs: [nan] * len(zs)
+        )
+        results = run(RunConfig(checks=("pencil_two_invariants",)))
+        assert results[0].status == "fail"
+        assert results[0].expected == "2 invariant members"
+        assert results[0].actual == "(b1 b2 b3)^2 = a1 a2 a3 failed"
+        assert exit_code(results) == 1
+
     def test_raising_shared_builder_errors_only_its_readers(self, monkeypatch):
         def boom():
             raise RuntimeError("no chain")
@@ -221,7 +259,7 @@ class TestRun:
         monkeypatch.setattr(checks_mod, "adjunction_chain", boom)
         results = run(RunConfig(taus=()))
         errored = {r.name for r in results if r.status == "error"}
-        assert errored == {"chi_32", "kunneth_list", "pg_38"}
+        assert errored == {"chi_32", "kunneth_list", "pg_38", "theta_h1_4_h2_8"}
         assert all(
             r.actual == "RuntimeError: no chain" for r in results if r.name in errored
         )
@@ -254,7 +292,9 @@ class TestSharedFacts:
         good = catalog()
         broken = replace(good, S=(L - E[0] - E[1], *good.S[1:]))
         monkeypatch.setattr(checks_mod, "catalog", lambda: broken)
-        assert [r.status for r in run(config)] == ["fail", "fail"]
+        # the audit judges the catalog; the theta report's lattice numbers
+        # do not depend on S1 being a (-2)-curve
+        assert [r.status for r in run(config)] == ["fail", "pass"]
 
     def test_one_run_builds_each_modulus_once(self, monkeypatch):
         # legendre_identities reads all four default moduli and

@@ -18,11 +18,13 @@ from surface_lab.picard_lattice import (
     cls,
     intersect,
     rank_of_span,
+    restriction_degrees,
     selfint,
     theta_cohomology_report,
     twisted_cotangent_chern,
     verify_configuration,
 )
+from surface_lab.product_threefold import adjunction_chain, ks_squared
 
 from oracles import gram_matrix, symmetric_signature
 
@@ -213,51 +215,50 @@ class TestChiRestricted:
 
 class TestThetaReport:
     def test_headline_numbers(self):
-        report = theta_cohomology_report()
-        assert report.ok
+        report = theta_cohomology_report(catalog())
         assert report.chi_cotangent_twisted == -4
         assert report.chi_restricted_total == 0
-        assert report.invariant_h1 == 4
         assert report.span_ranks == (5, 6, 6)
         assert report.character_bounds == (2, 3, 3)
         assert report.h2_bound == 8
-        assert report.chi_theta == 4
-        assert (report.h1, report.h2) == (4, 8)
+        assert report.h1 == 4
 
     def test_restriction_degrees(self):
-        report = theta_cohomology_report()
-        assert report.restriction_degrees == {"f1": 3, "E1": 2, "E3": 2, "E2": 3}
+        assert restriction_degrees(catalog()) == {"f1": 3, "E1": 2, "E3": 2, "E2": 3}
 
     def test_chi_consistency(self):
-        report = theta_cohomology_report()
-        assert report.h2 - report.h1 == report.chi_theta
-
-    def test_wrong_surface_invariants_are_flagged(self):
-        report = theta_cohomology_report(ks_squared=6, chi_os=1)
-        assert not report.ok
+        # h2 - h1 = chi(Theta) = 2 K^2 - 10 chi(O) of the quotient surface
+        # meets the bound on h2 exactly, which pins h1 = 4 and h2 = 8
+        report = theta_cohomology_report(catalog())
+        chi_theta = 2 * ks_squared() - 10 * adjunction_chain().chi_quotient
+        assert chi_theta == 4
+        assert report.h1 + chi_theta == report.h2_bound
 
     def test_reports_are_frozen(self):
-        theta = theta_cohomology_report()
+        theta = theta_cohomology_report(catalog())
         audit = verify_configuration(catalog())
         with pytest.raises(AttributeError):
             theta.h1 = 5
         with pytest.raises(AttributeError):
             audit.checks_run = 0
-        with pytest.raises(TypeError):
-            theta.restriction_degrees["f1"] = 0
-        assert isinstance(theta.failures, tuple) and isinstance(audit.failures, tuple)
+        assert isinstance(audit.failures, tuple)
 
-    def test_given_catalog_and_audit_are_used(self):
+    def test_given_catalog_is_used(self):
+        # the report computes from the catalog it is given and judges
+        # nothing: a moved side changes the rank of the first span
         c = catalog()
-        broken = replace(c, S=(L - E[0] - E[1], *c.S[1:]))
-        audit = verify_configuration(broken)
-        assert not audit.ok
-        report = theta_cohomology_report(configuration=broken, audit=audit)
-        assert not report.ok
-        assert report.failures[: len(audit.failures)] == audit.failures
-        assert theta_cohomology_report(configuration=c, audit=verify_configuration(c)) == (
-            theta_cohomology_report()
-        )
+        moved = replace(c, S=(L - E[0] - E[2] - E[4], *c.S[1:]))
+        assert theta_cohomology_report(moved).span_ranks != (5, 6, 6)
+        assert theta_cohomology_report(c) == theta_cohomology_report(catalog())
+
+    def test_audit_keeps_the_restriction_degree_labels(self):
+        c = catalog()
+        assert verify_configuration(c).checks_run == 75
+        # a conic f1 through P1 in place of P4 moves the degree of
+        # D1 + f1 - E4 on f1 from 3 to 1
+        bad_f1 = replace(c, f=(c.f[0] - E[0] + E[3], *c.f[1:]))
+        failures = verify_configuration(bad_f1).failures
+        assert any(f.startswith("(D1 + f1 - E4).f1 = 3: got") for f in failures)
 
 
 class TestLatticeInvariants:

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surface_lab import product_threefold
 from surface_lab.product_threefold import (
     AmbiguousCase,
     FactorData,
     MultiClass,
     NonIntegral,
+    adjoint_cube,
     adjunction_chain,
     canonical_class,
     curve_h,
@@ -75,11 +77,12 @@ class TestKsSquared:
         assert ks_squared() == 7
 
     def test_cover_value(self):
-        assert ks_squared(group_order=1) == 224
+        assert adjoint_cube() == 224
 
-    def test_non_integral_rejected(self):
-        with pytest.raises(NonIntegral):
-            ks_squared(group_order=3)
+    def test_non_integral_rejected(self, monkeypatch):
+        monkeypatch.setattr(product_threefold, "GROUP_ORDER", 3)
+        with pytest.raises(NonIntegral, match="224 is not divisible by 3"):
+            ks_squared()
 
 
 class TestCurveH:
@@ -178,8 +181,6 @@ class TestAdjunctionChain:
         assert report.q_cover == 7
         assert report.chi_cover == 32
         assert report.chi_quotient == 1
-        assert report.ks_squared == 7
-        assert report.group_order == 32
 
     def test_euler_additivity_across_adjunction(self):
         # chi of the hypersurface's dualizing sheaf = chi(adjoint) - chi(canonical)
@@ -187,6 +188,7 @@ class TestAdjunctionChain:
         chi = lambda h: h[0] - h[1] + h[2] - h[3]
         assert chi(report.h_adjoint) - chi(report.h_canonical) == report.chi_cover
 
-    def test_non_integral_group_order(self):
-        with pytest.raises(NonIntegral):
-            adjunction_chain(group_order=5)
+    def test_non_integral_group_order(self, monkeypatch):
+        monkeypatch.setattr(product_threefold, "GROUP_ORDER", 5)
+        with pytest.raises(NonIntegral, match="chi 32 not divisible by 5"):
+            adjunction_chain()
