@@ -22,6 +22,7 @@ in half-lattice coordinates and returned in full-lattice coordinates.
 
 from __future__ import annotations
 
+from operator import mul
 
 from ._record import record
 from .integer_algebra import FinAbGroup, IntMatrix, cokernel, rank_mod2
@@ -77,12 +78,12 @@ class AffineElement:
 
     def compose(self, other: "AffineElement") -> "AffineElement":
         """self after other: (eps, t)(eps', t') = (eps eps', eps t' + t)."""
-        if self.n != other.n:
+        if len(self.signs) != len(other.signs):
             raise ValueError("dimension mismatch")
-        signs = tuple(a * b for a, b in zip(self.signs, other.signs))
+        signs = tuple(map(mul, self.signs, other.signs))
+        # signs * 2 lines up sign_at(k) with coordinate k
         trans = tuple(
-            self.sign_at(k) * other.trans[k] + self.trans[k]
-            for k in range(2 * self.n)
+            s * b + a for s, a, b in zip(self.signs * 2, self.trans, other.trans)
         )
         return AffineElement(signs, trans)
 
@@ -91,8 +92,7 @@ class AffineElement:
         if v.n != self.n:
             raise ValueError("dimension mismatch")
         trans = tuple(
-            self.trans[k] + 2 * self.sign_at(k) * v.coords[k]
-            for k in range(2 * self.n)
+            a + 2 * s * b for s, a, b in zip(self.signs * 2, self.trans, v.coords)
         )
         return AffineElement(self.signs, trans)
 
@@ -122,18 +122,18 @@ def commutator(g: AffineElement, h: AffineElement) -> LatticeVector:
     Evaluates (eps - 1) t' - (eps' - 1) t in half-lattice coordinates and
     divides out; raises NotInLattice if any coordinate stays odd.
     """
-    if g.n != h.n:
+    if len(g.signs) != len(h.signs):
         raise ValueError("dimension mismatch")
     halves = tuple(
-        (g.sign_at(k) - 1) * h.trans[k] - (h.sign_at(k) - 1) * g.trans[k]
-        for k in range(2 * g.n)
+        (s - 1) * b - (r - 1) * a
+        for s, r, a, b in zip(g.signs * 2, h.signs * 2, g.trans, h.trans)
     )
     return _halves_to_lattice(halves)
 
 
 def square_translation(g: AffineElement) -> LatticeVector:
     """g^2 = (eps + 1) t as a full-lattice translation."""
-    halves = tuple((g.sign_at(k) + 1) * g.trans[k] for k in range(2 * g.n))
+    halves = tuple((s + 1) * a for s, a in zip(g.signs * 2, g.trans))
     return _halves_to_lattice(halves)
 
 
@@ -200,8 +200,8 @@ def abelianization_relations(data: ExtensionData) -> IntMatrix:
             row[m + k] = -v
         rows.append(row)
     for g in data.generators:
-        for k in range(2 * data.n):
-            factor = g.sign_at(k) - 1
+        for k, sign in enumerate(g.signs * 2):
+            factor = sign - 1
             if factor:
                 row = [0] * width
                 row[m + k] = factor

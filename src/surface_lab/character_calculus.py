@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 from itertools import product
+from operator import mul
 from typing import Mapping, Sequence
 
 from ._record import record
@@ -178,16 +179,25 @@ def pencil_spaces() -> list[GradedSpace]:
     ]
 
 
-def _d_factor_action(
-    gens: Sequence[AffineElement], word: tuple[int, ...]
-) -> list[tuple[int, int, int]]:
-    """(sign, e-halves, tau-halves) on the two curve coordinates for the
-    image of g2^a g3^b g4^c g5^d (gens = g2 .. g5); well defined mod 2
-    since commutators translate by full lattice vectors."""
-    element = AffineElement((1, 1, 1, 1), (0,) * 8)
-    for g, e in zip(gens, word):
-        if e % 2:
-            element = element.compose(g)
+def _d_factor_elements(
+    gens: Sequence[AffineElement],
+) -> dict[tuple[int, ...], AffineElement]:
+    """The image of g2^a g3^b g4^c g5^d (gens = g2 .. g5) for every 0/1
+    word (a, b, c, d), composed left to right from the identity.  A word's
+    prefix, the word with its last 1 cleared, comes earlier in product
+    order, so each element is one composition with the last generator."""
+    elements = {(0,) * len(gens): AffineElement((1, 1, 1, 1), (0,) * 8)}
+    for word in product((0, 1), repeat=len(gens)):
+        if any(word):
+            last = max(k for k, e in enumerate(word) if e)
+            prefix = word[:last] + (0,) * (len(word) - last)
+            elements[word] = elements[prefix].compose(gens[last])
+    return elements
+
+
+def _d_factor_action(element: AffineElement) -> list[tuple[int, int, int]]:
+    """(sign, e-halves, tau-halves) on the two curve coordinates; well
+    defined mod 2 since commutators translate by full lattice vectors."""
     return [
         (element.sign_at(c), element.trans[c] % 2, element.trans[4 + c] % 2)
         for c in (2, 3)
@@ -210,12 +220,12 @@ def d_factor_branch_elements() -> tuple[tuple[int, ...], ...]:
     * one sign +1: fixed points exist iff that coordinate's translation
       vanishes, and then the fixed fibers meet the curve.
     """
-    gens = standard_generators().generators[1:]
+    elements = _d_factor_elements(standard_generators().generators[1:])
     chosen = []
-    for word in product((0, 1), repeat=4):
-        if word == (0, 0, 0, 0):
+    for word, element in elements.items():
+        if not any(word):
             continue
-        action = _d_factor_action(gens, word)
+        action = _d_factor_action(element)
         ok = True
         for sign, u, v in action:
             if sign == 1 and (u or v):
@@ -238,16 +248,14 @@ def _branch_dual_characters() -> list[tuple[int, ...]]:
     line per intermediate elliptic quotient.
     """
     branches = d_factor_branch_elements()
+    values = {
+        phi: tuple(sum(map(mul, phi, v)) % 2 for v in branches)
+        for phi in product((0, 1), repeat=4)
+    }
     functionals = []
     for j in range(len(branches)):
-        matches = [
-            phi
-            for phi in product((0, 1), repeat=4)
-            if all(
-                sum(p * x for p, x in zip(phi, v)) % 2 == (0 if i == j else 1)
-                for i, v in enumerate(branches)
-            )
-        ]
+        want = tuple(0 if i == j else 1 for i in range(len(branches)))
+        matches = [phi for phi, value in values.items() if value == want]
         if len(matches) != 1:
             raise AssertionError("branch data does not determine the character")
         functionals.append(matches[0])

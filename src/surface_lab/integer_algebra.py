@@ -4,6 +4,11 @@ Everything here runs on Python integers, so there is no overflow and no
 floating point anywhere.  The Smith reduction uses a smallest-pivot
 strategy to keep intermediate entries from exploding on the small dense
 matrices this package produces (group presentations, divisor spans).
+The pivot search stops at the first entry of absolute value 1: a full
+scan keeps the first entry of minimal absolute value, and no nonzero
+integer is smaller, so that is the pivot the full scan picks and the
+transforms do not change.  A unit pivot divides every entry, so its
+divisibility pass is skipped.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: list[list[int]] | list[tuple[int, ...]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        return cls(tuple(tuple(map(int, row)) for row in rows))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -118,28 +123,6 @@ class FinAbGroup:
         return " x ".join(parts) if parts else "0"
 
 
-def _swap_rows(m: list[list[int]], i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m: list[list[int]], i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(m: list[list[int]], dst: int, src: int, c: int) -> None:
-    m[dst] = [a + c * b for a, b in zip(m[dst], m[src])]
-
-
-def _add_col(m: list[list[int]], dst: int, src: int, c: int) -> None:
-    for row in m:
-        row[dst] += c * row[src]
-
-
-def _scale_row(m: list[list[int]], i: int, c: int) -> None:
-    m[i] = [c * v for v in m[i]]
-
-
 def smith_normal_form(m: IntMatrix, *, transforms: bool = False) -> SmithForm:
     """Smith normal form over Z.
 
@@ -154,39 +137,46 @@ def smith_normal_form(m: IntMatrix, *, transforms: bool = False) -> SmithForm:
     a = m.to_lists()
     u = IntMatrix.identity(r).to_lists() if transforms else None
     v = IntMatrix.identity(c).to_lists() if transforms else None
+    # row operations act on a and U, column operations on a and V
+    row_mats = [a] if u is None else [a, u]
+    col_mats = [a] if v is None else [a, v]
 
     def row_op(dst: int, src: int, k: int) -> None:
-        _add_row(a, dst, src, k)
-        if u is not None:
-            _add_row(u, dst, src, k)
+        for x in row_mats:
+            x[dst] = [p + k * q for p, q in zip(x[dst], x[src])]
 
     def col_op(dst: int, src: int, k: int) -> None:
-        _add_col(a, dst, src, k)
-        if v is not None:
-            _add_col(v, dst, src, k)
+        for x in col_mats:
+            for row in x:
+                row[dst] += k * row[src]
 
     def swap_rows(i: int, j: int) -> None:
-        _swap_rows(a, i, j)
-        if u is not None:
-            _swap_rows(u, i, j)
+        for x in row_mats:
+            x[i], x[j] = x[j], x[i]
 
     def swap_cols(i: int, j: int) -> None:
-        _swap_cols(a, i, j)
-        if v is not None:
-            _swap_cols(v, i, j)
+        for x in col_mats:
+            for row in x:
+                row[i], row[j] = row[j], row[i]
 
     diag: list[int] = []
     t = 0
     while t < min(r, c):
-        # locate a nonzero entry of minimal absolute value in a[t:, t:]
+        # locate the first nonzero entry of minimal absolute value in
+        # a[t:, t:]; no entry beats a unit, so the search stops at one
         pivot = None
         best = None
         for i in range(t, r):
+            row = a[i]
             for j in range(t, c):
-                val = abs(a[i][j])
+                val = abs(row[j])
                 if val and (best is None or val < best):
                     best = val
                     pivot = (i, j)
+                    if val == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         if pivot[0] != t:
@@ -196,16 +186,15 @@ def smith_normal_form(m: IntMatrix, *, transforms: bool = False) -> SmithForm:
 
         while True:
             # leave remainders mod the pivot along column t and row t
+            p = a[t][t]
             for i in range(t + 1, r):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        row_op(i, t, -q)
+                q = a[i][t] // p
+                if q:
+                    row_op(i, t, -q)
             for j in range(t + 1, c):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        col_op(j, t, -q)
+                q = a[t][j] // p
+                if q:
+                    col_op(j, t, -q)
             # promote the smallest surviving remainder; each promotion
             # strictly shrinks |pivot|, so this loop terminates
             best = None
@@ -225,7 +214,10 @@ def smith_normal_form(m: IntMatrix, *, transforms: bool = False) -> SmithForm:
                     swap_cols(t, promote[1])
                 continue
             # pivot must divide every remaining entry; pulling an offending
-            # row into the cleared row t forces another strict shrink
+            # row into the cleared row t forces another strict shrink.  A
+            # unit divides everything.
+            if abs(a[t][t]) == 1:
+                break
             offender = None
             for i in range(t + 1, r):
                 for j in range(t + 1, c):
@@ -239,9 +231,8 @@ def smith_normal_form(m: IntMatrix, *, transforms: bool = False) -> SmithForm:
             row_op(t, offender, 1)
 
         if a[t][t] < 0:
-            _scale_row(a, t, -1)
-            if u is not None:
-                _scale_row(u, t, -1)
+            for x in row_mats:
+                x[t] = [-q for q in x[t]]
         diag.append(a[t][t])
         t += 1
 

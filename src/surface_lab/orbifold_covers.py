@@ -14,6 +14,7 @@ points whose image dies stop contributing.
 from __future__ import annotations
 
 from itertools import product
+from operator import xor
 
 from ._record import record
 from .integer_algebra import FinAbGroup, IntMatrix, cokernel, rank_mod2
@@ -77,14 +78,14 @@ class Subgroup:
     def elements(self) -> set[Vec]:
         span = {(0,) * self.n}
         for g in self.gens:
-            span |= {tuple(a ^ b for a, b in zip(g, v)) for v in span}
+            span |= {tuple(map(xor, g, v)) for v in span}
         return span
 
     def order(self) -> int:
         return len(self.elements())
 
     def contains(self, v: Vec) -> bool:
-        return tuple(x & 1 for x in v) in self.elements()
+        return _check_vec(v, self.n) in self.elements()
 
 
 def standard_cover_data(n: int = 4) -> BranchedCoverData:
@@ -119,7 +120,10 @@ def quotient_genus(cover: BranchedCoverData, sub: Subgroup) -> int:
     down to the line: branch points surviving in G/H contribute 1/2 each."""
     if sub.n != cover.n:
         raise ValueError("subgroup dimension mismatch")
-    elems = sub.elements()
+    return _quotient_genus(cover, sub.elements())
+
+
+def _quotient_genus(cover: BranchedCoverData, elems: set[Vec]) -> int:
     quotient_order = (1 << cover.n) // len(elems)
     surviving = sum(1 for v in cover.branch_images if v not in elems)
     doubled_times2 = quotient_order * (-4 + surviving)
@@ -151,11 +155,11 @@ def classify_corank1_subgroups(
     for functional in product((0, 1), repeat=n):
         if not any(functional):
             continue
-        kernel_gens = _kernel_basis(functional, n)
-        sub = Subgroup(n, kernel_gens)
-        inside = sum(1 for v in cover.branch_images if sub.contains(v))
-        genus = quotient_genus(cover, sub)
-        key = (inside, genus)
+        # branch images are already reduced mod 2, so membership is a set
+        # lookup in the one span built per subgroup
+        elems = Subgroup(n, _kernel_basis(functional, n)).elements()
+        inside = sum(1 for v in cover.branch_images if v in elems)
+        key = (inside, _quotient_genus(cover, elems))
         histogram[key] = histogram.get(key, 0) + 1
     return histogram
 

@@ -26,6 +26,9 @@ claims table of surface_lab.checks, which judges them.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, mul, neg, sub
+
 from ._record import record
 from .integer_algebra import IntMatrix, rank
 
@@ -45,16 +48,16 @@ class DivisorClass:
             raise ValueError("need exactly six exceptional coefficients")
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.d + other.d, tuple(a + b for a, b in zip(self.m, other.m)))
+        return DivisorClass(self.d + other.d, tuple(map(add, self.m, other.m)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.d - other.d, tuple(a - b for a, b in zip(self.m, other.m)))
+        return DivisorClass(self.d - other.d, tuple(map(sub, self.m, other.m)))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.d, tuple(-a for a in self.m))
+        return DivisorClass(-self.d, tuple(map(neg, self.m)))
 
     def __rmul__(self, k: int) -> "DivisorClass":
-        return DivisorClass(k * self.d, tuple(k * a for a in self.m))
+        return DivisorClass(k * self.d, tuple(map(mul, repeat(k), self.m)))
 
     def vector(self) -> tuple[int, ...]:
         return (self.d, *self.m)
@@ -71,7 +74,7 @@ K = -3 * L + E[0] + E[1] + E[2] + E[3] + E[4] + E[5]
 
 
 def intersect(a: DivisorClass, b: DivisorClass) -> int:
-    return a.d * b.d - sum(x * y for x, y in zip(a.m, b.m))
+    return a.d * b.d - sum(map(mul, a.m, b.m))
 
 
 def selfint(a: DivisorClass) -> int:
@@ -262,7 +265,7 @@ def verify_configuration(c: ConfigCatalog) -> ConfigReport:
 def rank_of_span(classes: list[DivisorClass]) -> int:
     if not classes:
         return 0
-    return rank(IntMatrix.from_rows([list(c.vector()) for c in classes]))
+    return rank(IntMatrix(tuple(c.vector() for c in classes)))
 
 
 def chi_bundle_hrr(rk: int, c1: DivisorClass, c2: int) -> int:

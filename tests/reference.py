@@ -12,7 +12,8 @@ L at tau = 0.33+60i, z = 0.299+18i with 40 digits) or returns a wrong
 value (tau = 0.194+93.3i, z = 0.2+0.3 tau with 228 digits).
 
 The Legendre function of tau uses theta2, theta3 of parameter 2 tau
-(nome exp(2 pi i tau)); wp uses the theta quotient of parameter tau.
+(nome exp(2 pi i tau)); wp and wp' use the theta quotient of parameter
+tau.
 """
 
 from __future__ import annotations
@@ -78,3 +79,18 @@ def wp_reference(tau: complex, z: complex) -> complex:
         t2, t3 = theta(2, 0, t), theta(3, 0, t)
         quotient = mp.pi * t2 * t3 * theta(4, v, t) / theta(1, v, t)
         return complex(-(mp.pi**2) * (t2**4 + t3**4) / 3 + quotient**2)
+
+
+def wp_prime_reference(tau: complex, z: complex) -> complex:
+    """wp'(z; 1, tau), the z-derivative of wp_reference: with
+    Q = pi theta2 theta3 theta4(pi z) / theta1(pi z), wp' = 2 Q Q' and
+    Q' = pi^2 theta2 theta3 (theta4' theta1 - theta4 theta1') / theta1^2,
+    the thetas' derivatives taken in their argument pi z."""
+    with mp.workdps(_digits(tau)):
+        t, v = _mpc(tau), mp.pi * _mpc(z)
+        t2, t3 = theta(2, 0, t), theta(3, 0, t)
+        t1, t4 = theta(1, v, t), theta(4, v, t)
+        d1, d4 = theta(1, v, t, 1), theta(4, v, t, 1)
+        quotient = mp.pi * t2 * t3 * t4 / t1
+        slope = mp.pi**2 * t2 * t3 * (d4 * t1 - t4 * d1) / t1**2
+        return complex(2 * quotient * slope)

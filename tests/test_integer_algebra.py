@@ -146,6 +146,20 @@ def test_snf_certified_by_transforms(rows):
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
+def test_snf_without_unit_entries(rows):
+    # every entry of 2M and of its reductions is even, so no pivot is a
+    # unit and each step runs the divisibility pass; the diagonal doubles
+    m = IntMatrix.from_rows(rows)
+    doubled = IntMatrix.from_rows([[2 * x for x in row] for row in rows])
+    f = smith_normal_form(doubled, transforms=True)
+    assert f.diagonal == tuple(2 * d for d in smith_normal_form(m).diagonal)
+    assert matmul(f.left, doubled, f.right) == padded_diagonal(f.diagonal, m.nrows, m.ncols)
+    assert abs(determinant(f.left)) == 1
+    assert abs(determinant(f.right)) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices)
 def test_snf_matches_minor_gcd_oracle(rows):
     # d_1 ... d_k = gcd of all k x k minors, for every k up to the rank
     m = IntMatrix.from_rows(rows)

@@ -10,8 +10,9 @@ Oracle notes
   oracle's half-period values) and matches 3 + 2 sqrt(2); that closed
   form is frozen below as a regression pin.
 * tests/reference.py sums the theta series in mpmath at 40 digits and
-  more; the theta-form L, L' and a must stay within a recorded error of
-  it over the whole stated domain of tau.
+  more; the theta-form L, L' and a, and wp and wp' by the row series,
+  must stay within a recorded error of it over the whole stated domain of
+  tau.
 """
 
 import cmath
@@ -51,7 +52,7 @@ from oracles import (
     sample_points_rejection,
     weierstrass_p_lattice_sum,
 )
-from reference import legendre_reference, theta, wp_reference
+from reference import legendre_reference, theta, wp_prime_reference, wp_reference
 
 DEFAULT_TAUS = [1j, (1 + 3j) / 2, 2j, (1 + 5j) / 3]
 SQUARE_LATTICE_A = 3 + 2 * math.sqrt(2)  # frozen from the lattice-sum oracle
@@ -657,10 +658,16 @@ class TestThetaForm:
 # scale of its rounding: at a half period L' vanishes while L = a), and
 # 7.5e-14 for wp by the row series near Im tau = 0.1.  Closer to a pole the
 # error of L grows like 1/distance: 1.5e-13 for L and 3.0e-13 for L' at
-# distance 0.01 and Im tau = 0.105.  The bounds leave a factor of 2.5-3.
+# distance 0.01 and Im tau = 0.105.  wp' by the row series (relative to
+# max(1, |wp'|)), over ~9000 moduli of the same kind with points of the
+# half cell outside a box of half-width 0.05 around the lattice points 0
+# and 1, two thirds of them at Im tau < 0.2: worst 3.6e-13 at
+# tau = 3.354+0.107i, z = 0.918 + 0.316 tau; the error is largest at the
+# lower edge and grows with |Re tau|.  The bounds leave a factor of 2.5-3.
 A_ERROR = 1e-13
 L_ERROR = 1.5e-13
 WP_ERROR = 2e-13
+WP_PRIME_ERROR = 1e-12
 
 
 class TestReference:
@@ -705,7 +712,35 @@ class TestReference:
         assert abs(value - ref["L"]) / max(1.0, abs(ref["L"])) < L_ERROR
         assert abs(slope - ref["dL"]) / max(1.0, abs(ref["dL"]), abs(ref["L"])) < L_ERROR
 
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.2j, 2.2 + 5j])
+    def test_wp_prime_reference_is_the_derivative(self, tau):
+        # a central difference of the wp reference, good to ~1e-8 relative
+        # with h = 1e-5 on double-rounded values
+        h = 1e-5
+        for z in (0.21 + 0.37 * tau, 0.5 + 0.1 * tau, 0.1 + 0.45 * tau):
+            numeric = (wp_reference(tau, z + h) - wp_reference(tau, z - h)) / (2 * h)
+            assert rel(wp_prime_reference(tau, z), numeric) < 1e-7
+
     @pytest.mark.parametrize("tau", [0.1j, 0.45 + 0.1j, 1j, 0.3 + 0.2j, 2.2 + 5j, 20j])
     def test_error_of_wp(self, tau):
         for z in sample_points(tau, Tolerance(samples=4)):
             assert rel(weierstrass_p(z, tau), wp_reference(tau, z)) < WP_ERROR
+
+    @given(
+        re=st.floats(min_value=-0.5, max_value=0.5),
+        shift=st.integers(min_value=-3, max_value=3),
+        im=st.floats(min_value=IM_TAU_DOMAIN[0], max_value=IM_TAU_DOMAIN[1]),
+        u=st.floats(min_value=0.0, max_value=1.0),
+        v=st.floats(min_value=0.0, max_value=0.5),
+    )
+    @example(re=0.354, shift=3, im=0.1066, u=0.918, v=0.316)  # worst measured
+    @example(re=0.0, shift=0, im=IM_TAU_DOMAIN[0], u=0.3, v=0.2)
+    @example(re=0.5, shift=-2, im=IM_TAU_DOMAIN[1], u=0.6, v=0.5)
+    @example(re=0.0, shift=0, im=2.0, u=0.5, v=0.5)  # wp' = 0 at a half period
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_error_of_wp_prime(self, re, shift, im, u, v):
+        # off the lattice points 0 and 1 of the half cell
+        assume(v > 0.05 or min(u, 1 - u) > 0.05)
+        tau = complex(re + shift, im)
+        z = u + v * tau
+        assert rel(weierstrass_p_prime(z, tau), wp_prime_reference(tau, z)) < WP_PRIME_ERROR

@@ -95,6 +95,54 @@ def test_classification_of_corank1_subgroups():
     assert all(k[0] in (1, 3) for k in hist)
 
 
+def test_contains_checks_the_vector_length():
+    sub = Subgroup(4, ((1, 0, 0, 0), (0, 1, 0, 0)))
+    assert sub.contains((1, 1, 0, 0))
+    assert sub.contains((3, 1, 0, 2))  # entries are read mod 2
+    assert not sub.contains((0, 0, 1, 0))
+    # a vector of another length is an error, as in fixed_point_count
+    for wrong in ((1, 0), (1, 0, 0, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            sub.contains(wrong)
+        with pytest.raises(ValueError):
+            fixed_point_count(standard_cover_data(4), wrong)
+
+
+def test_classification_builds_each_span_once(monkeypatch):
+    calls = []
+    elements = Subgroup.elements
+
+    def counting(self):
+        calls.append(self.gens)
+        return elements(self)
+
+    monkeypatch.setattr(Subgroup, "elements", counting)
+    assert classify_corank1_subgroups(standard_cover_data(4)) == {(1, 1): 5, (3, 0): 10}
+    # one span per subgroup is 15 builds; a build per membership test and
+    # one more for the genus would be 90
+    assert len(calls) <= 30
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_classification_matches_a_count_by_functional_parity(n):
+    # the index-2 subgroups are the kernels of the nonzero functionals; a
+    # branch image lies inside when the functional vanishes on it, and the
+    # s images outside branch the double cover G/H of the line, so
+    # 2g - 2 = 2 (-2) + s
+    data = standard_cover_data(n)
+    want: dict[tuple[int, int], int] = {}
+    for phi in product((0, 1), repeat=n):
+        if not any(phi):
+            continue
+        inside = sum(
+            1 for e in data.branch_images if sum(p * x for p, x in zip(phi, e)) % 2 == 0
+        )
+        key = (inside, (data.m - inside - 2) // 2)
+        want[key] = want.get(key, 0) + 1
+    assert classify_corank1_subgroups(data) == want
+    assert sum(want.values()) == (1 << n) - 1
+
+
 def test_orbifold_abelianization():
     assert orbifold_abelianization(5) == FinAbGroup(0, (2, 2, 2, 2))
     assert orbifold_abelianization(4) == FinAbGroup(0, (2, 2, 2))
