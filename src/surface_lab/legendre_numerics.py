@@ -25,11 +25,18 @@ L is cross-checked against wp by a row series in nome form (DLMF 23.8) on
 the SL2(Z)-reduced lattice (_NomeFrame), through the Moebius M with
 M(inf) = 1, M(e1) = -1, M(e2) = a, solved linearly (evaluator_agreement).
 The row series evaluates wherever the reduced Im tau' is at most 700/pi
-(about 223) and raises DegenerateModulus beyond (0.001i reduces to 1000i).
-A theta quotient for wp (_ThetaFrame) and a lattice sum in tests/oracles.py
-are further oracles.  Each frame holds what depends on tau alone, built
-once per modulus; EllipticParams carries the L and row frames, and nothing
-is kept beyond a call or an EllipticParams.
+(about 223) and raises DegenerateModulus beyond (0.001i reduces to 1000i);
+_NomeFrame.wps takes a whole point list in one call.  A theta quotient for
+wp (_ThetaFrame) and a lattice sum in tests/oracles.py are further oracles.
+Each frame holds what depends on tau alone, built once per modulus;
+EllipticParams carries the L and row frames, and nothing is kept beyond a
+call or an EllipticParams.
+
+The seeded sample points of a modulus are drawn and evaluated once:
+verify_identities leaves them, with L at them and at them + tau/2, in the
+sample table of the L frame, keyed by (seed, samples) and kept no longer
+than the frame.  evaluator_agreement and invariant_pencil_constant read it,
+and compute the same values themselves on a miss.
 
 Conventions: e1 = wp(1/2), e2 = wp(tau/2), e3 = wp((1+tau)/2); the wp theta
 quotient uses the nome q = exp(i pi tau) and theta1(v) =
@@ -86,8 +93,9 @@ class EllipticParams:
     """Everything the identity checks need about one modulus.
 
     tau, a, b and e1 = wp(1/2), e2 = wp(tau/2), e3 = wp((1+tau)/2) are those
-    of the modulus as given.  mobius = (1, q, 1, s) is the monic M with
-    M(inf) = 1, M(e1) = -1, M(e2) = a; verify_identities checks M(e3) = -a.
+    of the modulus as given.  mobius = (q, s) gives M(w) = (w + q)/(w + s),
+    with M(inf) = 1, M(e1) = -1, M(e2) = a; verify_identities checks
+    M(e3) = -a.
     The frames evaluate on the translated modulus frame.tau, whose parameter
     is frame.a = (-1)^k a; they live and die with these parameters.
     """
@@ -98,13 +106,13 @@ class EllipticParams:
     e1: complex
     e2: complex
     e3: complex
-    mobius: tuple[complex, complex, complex, complex]
+    mobius: tuple[complex, complex]
     frame: _LegendreFrame = HIDDEN
     rows: _NomeFrame = HIDDEN
 
     def inverse_mobius(self, value: complex) -> complex:
         """M^-1(value), the wp value at the points where L takes value."""
-        _, q, _, s = self.mobius
+        q, s = self.mobius
         return (q - value * s) / (value - 1)
 
 
@@ -149,6 +157,7 @@ def _modular_reduction(tau: complex) -> tuple[complex, tuple[int, int, int, int]
 # stay finite for every reduced z'
 _IM_TAU_MAX = 700 / PI
 _PI2 = PI * PI
+_TWO_PI_I = 2j * PI
 _M4PI2 = -4 * _PI2
 _PI3 = _PI2 * PI
 _MAX_ROWS = 400
@@ -163,7 +172,7 @@ class _NomeFrame:
     rows holds (q^n, 2 q^n / (1 - q^n)^2) for n = 1, 2, ... with
     q = exp(2 pi i tau'), q^n as running products; a series that needs one
     more row extends it, so every series stops at the row it would stop at
-    alone.
+    alone.  wps walks a list of points through the table in one call.
     """
 
     __slots__ = ("tau_r", "j", "j2", "j3", "abs_j2", "abs_j3", "q", "rows")
@@ -202,30 +211,50 @@ class _NomeFrame:
         zr = x + y * self.tau_r
         return zr, cmath.exp(2j * PI * zr)
 
-    def wp(self, z: complex, eps: float) -> complex:
-        """Row n of the cosecant series, pi^2 (csc^2 pi(z + n tau) +
-        csc^2 pi(z - n tau) - 2 csc^2 pi n tau), is -4 pi^2 times
-        u/(1-u)^2 + v/(1-v)^2 - 2 q^n/(1-q^n)^2 with u = q^n t, v = q^n / t.
-        As |q| <= exp(-pi sqrt 3), rows decay by a factor of at least 230;
-        rows are added until one is below eps |j|^2, which keeps the
-        truncation error of the returned j^-2 wp(z') below eps."""
-        zr, t = self._point(z)
-        s = cmath.sin(PI * zr)
-        total = _PI2 / (s * s) - _PI2 / 3
-        it = 1 / t
+    def wps(self, points: list[complex], eps: float) -> list[complex]:
+        """[wp(z) for z in points].  Row n of the cosecant series,
+        pi^2 (csc^2 pi(z + n tau) + csc^2 pi(z - n tau) - 2 csc^2 pi n tau),
+        is -4 pi^2 times u/(1-u)^2 + v/(1-v)^2 - 2 q^n/(1-q^n)^2 with
+        u = q^n t, v = q^n / t.  As |q| <= exp(-pi sqrt 3), rows decay by a
+        factor of at least 230; rows are added until one is below eps |j|^2,
+        which keeps the truncation error of the returned j^-2 wp(z') below
+        eps.  Each point is placed as _point places it, the same float
+        operations in the same order, inlined; it walks the stored rows and
+        extends the table only past their end."""
+        j, j2, tau_r = self.j, self.j2, self.tau_r
+        tr, ti = tau_r.real, tau_r.imag
         tol = eps * self.abs_j2
-        rows = self.rows
-        for n in range(_MAX_ROWS):
-            if n == len(rows):
-                rows = self._more_rows(rows)
-            qn, const = rows[n]
-            u, v = qn * t, qn * it
-            mu, mv = 1 - u, 1 - v
-            term = _M4PI2 * (v / (mv * mv) + u / (mu * mu) - const)
-            total += term
-            if abs(term) < tol:
-                return total / self.j2
-        raise DegenerateModulus("row series did not converge")
+        exp, sin = cmath.exp, cmath.sin
+        out = []
+        for z in points:
+            w = z / j
+            y = w.imag / ti
+            x = w.real - y * tr
+            x, y = x - round(x), y - round(y)
+            if max(abs(x), abs(y)) < 1e-12:
+                raise PoleAtLatticePoint(f"{z} reduces to a lattice point")
+            zr = x + y * tau_r
+            t = exp(_TWO_PI_I * zr)
+            s = sin(PI * zr)
+            total = _PI2 / (s * s) - _PI2 / 3
+            it = 1 / t
+            rows = pending = self.rows
+            while pending:
+                for qn, const in pending:
+                    u, v = qn * t, qn * it
+                    mu, mv = 1 - u, 1 - v
+                    term = _M4PI2 * (v / (mv * mv) + u / (mu * mu) - const)
+                    total += term
+                    if abs(term) < tol:
+                        pending = ()
+                        break
+                else:
+                    if len(rows) == _MAX_ROWS:
+                        raise DegenerateModulus("row series did not converge")
+                    rows = self._more_rows(rows)
+                    pending = rows[-1:]
+            out.append(total / j2)
+        return out
 
     def wp_prime(self, z: complex, eps: float) -> complex:
         """The termwise derivative of the rows of wp, stopped below
@@ -251,7 +280,7 @@ class _NomeFrame:
 
 def weierstrass_p(z: complex, tau: complex, *, eps: float = 1e-14) -> complex:
     """wp(z; 1, tau) by the row series in nome form on the reduced lattice."""
-    return _NomeFrame(tau).wp(z, eps)
+    return _NomeFrame(tau).wps([z], eps)[0]
 
 
 def weierstrass_p_prime(z: complex, tau: complex, *, eps: float = 1e-14) -> complex:
@@ -347,7 +376,6 @@ def _nan_max(residuals) -> float:
 
 # the stated domain of L in Im tau; see the module docstring
 IM_TAU_DOMAIN = (0.1, 100.0)
-_TWO_PI_I = 2j * PI
 # a row of the L series is dropped once it is below exp(-_TAIL) times the
 # largest term anywhere in the cell
 _TAIL = 40.0
@@ -365,9 +393,14 @@ class _LegendreFrame:
     For z = x + y tau, |y| <= 1/2, |w|^(+-1) <= exp(pi Im tau), so row n is
     at most exp(-2 pi Im tau n^2) times the largest term: the table keeps
     the rows above exp(-_TAIL) of it at every point of the cell.
+
+    samples is the sample table of the last verify_identities on this
+    frame: ((seed, samples), points, L at the points, L at the points +
+    tau/2), or None.  The points depend on tau, the seed and the count
+    alone, so (seed, samples) is its key; it lives and dies with the frame.
     """
 
-    __slots__ = ("tau", "terms", "null", "slope", "a", "b", "a_minus_1")
+    __slots__ = ("tau", "terms", "null", "slope", "a", "b", "a_minus_1", "samples")
 
     def __init__(self, tau: complex) -> None:
         terms = []
@@ -391,6 +424,7 @@ class _LegendreFrame:
             if abs(full) < 1e-18:
                 break
         self.a_minus_1 = (theta4 / (2 * sum(row[0] for row in terms))) ** 2
+        self.samples = None
 
     def value_slope(self, z: complex) -> tuple[complex, complex]:
         """(L(z), L'(z)) from one pass over the rows."""
@@ -442,6 +476,14 @@ class _LegendreFrame:
             out.append(t2 / t3 / null)
         return out
 
+    def sampled(self, tol: Tolerance):
+        """(points, L at the points, L at the points + tau/2) for the seed
+        and sample count of tol from the sample table, or None on a miss."""
+        table = self.samples
+        if table is not None and table[0] == (tol.seed, tol.samples):
+            return table[1:]
+        return None
+
 
 def legendre_params(tau: complex, tol: Tolerance = Tolerance()) -> EllipticParams:
     """The theta-form L of tau, the half-period values of the row series and
@@ -458,27 +500,19 @@ def legendre_params(tau: complex, tol: Tolerance = Tolerance()) -> EllipticParam
     k = round(tau.real)
     frame = _LegendreFrame(tau - k)
     rows = _NomeFrame(frame.tau)
-    se = tol.series_eps
-    e1 = rows.wp(0.5 + 0j, se)
-    e2 = rows.wp(frame.tau / 2, se)
-    e3 = rows.wp((1 + frame.tau) / 2, se)
+    e1, e2, e3 = rows.wps([0.5 + 0j, frame.tau / 2, (1 + frame.tau) / 2], tol.series_eps)
     # M is solved on the translated modulus, where e2 stays apart from e1
     # as a tends to 1; q - s = 2 (a - 1)(e2 - e1) / (1 + a) is formed from
     # a - 1 directly, not by cancellation
     am1 = frame.a_minus_1
     s = (-2 * e1 - am1 * e2) / (2 + am1)
-    mobius = (1 + 0j, s + 2 * am1 * (e2 - e1) / (2 + am1), 1 + 0j, s)
+    mobius = (s + 2 * am1 * (e2 - e1) / (2 + am1), s)
     a, b = frame.a, frame.b * (1, -1j, -1, 1j)[k % 4]
     if k % 2:
         # tau/2 is (1 + frame.tau)/2 modulo the lattice, and exp(i pi tau/2)
         # gains i^k, so b gains (-i)^k
         a, e2, e3 = -a, e3, e2
     return EllipticParams(tau, a, b, e1, e2, e3, mobius, frame, rows)
-
-
-def legendre_value(params: EllipticParams, z: complex) -> complex:
-    """L(z) by the theta form."""
-    return params.frame.values([z])[0]
 
 
 def sample_points(
@@ -534,24 +568,28 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
     the samples, compared against tol.eps.  Every value, shifted or not,
     is a fresh evaluation of the theta series.  half_period_derivative is
     |L'(p)| / max(1, |L(p)|) at the four half periods, where L' vanishes;
-    mobius_e3 ties theta's a to the row series through M(e3) = -a.
+    mobius_e3 ties theta's a to the row series through M(e3) = -a.  The
+    points with L at them and at them + tau/2 are left in the frame's
+    sample table for evaluator_agreement and invariant_pencil_constant.
     """
     frame = params.frame
     tau, a = frame.tau, frame.a
     half, lv, values = tau / 2, frame.value_slope, frame.values
     points = sample_points(tau, tol)
+    at_half_taus = values([z + half for z in points])
     shifted = zip(
         values([-z for z in points]),
         values([z + 1 for z in points]),
         values([z + tau for z in points]),
         values([z + 0.5 for z in points]),
-        values([z + half for z in points]),
+        at_half_taus,
     )
     abs_a = abs(a)
-    worst, ratios = [], []
+    base, worst, ratios = [], [], []
     # each residual is _residual(lhs, rhs) written out: this is the hot loop
     for z, (at_neg, at_one, at_tau, at_half, at_half_tau) in zip(points, shifted):
         value, slope = lv(z)
+        base.append(value)
         size = abs(value)
         product = at_half_tau * value
         worst.append((
@@ -562,6 +600,7 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
             abs(product - a) / max(1.0, abs(product), abs_a),
         ))
         ratios.append(slope / ((value - 1) * (value + 1)) * slope / ((value - a) * (value + a)))
+    frame.samples = ((tol.seed, tol.samples), tuple(points), tuple(base), tuple(at_half_taus))
     residuals = dict(zip(_SAMPLED_IDENTITIES, map(_nan_max, zip(*worst))))
     residuals["half_period_derivative"] = _nan_max([
         abs(slope) / max(1.0, abs(value))
@@ -591,21 +630,38 @@ def evaluator_agreement(tau: complex | EllipticParams, tol: Tolerance) -> float:
     other side's rounding (M has a pole near e2 when |a| is large and is
     nearly constant when a is near 1): wp against M^-1(L) when
     |dwp/dL| max(1, |L|) <= max(1, |wp|), else L against M(wp).  tau is a
-    modulus or its EllipticParams."""
+    modulus or its EllipticParams; the points and L at them come from the
+    frame's sample table when verify_identities has filled it for tol."""
     params = tau if isinstance(tau, EllipticParams) else legendre_params(tau, tol)
-    frame, rows, se = params.frame, params.rows, tol.series_eps
-    _, q, _, s = params.mobius
+    frame = params.frame
+    q, s = params.mobius
+    table = frame.sampled(tol)
+    if table is None:
+        points = sample_points(frame.tau, tol)
+        values = frame.values(points)
+    else:
+        points, values, _ = table
+    # |dwp/dL| = |q - s| / |L - 1|^2
+    spread = abs(q - s)
     gaps = []
-    points = sample_points(frame.tau, tol)
-    for z, value in zip(points, frame.values(points)):
-        wp = rows.wp(z, se)
-        # |dwp/dL| = |q - s| / |L - 1|^2
-        if abs(q - s) * max(1.0, abs(value)) <= abs(value - 1) ** 2 * max(1.0, abs(wp)):
-            gap = _residual(wp, params.inverse_mobius(value))
+    for value, wp in zip(values, params.rows.wps(points, tol.series_eps)):
+        if spread * max(1.0, abs(value)) <= abs(value - 1) ** 2 * max(1.0, abs(wp)):
+            gap = _residual(wp, (q - value * s) / (value - 1))
         else:
             gap = _residual(value, (wp + q) / (wp + s))
         gaps.append(gap)
     return _nan_max(gaps)
+
+
+def _half_shift_table(frame: _LegendreFrame, tol: Tolerance):
+    """(points, L at the points, L at the points + tau/2) for tol: the
+    frame's sample table, or the same values computed on a miss."""
+    table = frame.sampled(tol)
+    if table is None:
+        points = sample_points(frame.tau, tol)
+        half = frame.tau / 2
+        table = points, frame.values(points), frame.values([z + half for z in points])
+    return table
 
 
 def invariant_pencil_constant(
@@ -614,7 +670,9 @@ def invariant_pencil_constant(
     """A = a1 a2 a3 for the three moduli (or their EllipticParams), checked
     against (b1 b2 b3)^2, plus the two-variable tau-half identity
     L1(z + tau1/2) L2(w + tau2/2) L1(z) L2(w) = a1 a2
-    at seeded sample pairs."""
+    at seeded sample pairs: those of tol for the first modulus and of the
+    next seed for the second, read from the frames' sample tables when
+    verify_identities has filled them."""
     if len(taus) != 3:
         raise ValueError("need exactly three moduli")
     params = [t if isinstance(t, EllipticParams) else legendre_params(t, tol) for t in taus]
@@ -624,14 +682,9 @@ def invariant_pencil_constant(
         raise IdentityFailure("(b1 b2 b3)^2 = a1 a2 a3 failed")
 
     f1, f2 = params[0].frame, params[1].frame
-    pts1 = sample_points(f1.tau, tol)
-    pts2 = sample_points(f2.tau, Tolerance(tol.eps, tol.samples, tol.seed + 1))
-    pairs = zip(
-        pts1, pts2,
-        f1.values([z + f1.tau / 2 for z in pts1]), f2.values([w + f2.tau / 2 for w in pts2]),
-        f1.values(pts1), f2.values(pts2),
-    )
-    for z, w, h1, h2, v1, v2 in pairs:
+    pts1, v1s, h1s = _half_shift_table(f1, tol)
+    pts2, v2s, h2s = _half_shift_table(f2, Tolerance(tol.eps, tol.samples, tol.seed + 1))
+    for z, w, h1, h2, v1, v2 in zip(pts1, pts2, h1s, h2s, v1s, v2s):
         lhs = h1 * h2 * v1 * v2
         if not _residual(lhs, f1.a * f2.a) <= tol.eps:
             raise IdentityFailure(f"two-variable tau-half identity failed at ({z}, {w})")

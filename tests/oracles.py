@@ -271,9 +271,14 @@ def sample_points_rejection(tau: complex, tol, *, margin: float = 0.1) -> list[c
     return points
 
 
+def legendre_value(params, z: complex) -> complex:
+    """L(z) by the package's theta form, one point at a time."""
+    return params.frame.values([z])[0]
+
+
 def legendre_derivative(params, z: complex, *, eps: float = 1e-14) -> complex:
     """L'(z) = M'(wp(z)) wp'(z) by the chain rule through the row series,
     independent of the theta series the package differentiates."""
-    _, q, _, s = params.mobius
-    w = params.rows.wp(z, eps)
+    q, s = params.mobius
+    w = params.rows.wps([z], eps)[0]
     return (s - q) / ((w + s) * (w + s)) * params.rows.wp_prime(z, eps)

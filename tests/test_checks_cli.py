@@ -137,6 +137,44 @@ class TestRun:
         assert all(r.status == "pass" for r in results)
         assert exit_code(results) == 0
 
+    def test_default_run_draws_and_evaluates_each_sample_once(self, monkeypatch):
+        # four moduli, each drawn once by legendre_identities, plus the
+        # next seed's draw for the pencil's second modulus; L per modulus:
+        # one null, 6 samples + 4 in verify_identities, and 2 samples for
+        # the pencil's second modulus; the row series: three half periods
+        # and the samples per modulus
+        counts = Counter()
+        frame, nome = numerics_mod._LegendreFrame, numerics_mod._NomeFrame
+        draw, value_slope, values, wps = (
+            numerics_mod.sample_points, frame.value_slope, frame.values, nome.wps
+        )
+
+        def counted_draw(tau, tol):
+            counts["sample_points"] += 1
+            return draw(tau, tol)
+
+        def counted_value_slope(self, z):
+            counts["L"] += 1
+            return value_slope(self, z)
+
+        def counted_values(self, zs):
+            counts["L"] += len(zs)
+            return values(self, zs)
+
+        def counted_wps(self, zs, eps):
+            counts["rows"] += len(zs)
+            return wps(self, zs, eps)
+
+        monkeypatch.setattr(numerics_mod, "sample_points", counted_draw)
+        monkeypatch.setattr(frame, "value_slope", counted_value_slope)
+        monkeypatch.setattr(frame, "values", counted_values)
+        monkeypatch.setattr(nome, "wps", counted_wps)
+        config = RunConfig()
+        assert all(r.status == "pass" for r in run(config))
+        samples, moduli = config.tolerance.samples, len(config.taus)
+        assert (samples, moduli) == (100, 4)
+        assert counts == {"sample_points": 5, "L": 2620, "rows": 412}
+
     def test_algebraic_checks_ignore_numeric_knobs(self):
         base = run(RunConfig(checks=ALGEBRAIC_SUBSET))
         tweaked = run(

@@ -39,7 +39,6 @@ from surface_lab.legendre_numerics import (
     evaluator_agreement,
     invariant_pencil_constant,
     legendre_params,
-    legendre_value,
     sample_points,
     verify_identities,
     weierstrass_p,
@@ -49,6 +48,7 @@ from surface_lab.legendre_numerics import (
 
 from oracles import (
     legendre_derivative,
+    legendre_value,
     sample_points_rejection,
     weierstrass_p_lattice_sum,
 )
@@ -305,9 +305,17 @@ class TestLegendreParams:
         assert pa == legendre_params(taus[0], tight)
         assert pb == legendre_params(taus[1], tight)
 
-    def test_mobius_is_monic(self):
-        params = legendre_params(2j)
-        assert params.mobius[0] == 1 and params.mobius[2] == 1
+    @pytest.mark.parametrize("tau", DEFAULT_TAUS + [0.3 + 0.2j, 1.2 + 1j])
+    def test_mobius_sends_infinity_e1_e2_to_1_minus_1_a(self, tau):
+        params = legendre_params(tau)
+        q, s = params.mobius
+
+        def mobius(w):
+            return (w + q) / (w + s)
+
+        assert rel(mobius(1e200 * params.e1), 1) < 1e-15
+        assert rel(mobius(params.e1), -1) < 1e-12
+        assert rel(mobius(params.e2), params.a) < 1e-12
 
     def test_half_period_fields(self):
         params = legendre_params(2j)
@@ -630,9 +638,57 @@ class TestThetaForm:
         verify_identities(params, tol)
         assert points == {"value_slope": tol.samples + 4, "values": 5 * tol.samples}
         assert sum(points.values()) == 6 * tol.samples + 4
+        # the cross-check reads the values verify_identities left in the
+        # sample table; on fresh parameters it evaluates the points itself
         points.clear()
         evaluator_agreement(params, tol)
+        assert points == {}
+        fresh = legendre_params(0.3 + 1.2j, tol)
+        points.clear()
+        evaluator_agreement(fresh, tol)
         assert points == {"values": tol.samples}
+
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.2j, 1.2 + 1j, 8j])
+    def test_sample_table_changes_no_number(self, tau):
+        tol = Tolerance(samples=30, seed=5)
+        cold = evaluator_agreement(tau, tol)
+        params = legendre_params(tau, tol)
+        verify_identities(params, tol)
+        assert params.frame.sampled(tol) is not None
+        assert repr(evaluator_agreement(params, tol)) == repr(cold)
+        taus = (tau, 2j, (1 + 5j) / 3)
+        alone = invariant_pencil_constant(taus, tol)
+        shared = [legendre_params(t, tol) for t in taus]
+        for p in shared:
+            verify_identities(p, tol)
+        # the second modulus takes the next seed, so it builds its own points
+        next_seed = Tolerance(tol.eps, tol.samples, tol.seed + 1)
+        assert shared[1].frame.sampled(next_seed) is None
+        assert repr(invariant_pencil_constant(tuple(shared), tol)) == repr(alone)
+
+    def test_other_seed_or_count_misses_the_sample_table(self, monkeypatch):
+        tol = Tolerance(samples=20, seed=3)
+        params = legendre_params(0.3 + 1.2j, tol)
+        assert params.frame.sampled(tol) is None
+        verify_identities(params, tol)
+        points, values, half = params.frame.sampled(tol)
+        assert list(points) == sample_points(params.frame.tau, tol)
+        assert list(values) == params.frame.values(points)
+        assert list(half) == params.frame.values([z + params.frame.tau / 2 for z in points])
+        calls = Counter()
+        draw = sample_points
+
+        def counted(tau, t):
+            calls[t.seed, t.samples] += 1
+            return draw(tau, t)
+
+        monkeypatch.setattr("surface_lab.legendre_numerics.sample_points", counted)
+        evaluator_agreement(params, tol)
+        assert calls == {}
+        for other in (Tolerance(samples=20, seed=4), Tolerance(samples=21, seed=3)):
+            assert params.frame.sampled(other) is None
+            evaluator_agreement(params, other)
+        assert calls == {(4, 20): 1, (3, 21): 1}
 
     def test_wrong_a_fails_the_cross_check(self, monkeypatch):
         # M solved from a slightly wrong a no longer carries the row-series
