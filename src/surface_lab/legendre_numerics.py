@@ -394,13 +394,13 @@ class _LegendreFrame:
     at most exp(-2 pi Im tau n^2) times the largest term: the table keeps
     the rows above exp(-_TAIL) of it at every point of the cell.
 
-    samples is the sample table of the last verify_identities on this
-    frame: ((seed, samples), points, L at the points, L at the points +
+    sample_table is the sample table of the last verify_identities on
+    this frame: ((seed, samples), points, L at the points, L at the points +
     tau/2), or None.  The points depend on tau, the seed and the count
     alone, so (seed, samples) is its key; it lives and dies with the frame.
     """
 
-    __slots__ = ("tau", "terms", "null", "slope", "a", "b", "a_minus_1", "samples")
+    __slots__ = ("tau", "terms", "null", "slope", "a", "b", "a_minus_1", "sample_table")
 
     def __init__(self, tau: complex) -> None:
         terms = []
@@ -424,7 +424,7 @@ class _LegendreFrame:
             if abs(full) < 1e-18:
                 break
         self.a_minus_1 = (theta4 / (2 * sum(row[0] for row in terms))) ** 2
-        self.samples = None
+        self.sample_table = None
 
     def value_slope(self, z: complex) -> tuple[complex, complex]:
         """(L(z), L'(z)) from one pass over the rows."""
@@ -476,10 +476,10 @@ class _LegendreFrame:
             out.append(t2 / t3 / null)
         return out
 
-    def sampled(self, tol: Tolerance):
+    def sampled(self, tol: Tolerance) -> tuple[tuple, tuple, tuple] | None:
         """(points, L at the points, L at the points + tau/2) for the seed
         and sample count of tol from the sample table, or None on a miss."""
-        table = self.samples
+        table = self.sample_table
         if table is not None and table[0] == (tol.seed, tol.samples):
             return table[1:]
         return None
@@ -600,7 +600,7 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
             abs(product - a) / max(1.0, abs(product), abs_a),
         ))
         ratios.append(slope / ((value - 1) * (value + 1)) * slope / ((value - a) * (value + a)))
-    frame.samples = ((tol.seed, tol.samples), tuple(points), tuple(base), tuple(at_half_taus))
+    frame.sample_table = ((tol.seed, tol.samples), tuple(points), tuple(base), tuple(at_half_taus))
     residuals = dict(zip(_SAMPLED_IDENTITIES, map(_nan_max, zip(*worst))))
     residuals["half_period_derivative"] = _nan_max([
         abs(slope) / max(1.0, abs(value))
