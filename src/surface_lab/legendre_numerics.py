@@ -238,6 +238,8 @@ class _NomeFrame:
             s = sin(PI * zr)
             total = _PI2 / (s * s) - _PI2 / 3
             it = 1 / t
+            # pending empties once a row is below tol; past the stored
+            # rows, each further row is made and kept one at a time
             rows = pending = self.rows
             while pending:
                 for qn, const in pending:

@@ -34,6 +34,7 @@ from surface_lab.legendre_numerics import (
     PoleAtLatticePoint,
     Tolerance,
     _LegendreFrame,
+    _half_shift_table,
     _modular_reduction,
     _nan_max,
     evaluator_agreement,
@@ -661,9 +662,13 @@ class TestThetaForm:
         shared = [legendre_params(t, tol) for t in taus]
         for p in shared:
             verify_identities(p, tol)
-        # the second modulus takes the next seed, so it builds its own points
+        # the pencil reads the first modulus's table; the second modulus
+        # takes the next seed, so it builds its own points
         next_seed = Tolerance(tol.eps, tol.samples, tol.seed + 1)
         assert shared[1].frame.sampled(next_seed) is None
+        hit = _half_shift_table(shared[0].frame, tol)
+        miss = _half_shift_table(legendre_params(tau, tol).frame, tol)
+        assert [list(map(repr, part)) for part in hit] == [list(map(repr, part)) for part in miss]
         assert repr(invariant_pencil_constant(tuple(shared), tol)) == repr(alone)
 
     def test_other_seed_or_count_misses_the_sample_table(self, monkeypatch):
