@@ -77,9 +77,3 @@ def record(cls):
         setattr(cls, method.__name__, method)
     cls.__record_fields__ = names
     return cls
-
-
-def replace(obj, **changes):
-    """A copy of the record obj with some fields changed; __post_init__ runs."""
-    fields = {n: getattr(obj, n) for n in obj.__record_fields__}
-    return obj.__class__(**{**fields, **changes})

@@ -42,18 +42,6 @@ class LatticeVector:
         if len(self.coords) % 2 != 0:
             raise ValueError("coordinate length must be even (e-part and tau-part)")
 
-    @property
-    def n(self) -> int:
-        return len(self.coords) // 2
-
-    def __add__(self, other: "LatticeVector") -> "LatticeVector":
-        if len(self.coords) != len(other.coords):
-            raise ValueError("dimension mismatch")
-        return LatticeVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "LatticeVector":
-        return LatticeVector(tuple(-a for a in self.coords))
-
 
 @record
 class AffineElement:
@@ -86,15 +74,6 @@ class AffineElement:
             s * b + a for s, a, b in zip(self.signs * 2, self.trans, other.trans)
         )
         return AffineElement(signs, trans)
-
-    def translate(self, v: LatticeVector) -> "AffineElement":
-        """Right multiplication by the lattice translation v (a lift change)."""
-        if v.n != self.n:
-            raise ValueError("dimension mismatch")
-        trans = tuple(
-            a + 2 * s * b for s, a, b in zip(self.signs * 2, self.trans, v.coords)
-        )
-        return AffineElement(self.signs, trans)
 
 
 @record
@@ -214,22 +193,13 @@ def abelianize_extension(data: ExtensionData) -> FinAbGroup:
     return cokernel(abelianization_relations(data))
 
 
-def commutator_subspan_rank(
-    data: ExtensionData, pivot: int, coords: tuple[int, ...] | None = None
-) -> int:
-    """F_2-rank of {[g_pivot, g_j] : j != pivot} restricted to coords.
-
-    coords selects full-lattice coordinates; None means all 2n of them.
-    The commutators are reduced against the doubled lattice, so this is
-    the rank of their spans inside Lambda / 2 Lambda.
+def commutator_subspan_rank(data: ExtensionData, pivot: int) -> int:
+    """F_2-rank of {[g_pivot, g_j] : j != pivot} in full-lattice
+    coordinates.  The commutators are reduced against the doubled lattice,
+    so this is the rank of their span inside Lambda / 2 Lambda.
     """
-    if coords is None:
-        coords = tuple(range(2 * data.n))
-    rows = []
     g = data.generators[pivot]
-    for j, h in enumerate(data.generators):
-        if j == pivot:
-            continue
-        c = commutator(g, h)
-        rows.append([c.coords[k] for k in coords])
+    rows = [
+        commutator(g, h).coords for j, h in enumerate(data.generators) if j != pivot
+    ]
     return rank_mod2(IntMatrix.from_rows(rows))

@@ -56,21 +56,10 @@ class SignCharacter:
     def trivial(k: int) -> "SignCharacter":
         return SignCharacter((1,) * k)
 
-    @staticmethod
-    def from_string(pattern: str) -> "SignCharacter":
-        return SignCharacter(tuple(1 if c == "+" else -1 for c in pattern))
-
     def __mul__(self, other: "SignCharacter") -> "SignCharacter":
         if len(self.signs) != len(other.signs):
             raise ValueError("generator counts differ")
         return SignCharacter(tuple(a * b for a, b in zip(self.signs, other.signs)))
-
-    def __str__(self) -> str:
-        return "".join("+" if s == 1 else "-" for s in self.signs)
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(s == 1 for s in self.signs)
 
     def value_on(self, word: Sequence[int]) -> int:
         """Character value on the group element with exponent vector word."""
@@ -99,10 +88,6 @@ class GradedSpace:
     @staticmethod
     def of(pairs: Mapping[SignCharacter, int]) -> "GradedSpace":
         return GradedSpace({c: m for c, m in pairs.items() if m})
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.components.values())
 
 
 def character_of_basis(actions: Sequence[Action]) -> SignCharacter:

@@ -47,9 +47,6 @@ class IntMatrix:
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 

@@ -167,8 +167,11 @@ class _NomeFrame:
     """The row series of one modulus: everything about tau that does not
     depend on the point, built once.
 
-    tau is reduced by SL2(Z) to tau' with j = c tau + d, so that
-    wp(z; tau) = j^-2 wp(z/j; tau') and wp'(z; tau) = j^-3 wp'(z/j; tau').
+    tau is first moved by tau -> tau - round(Re tau), which is exact
+    because 1 is a period, and then reduced by SL2(Z) to tau' with
+    j = c tau + d, so that wp(z; tau) = j^-2 wp(z/j; tau') and
+    wp'(z; tau) = j^-3 wp'(z/j; tau'); the translation keeps c tau + d
+    from cancelling at large |Re tau|.
     rows holds (q^n, 2 q^n / (1 - q^n)^2) for n = 1, 2, ... with
     q = exp(2 pi i tau'), q^n as running products; a series that needs one
     more row extends it, so every series stops at the row it would stop at
@@ -178,6 +181,8 @@ class _NomeFrame:
     __slots__ = ("tau_r", "j", "j2", "j3", "abs_j2", "abs_j3", "q", "rows")
 
     def __init__(self, tau: complex) -> None:
+        _check_tau(tau)
+        tau = tau - round(tau.real)
         tau_r, (_, _, c, d) = _modular_reduction(tau)
         if tau_r.imag > _IM_TAU_MAX:
             raise DegenerateModulus(
@@ -517,14 +522,16 @@ def legendre_params(tau: complex, tol: Tolerance = Tolerance()) -> EllipticParam
     return EllipticParams(tau, a, b, e1, e2, e3, mobius, frame, rows)
 
 
-def sample_points(
-    tau: complex, tol: Tolerance, *, margin: float = 0.1
-) -> list[complex]:
-    """Seeded sample points u + v tau, with u and v rejected near the
-    half-integer grid so no identity argument lands on a pole or a
-    branch point.  The list is pre-generated, so any evaluation order
-    downstream sees the same points."""
-    draw, m = random.Random(tol.seed).random, margin
+# the least distance of a sample point's u and v from the half-integer grid
+SAMPLE_MARGIN = 0.1
+
+
+def sample_points(tau: complex, tol: Tolerance) -> list[complex]:
+    """Seeded sample points u + v tau, with u and v rejected within
+    SAMPLE_MARGIN of the half-integer grid so no identity argument lands
+    on a pole or a branch point.  The list is pre-generated, so any
+    evaluation order downstream sees the same points."""
+    draw, m = random.Random(tol.seed).random, SAMPLE_MARGIN
     points = []
     while len(points) < tol.samples:
         # u, v lie in [0, 1): their distances to 0, 1/2 and 1 are compared directly
@@ -540,7 +547,6 @@ def sample_points(
 # the residuals verify_identities takes at every sample point, in its order
 _SAMPLED_IDENTITIES = ("evenness", "period_one", "period_tau", "half_shift_negates",
                        "tau_half_product")
-DERIVATIVE_METHOD = "analytic L' from the termwise derivative of the theta series"
 
 
 @record
@@ -551,7 +557,6 @@ class IdentityReport:
     seed: int
     residuals: dict[str, float]
     quadratic_constant: complex
-    derivative_method: str
     failures: list[str]
 
     @property
@@ -621,9 +626,7 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
         for name, worst in residuals.items()
         if not worst <= tol.eps
     ]
-    return IdentityReport(
-        params.tau, tol.eps, tol.samples, tol.seed, residuals, mean, DERIVATIVE_METHOD, failures
-    )
+    return IdentityReport(params.tau, tol.eps, tol.samples, tol.seed, residuals, mean, failures)
 
 
 def evaluator_agreement(tau: complex | EllipticParams, tol: Tolerance) -> float:

@@ -81,12 +81,6 @@ class Subgroup:
             span |= {tuple(map(xor, g, v)) for v in span}
         return span
 
-    def order(self) -> int:
-        return len(self.elements())
-
-    def contains(self, v: Vec) -> bool:
-        return _check_vec(v, self.n) in self.elements()
-
 
 def standard_cover_data(n: int = 4) -> BranchedCoverData:
     """n + 1 branch points: the standard basis plus its sum."""
@@ -115,15 +109,10 @@ def cover_genus(cover: BranchedCoverData) -> int:
     return _genus_from_double(doubled, "cover")
 
 
-def quotient_genus(cover: BranchedCoverData, sub: Subgroup) -> int:
-    """Genus of (total space) / H via Riemann-Hurwitz on the quotient map
-    down to the line: branch points surviving in G/H contribute 1/2 each."""
-    if sub.n != cover.n:
-        raise ValueError("subgroup dimension mismatch")
-    return _quotient_genus(cover, sub.elements())
-
-
 def _quotient_genus(cover: BranchedCoverData, elems: set[Vec]) -> int:
+    """Genus of (total space) / H, H given by its elements, via
+    Riemann-Hurwitz on the quotient map down to the line: branch points
+    surviving in G/H contribute 1/2 each."""
     quotient_order = (1 << cover.n) // len(elems)
     surviving = sum(1 for v in cover.branch_images if v not in elems)
     doubled_times2 = quotient_order * (-4 + surviving)

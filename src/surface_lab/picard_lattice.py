@@ -105,17 +105,6 @@ class ConfigCatalog:
             total = total + comp.divisor
         return total
 
-    def curve_components(self) -> list[Component]:
-        """All distinct named curves with genus labels, for adjunction."""
-        named = [
-            ("S1", self.S[0]), ("S2", self.S[1]), ("S3", self.S[2]), ("S4", self.S[3]),
-            ("Delta1", self.Delta[0]), ("Delta2", self.Delta[1]), ("Delta3", self.Delta[2]),
-            ("f1", self.f[0]), ("f2", self.f[1]), ("f3", self.f[2]),
-        ]
-        comps = [Component(n, c, 0) for n, c in named]
-        comps.extend(Component(f"E{i+1}", E[i], 0) for i in range(6))
-        return comps
-
 
 def catalog() -> ConfigCatalog:
     s1 = L - E[0] - E[1] - E[4]
@@ -173,10 +162,6 @@ def restriction_degrees(c: ConfigCatalog) -> dict[str, int]:
 class ConfigReport:
     checks_run: int
     failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def verify_configuration(c: ConfigCatalog) -> ConfigReport:

@@ -50,9 +50,6 @@ class MultiClass:
     def __add__(self, other: "MultiClass") -> "MultiClass":
         return MultiClass(tuple(x + y for x, y in zip(self.a, other.a)))
 
-    def __rmul__(self, k: int) -> "MultiClass":
-        return MultiClass(tuple(k * x for x in self.a))
-
 
 def canonical_class() -> MultiClass:
     return MultiClass((0, 0, CANONICAL_D_DEGREE))

@@ -1,6 +1,8 @@
 """Test oracles: slow or redundant routes to quantities the package
-computes another way.  `surface-lab verify` never calls them, so they live
-with the tests, and numpy (for the lattice sum) stays off the runtime path.
+computes another way, and the helpers that only the tests need (a record
+copy with changed fields, a change of lift, subgroup membership, ...).
+`surface-lab verify` never calls them, so they live with the tests, and
+numpy (for the lattice sum) stays off the runtime path.
 """
 
 from __future__ import annotations
@@ -14,14 +16,29 @@ import random
 import numpy as np
 
 from surface_lab.affine_groups import (
+    AffineElement,
     ExtensionData,
+    LatticeVector,
     abelianize_extension,
     standard_generators,
 )
 from surface_lab.integer_algebra import FinAbGroup, IntMatrix
 from surface_lab.legendre_numerics import PoleAtLatticePoint, _check_tau, _reduce
-from surface_lab.orbifold_covers import orbifold_abelianization
-from surface_lab.picard_lattice import DivisorClass, intersect
+from surface_lab.orbifold_covers import (
+    BranchedCoverData,
+    Subgroup,
+    Vec,
+    _check_vec,
+    _quotient_genus,
+    orbifold_abelianization,
+)
+from surface_lab.picard_lattice import E, Component, ConfigCatalog, DivisorClass, intersect
+
+
+def replace(obj, **changes):
+    """A copy of the record obj with some fields changed; __post_init__ runs."""
+    fields = {n: getattr(obj, n) for n in obj.__record_fields__}
+    return obj.__class__(**{**fields, **changes})
 
 
 def groups_isomorphic(a: FinAbGroup, b: FinAbGroup) -> bool:
@@ -185,6 +202,27 @@ def sign_condition_witnesses(data: ExtensionData) -> list[tuple[int, ...]] | Non
     return witnesses
 
 
+def translate(g: AffineElement, v: LatticeVector) -> AffineElement:
+    """Right multiplication of g by the lattice translation v: another lift
+    of the same element of the quotient group."""
+    if len(v.coords) != 2 * g.n:
+        raise ValueError("dimension mismatch")
+    trans = tuple(a + 2 * s * b for s, a, b in zip(g.signs * 2, g.trans, v.coords))
+    return AffineElement(g.signs, trans)
+
+
+def quotient_genus(cover: BranchedCoverData, sub: Subgroup) -> int:
+    """Genus of (total space) / H for the subgroup H = sub."""
+    if sub.n != cover.n:
+        raise ValueError("subgroup dimension mismatch")
+    return _quotient_genus(cover, sub.elements())
+
+
+def contains(sub: Subgroup, v: Vec) -> bool:
+    """v (read mod 2) lies in sub; a vector of another length is an error."""
+    return _check_vec(v, sub.n) in sub.elements()
+
+
 def homology_bound(data=None) -> tuple[int, int]:
     """(bound, actual): orbifold cap on the homology order versus the
     computed abelianization order.
@@ -212,6 +250,19 @@ def gram_matrix(classes: list[DivisorClass]) -> IntMatrix:
     return IntMatrix.from_rows(
         [[intersect(a, b) for b in classes] for a in classes]
     )
+
+
+def curve_components(c: ConfigCatalog) -> list[Component]:
+    """All distinct named curves of the configuration, each rational, for
+    adjunction."""
+    named = [
+        ("S1", c.S[0]), ("S2", c.S[1]), ("S3", c.S[2]), ("S4", c.S[3]),
+        ("Delta1", c.Delta[0]), ("Delta2", c.Delta[1]), ("Delta3", c.Delta[2]),
+        ("f1", c.f[0]), ("f2", c.f[1]), ("f3", c.f[2]),
+    ]
+    comps = [Component(n, d, 0) for n, d in named]
+    comps.extend(Component(f"E{i+1}", E[i], 0) for i in range(6))
+    return comps
 
 
 def _frame_distance(tau: complex) -> float:
@@ -255,7 +306,7 @@ def weierstrass_p_lattice_sum(
     return value, tail
 
 
-def sample_points_rejection(tau: complex, tol, *, margin: float = 0.1) -> list[complex]:
+def sample_points_rejection(tau: complex, tol) -> list[complex]:
     """The sample-point draw as first written, with min() over a tuple of
     distances per draw; the package's sample_points must return the same
     list."""
@@ -264,8 +315,8 @@ def sample_points_rejection(tau: complex, tol, *, margin: float = 0.1) -> list[c
     while len(points) < tol.samples:
         u, v = rng.random(), rng.random()
         if (
-            min(abs(u), abs(u - 0.5), abs(u - 1.0)) > margin
-            and min(abs(v), abs(v - 0.5), abs(v - 1.0)) > margin
+            min(abs(u), abs(u - 0.5), abs(u - 1.0)) > 0.1
+            and min(abs(v), abs(v - 0.5), abs(v - 1.0)) > 0.1
         ):
             points.append(u + v * tau)
     return points

@@ -14,7 +14,6 @@ import pytest
 
 from surface_lab import checks as checks_mod
 from surface_lab import legendre_numerics as numerics_mod
-from surface_lab._record import replace
 from surface_lab.checks import (
     CHECKS,
     DEFAULT_TAUS,
@@ -29,6 +28,8 @@ from surface_lab.checks import (
 from surface_lab.cli import format_tau, main, parse_tau, render_json, render_text
 from surface_lab.legendre_numerics import legendre_params
 from surface_lab.picard_lattice import E, L, catalog
+
+from oracles import replace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCRIPT = SRC.parent / "scripts" / "run_verification.py"

@@ -4,8 +4,10 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from surface_lab._record import HIDDEN, record, replace
+from surface_lab._record import HIDDEN, record
 from surface_lab.character_calculus import SignCharacter
+
+from oracles import replace
 
 
 @record
