@@ -22,8 +22,6 @@ in half-lattice coordinates and returned in full-lattice coordinates.
 
 from __future__ import annotations
 
-from operator import mul
-
 from ._record import record
 from .integer_algebra import FinAbGroup, IntMatrix, cokernel, rank_mod2
 
@@ -63,17 +61,6 @@ class AffineElement:
     def sign_at(self, coord: int) -> int:
         """Sign acting on full-lattice coordinate 0 <= coord < 2n."""
         return self.signs[coord % self.n]
-
-    def compose(self, other: "AffineElement") -> "AffineElement":
-        """self after other: (eps, t)(eps', t') = (eps eps', eps t' + t)."""
-        if len(self.signs) != len(other.signs):
-            raise ValueError("dimension mismatch")
-        signs = tuple(map(mul, self.signs, other.signs))
-        # signs * 2 lines up sign_at(k) with coordinate k
-        trans = tuple(
-            s * b + a for s, a, b in zip(self.signs * 2, self.trans, other.trans)
-        )
-        return AffineElement(signs, trans)
 
 
 @record
@@ -136,21 +123,13 @@ def standard_generators() -> ExtensionData:
 def check_sign_condition(data: ExtensionData) -> bool:
     """Every lattice coordinate is negated by some word in the generators.
 
-    Sufficient and checked here: for each complex coordinate i some
-    product of generators has sign -1 at i.  Since products realize every
-    vector in the span of the sign patterns over F_2, it is enough that
-    the i-th coordinate of some span element is 1.
+    Checked per complex coordinate i, as both lattice coordinates of the
+    i-th line share its sign.  A word's sign at i is the product of its
+    letters' signs there, so a word negates i only if one of its letters
+    does, and that letter alone is such a word: the condition holds
+    exactly when every coordinate has a generator with sign -1 there.
     """
-    span: set[tuple[int, ...]] = {(0,) * data.n}
-    for g in data.generators:
-        pattern = tuple(1 if s == -1 else 0 for s in g.signs)
-        span |= {tuple(a ^ b for a, b in zip(pattern, v)) for v in span}
-    covered = [False] * data.n
-    for v in span:
-        for i, bit in enumerate(v):
-            if bit:
-                covered[i] = True
-    return all(covered)
+    return all(any(g.signs[i] == -1 for g in data.generators) for i in range(data.n))
 
 
 def abelianization_relations(data: ExtensionData) -> IntMatrix:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 from itertools import product
+from math import prod
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -164,29 +165,30 @@ def pencil_spaces() -> list[GradedSpace]:
     ]
 
 
-def _d_factor_elements(
-    gens: Sequence[AffineElement],
-) -> dict[tuple[int, ...], AffineElement]:
-    """The image of g2^a g3^b g4^c g5^d (gens = g2 .. g5) for every 0/1
-    word (a, b, c, d), composed left to right from the identity.  A word's
-    prefix, the word with its last 1 cleared, comes earlier in product
-    order, so each element is one composition with the last generator."""
-    elements = {(0,) * len(gens): AffineElement((1, 1, 1, 1), (0,) * 8)}
+def _mod2_actions() -> dict[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """(sign, e-halves, tau-halves) of g2^a g3^b g4^c g5^d on the two curve
+    coordinates, the halves mod 2, for every 0/1 word (a, b, c, d).
+
+    Mod 2 this is a homomorphism: under (eps, t)(eps', t') =
+    (eps eps', eps t' + t) signs multiply, and eps t' = t' mod 2, so
+    half-translations add.  A word's action is thus the product of its
+    letters' signs and the xor of their half-translations; the order of
+    the letters does not matter, as commutators translate by full lattice
+    vectors.
+    """
+    gens = standard_generators().generators[1:]
+    actions = {}
     for word in product((0, 1), repeat=len(gens)):
-        if any(word):
-            last = max(k for k, e in enumerate(word) if e)
-            prefix = word[:last] + (0,) * (len(word) - last)
-            elements[word] = elements[prefix].compose(gens[last])
-    return elements
-
-
-def _d_factor_action(element: AffineElement) -> list[tuple[int, int, int]]:
-    """(sign, e-halves, tau-halves) on the two curve coordinates; well
-    defined mod 2 since commutators translate by full lattice vectors."""
-    return [
-        (element.sign_at(c), element.trans[c] % 2, element.trans[4 + c] % 2)
-        for c in (2, 3)
-    ]
+        letters = [g for g, e in zip(gens, word) if e]
+        actions[word] = tuple(
+            (
+                prod(g.sign_at(c) for g in letters),
+                sum(g.trans[c] for g in letters) % 2,
+                sum(g.trans[g.n + c] for g in letters) % 2,
+            )
+            for c in (2, 3)
+        )
+    return actions
 
 
 def d_factor_branch_elements() -> tuple[tuple[int, ...], ...]:
@@ -205,20 +207,13 @@ def d_factor_branch_elements() -> tuple[tuple[int, ...], ...]:
     * one sign +1: fixed points exist iff that coordinate's translation
       vanishes, and then the fixed fibers meet the curve.
     """
-    elements = _d_factor_elements(standard_generators().generators[1:])
     chosen = []
-    for word, element in elements.items():
+    for word, action in _mod2_actions().items():
         if not any(word):
             continue
-        action = _d_factor_action(element)
-        ok = True
-        for sign, u, v in action:
-            if sign == 1 and (u or v):
-                ok = False  # free translation on one coordinate
-        if all(sign == -1 for sign, _, _ in action):
-            if not any(u or v for _, u, v in action):
-                ok = False  # double elliptic involution misses the curve
-        if ok:
+        free_translation = any(sign == 1 and (u or v) for sign, u, v in action)
+        double_involution = all(sign == -1 and not (u or v) for sign, u, v in action)
+        if not (free_translation or double_involution):
             chosen.append(word)
     genus = cover_genus(BranchedCoverData(4, tuple(chosen)))
     if genus != 5:
@@ -261,17 +256,10 @@ def one_forms_space() -> GradedSpace:
     return GradedSpace.of(components)
 
 
-def one_forms_invariants(
-    subgroup_gens: Sequence[Sequence[int]] | None = None,
-) -> int:
-    """Invariant one-forms under a subgroup of the acting group, given by
-    exponent words in the five standard generators; defaults to the whole
-    group."""
-    if subgroup_gens is None:
-        subgroup_gens = [
-            tuple(1 if i == j else 0 for i in range(5)) for j in range(5)
-        ]
-    return invariant_dim(one_forms_space(), subgroup_gens)
+def one_forms_invariants() -> int:
+    """One-forms invariant under the whole acting group: those on which
+    every standard generator acts as +1."""
+    return sum(m for chi, m in one_forms_space().components.items() if -1 not in chi.signs)
 
 
 def pencil_fixed_parameters(A: complex) -> tuple[complex, complex]:

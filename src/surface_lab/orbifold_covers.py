@@ -14,7 +14,7 @@ points whose image dies stop contributing.
 from __future__ import annotations
 
 from itertools import product
-from operator import xor
+from operator import mul
 
 from ._record import record
 from .integer_algebra import FinAbGroup, IntMatrix, cokernel, rank_mod2
@@ -58,29 +58,6 @@ class BranchedCoverData:
         if rank_mod2(IntMatrix.from_rows([list(v) for v in imgs])) != self.n:
             raise ValueError("branch images must generate the full group")
 
-    @property
-    def m(self) -> int:
-        return len(self.branch_images)
-
-
-@record
-class Subgroup:
-    """A subgroup of F_2^n given by a generating set (possibly redundant)."""
-
-    n: int
-    gens: tuple[Vec, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "gens", tuple(_check_vec(v, self.n) for v in self.gens)
-        )
-
-    def elements(self) -> set[Vec]:
-        span = {(0,) * self.n}
-        for g in self.gens:
-            span |= {tuple(map(xor, g, v)) for v in span}
-        return span
-
 
 def standard_cover_data(n: int = 4) -> BranchedCoverData:
     """n + 1 branch points: the standard basis plus its sum."""
@@ -100,25 +77,21 @@ def _genus_from_double(doubled: int, context: str) -> int:
     return g
 
 
-def cover_genus(cover: BranchedCoverData) -> int:
-    """Genus of the total space, 2g - 2 = 2^n (-2 + m/2)."""
-    deg = 1 << cover.n
-    doubled = deg * (-4 + cover.m) // 2
-    if (deg * (-4 + cover.m)) % 2 != 0:
-        raise NonIntegralGenus("odd ramification total")
-    return _genus_from_double(doubled, "cover")
-
-
-def _quotient_genus(cover: BranchedCoverData, elems: set[Vec]) -> int:
-    """Genus of (total space) / H, H given by its elements, via
-    Riemann-Hurwitz on the quotient map down to the line: branch points
-    surviving in G/H contribute 1/2 each."""
-    quotient_order = (1 << cover.n) // len(elems)
-    surviving = sum(1 for v in cover.branch_images if v not in elems)
-    doubled_times2 = quotient_order * (-4 + surviving)
+def _quotient_genus(index: int, surviving: int) -> int:
+    """Genus of (total space) / H for a subgroup H of the given index, via
+    Riemann-Hurwitz on the quotient map down to the line: each of the
+    surviving branch points, those whose image in G/H is nonzero,
+    contributes 1/2, so 2g - 2 = index (-2 + surviving/2)."""
+    doubled_times2 = index * (-4 + surviving)
     if doubled_times2 % 2 != 0:
         raise NonIntegralGenus("quotient ramification is odd")
     return _genus_from_double(doubled_times2 // 2, "quotient")
+
+
+def cover_genus(cover: BranchedCoverData) -> int:
+    """Genus of the total space: the quotient by the trivial subgroup,
+    2g - 2 = 2^n (-2 + m/2)."""
+    return _quotient_genus(1 << cover.n, len(cover.branch_images))
 
 
 def fixed_point_count(cover: BranchedCoverData, g: Vec) -> int:
@@ -138,33 +111,20 @@ def classify_corank1_subgroups(
     cover: BranchedCoverData,
 ) -> dict[tuple[int, int], int]:
     """Histogram of index-2 subgroups keyed by (branch images inside, genus
-    of the quotient curve)."""
+    of the quotient curve).
+
+    The index-2 subgroups are the kernels of the nonzero functionals on
+    F_2^n, and a branch image lies inside exactly when the functional
+    pairs it to 0; the others survive in G/H = Z/2.
+    """
     histogram: dict[tuple[int, int], int] = {}
-    n = cover.n
-    for functional in product((0, 1), repeat=n):
+    for functional in product((0, 1), repeat=cover.n):
         if not any(functional):
             continue
-        # branch images are already reduced mod 2, so membership is a set
-        # lookup in the one span built per subgroup
-        elems = Subgroup(n, _kernel_basis(functional, n)).elements()
-        inside = sum(1 for v in cover.branch_images if v in elems)
-        key = (inside, _quotient_genus(cover, elems))
+        surviving = sum(sum(map(mul, functional, v)) % 2 for v in cover.branch_images)
+        key = (len(cover.branch_images) - surviving, _quotient_genus(2, surviving))
         histogram[key] = histogram.get(key, 0) + 1
     return histogram
-
-
-def _kernel_basis(functional: Vec, n: int) -> tuple[Vec, ...]:
-    pivot = next(i for i, x in enumerate(functional) if x)
-    basis: list[Vec] = []
-    for j in range(n):
-        if j == pivot:
-            continue
-        v = [0] * n
-        v[j] = 1
-        if functional[j]:
-            v[pivot] = 1
-        basis.append(tuple(v))
-    return tuple(basis)
 
 
 def orbifold_abelianization(m: int) -> FinAbGroup:

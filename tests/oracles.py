@@ -1,6 +1,7 @@
 """Test oracles: slow or redundant routes to quantities the package
 computes another way, and the helpers that only the tests need (a record
-copy with changed fields, a change of lift, subgroup membership, ...).
+copy with changed fields, a change of lift, composition of affine maps,
+subgroup spans and membership, ...).
 `surface-lab verify` never calls them, so they live with the tests, and
 numpy (for the lattice sum) stays off the runtime path.
 """
@@ -9,12 +10,14 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
+from operator import mul, xor
 import random
 
 import numpy as np
 
+from surface_lab._record import record
 from surface_lab.affine_groups import (
     AffineElement,
     ExtensionData,
@@ -26,7 +29,6 @@ from surface_lab.integer_algebra import FinAbGroup, IntMatrix
 from surface_lab.legendre_numerics import PoleAtLatticePoint, _check_tau, _reduce
 from surface_lab.orbifold_covers import (
     BranchedCoverData,
-    Subgroup,
     Vec,
     _check_vec,
     _quotient_genus,
@@ -211,11 +213,77 @@ def translate(g: AffineElement, v: LatticeVector) -> AffineElement:
     return AffineElement(g.signs, trans)
 
 
+def compose(g: AffineElement, h: AffineElement) -> AffineElement:
+    """g after h: (eps, t)(eps', t') = (eps eps', eps t' + t)."""
+    if len(g.signs) != len(h.signs):
+        raise ValueError("dimension mismatch")
+    signs = tuple(map(mul, g.signs, h.signs))
+    # signs * 2 lines up sign_at(k) with coordinate k
+    trans = tuple(s * b + a for s, a, b in zip(g.signs * 2, g.trans, h.trans))
+    return AffineElement(signs, trans)
+
+
+def branch_count(cover: BranchedCoverData) -> int:
+    """m, the number of branch points."""
+    return len(cover.branch_images)
+
+
+@record
+class Subgroup:
+    """A subgroup of F_2^n given by a generating set (possibly redundant)."""
+
+    n: int
+    gens: tuple[Vec, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "gens", tuple(_check_vec(v, self.n) for v in self.gens)
+        )
+
+    def elements(self) -> set[Vec]:
+        span = {(0,) * self.n}
+        for g in self.gens:
+            span |= {tuple(map(xor, g, v)) for v in span}
+        return span
+
+
+def kernel_basis(functional: Vec, n: int) -> tuple[Vec, ...]:
+    """A basis of the kernel of a nonzero functional on F_2^n."""
+    pivot = next(i for i, x in enumerate(functional) if x)
+    basis: list[Vec] = []
+    for j in range(n):
+        if j == pivot:
+            continue
+        v = [0] * n
+        v[j] = 1
+        if functional[j]:
+            v[pivot] = 1
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
 def quotient_genus(cover: BranchedCoverData, sub: Subgroup) -> int:
     """Genus of (total space) / H for the subgroup H = sub."""
     if sub.n != cover.n:
         raise ValueError("subgroup dimension mismatch")
-    return _quotient_genus(cover, sub.elements())
+    elems = sub.elements()
+    surviving = sum(1 for v in cover.branch_images if v not in elems)
+    return _quotient_genus((1 << cover.n) // len(elems), surviving)
+
+
+def corank1_histogram(cover: BranchedCoverData) -> dict[tuple[int, int], int]:
+    """classify_corank1_subgroups by spans: each index-2 subgroup is the
+    span of a kernel basis, membership a lookup in it and the genus
+    quotient_genus's."""
+    histogram: dict[tuple[int, int], int] = {}
+    for functional in product((0, 1), repeat=cover.n):
+        if any(functional):
+            sub = Subgroup(cover.n, kernel_basis(functional, cover.n))
+            elems = sub.elements()
+            inside = sum(1 for v in cover.branch_images if v in elems)
+            key = (inside, quotient_genus(cover, sub))
+            histogram[key] = histogram.get(key, 0) + 1
+    return histogram
 
 
 def contains(sub: Subgroup, v: Vec) -> bool:

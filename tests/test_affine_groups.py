@@ -21,7 +21,7 @@ from surface_lab.affine_groups import (
 )
 from surface_lab.integer_algebra import FinAbGroup
 
-from oracles import groups_isomorphic, sign_condition_witnesses, translate
+from oracles import compose, groups_isomorphic, sign_condition_witnesses, translate
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +150,23 @@ def test_sign_condition_fails_without_full_coverage():
     assert sign_condition_witnesses(data) is None
 
 
+@st.composite
+def extension_data(draw):
+    """1-4 coordinates and 1-5 generators with random signs and halves."""
+    n = draw(st.integers(1, 4))
+    signs = st.tuples(*[st.sampled_from((-1, 1))] * n)
+    halves = st.tuples(*[st.integers(-2, 2)] * (2 * n))
+    gens = draw(st.lists(st.builds(AffineElement, signs, halves), min_size=1, max_size=5))
+    return ExtensionData(n, tuple(gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(extension_data())
+def test_sign_condition_agrees_with_the_witness_search(data):
+    # the breadth-first search over words is the independent route
+    assert check_sign_condition(data) == (sign_condition_witnesses(data) is not None)
+
+
 def test_abelianization_of_standard_extension():
     group = abelianize_extension(standard_generators())
     assert group == FinAbGroup(0, (2, 2, 2, 2, 4))
@@ -211,7 +228,7 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         commutator(a, b)
     with pytest.raises(ValueError):
-        a.compose(b)
+        compose(a, b)
     with pytest.raises(ValueError):
         AffineElement((1, 2), (0, 0, 0, 0))
     with pytest.raises(ValueError):
@@ -237,6 +254,15 @@ def test_commutator_formula_agrees_with_composition(s1, t1, s2, t2):
     h = AffineElement(tuple(s2), tuple(t2))
     z = [(Fraction(5, 13), Fraction(-4, 9)), (Fraction(1, 3), Fraction(2, 7))]
     assert displacement(g, h, z) == as_point(commutator(g, h))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sign_vectors, half_vectors, sign_vectors, half_vectors)
+def test_compose_is_the_composition_of_maps(s1, t1, s2, t2):
+    g = AffineElement(tuple(s1), tuple(t1))
+    h = AffineElement(tuple(s2), tuple(t2))
+    z = [(Fraction(3, 17), Fraction(-5, 8)), (Fraction(7, 6), Fraction(1, 9))]
+    assert apply(compose(g, h), z) == apply(g, apply(h, z))
 
 
 @settings(max_examples=80, deadline=None)

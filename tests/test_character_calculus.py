@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surface_lab import character_calculus
-from surface_lab.affine_groups import standard_generators
+from surface_lab.affine_groups import AffineElement, standard_generators
 from surface_lab.character_calculus import (
     GradedSpace,
     SignCharacter,
     UnsupportedTranslation,
     ZeroParameter,
+    _mod2_actions,
     character_of_basis,
     coordinate_action,
     d_factor_branch_elements,
@@ -28,6 +29,9 @@ from surface_lab.orbifold_covers import (
     cover_genus,
     fixed_point_count,
 )
+
+from oracles import compose
+
 
 def C(pattern: str) -> SignCharacter:
     """The character written as a +- string, one sign per generator."""
@@ -182,6 +186,22 @@ class TestBranchElements:
         elements = d_factor_branch_elements()
         assert sum(1 for v in elements if v[0] == 0) == 3
 
+    def test_mod2_actions_match_composed_elements(self):
+        # each word's element composed left to right with the oracle
+        # compose, its action read off on the curve coordinates 2 and 3
+        gens = standard_generators().generators[1:]
+        actions = _mod2_actions()
+        assert len(actions) == 16
+        for word, action in actions.items():
+            element = AffineElement((1, 1, 1, 1), (0,) * 8)
+            for g, e in zip(gens, word):
+                if e:
+                    element = compose(element, g)
+            assert action == tuple(
+                (element.sign_at(c), element.trans[c] % 2, element.trans[4 + c] % 2)
+                for c in (2, 3)
+            ), word
+
     def test_wrong_genus_raises(self, monkeypatch):
         # a raised error, not an assert statement, so python -O keeps it
         monkeypatch.setattr(character_calculus, "cover_genus", lambda data: 4)
@@ -204,11 +224,11 @@ class TestOneForms:
 
     def test_index_two_subgroups_with_one_invariant(self):
         e = [tuple(1 if i == j else 0 for i in range(5)) for j in range(5)]
-        assert one_forms_invariants([e[1], e[2], e[3], e[4]]) == 1
-        assert one_forms_invariants([e[0], e[2], e[3], e[4]]) == 1
+        assert invariant_dim(one_forms_space(), [e[1], e[2], e[3], e[4]]) == 1
+        assert invariant_dim(one_forms_space(), [e[0], e[2], e[3], e[4]]) == 1
 
     def test_trivial_subgroup_sees_everything(self):
-        assert one_forms_invariants([]) == 7
+        assert invariant_dim(one_forms_space(), []) == 7
 
 
 class TestPencilInvariants:

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from surface_lab.integer_algebra import FinAbGroup
@@ -9,7 +9,6 @@ from surface_lab.orbifold_covers import (
     BranchedCoverData,
     IdentityElement,
     NonIntegralGenus,
-    Subgroup,
     classify_corank1_subgroups,
     cover_genus,
     fixed_point_count,
@@ -17,12 +16,20 @@ from surface_lab.orbifold_covers import (
     standard_cover_data,
 )
 
-from oracles import contains, homology_bound, homology_bound_check, quotient_genus
+from oracles import (
+    Subgroup,
+    branch_count,
+    contains,
+    corank1_histogram,
+    homology_bound,
+    homology_bound_check,
+    quotient_genus,
+)
 
 
 def test_standard_cover_data():
     data = standard_cover_data(4)
-    assert data.m == 5
+    assert branch_count(data) == 5
     assert data.branch_images[-1] == (1, 1, 1, 1)
 
 
@@ -107,19 +114,29 @@ def test_contains_checks_the_vector_length():
             fixed_point_count(standard_cover_data(4), wrong)
 
 
-def test_classification_builds_each_span_once(monkeypatch):
-    calls = []
-    elements = Subgroup.elements
+@st.composite
+def branch_data(draw):
+    """Valid branch data: nonzero images that sum to zero and span F_2^n."""
+    n = draw(st.integers(1, 5))
+    codes = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=n, max_size=n + 3))
+    images = [tuple((c >> i) & 1 for i in range(n)) for c in codes]
+    total = tuple(sum(col) % 2 for col in zip(*images))
+    try:
+        return BranchedCoverData(n, tuple(images) + ((total,) if any(total) else ()))
+    except ValueError:
+        assume(False)
 
-    def counting(self):
-        calls.append(self.gens)
-        return elements(self)
 
-    monkeypatch.setattr(Subgroup, "elements", counting)
-    assert classify_corank1_subgroups(standard_cover_data(4)) == {(1, 1): 5, (3, 0): 10}
-    # one span per subgroup is 15 builds; a build per membership test and
-    # one more for the genus would be 90
-    assert len(calls) <= 30
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_classification_matches_the_span_oracle(n):
+    data = standard_cover_data(n)
+    assert classify_corank1_subgroups(data) == corank1_histogram(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(branch_data())
+def test_classification_matches_the_span_oracle_on_drawn_data(data):
+    assert classify_corank1_subgroups(data) == corank1_histogram(data)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -136,7 +153,7 @@ def test_classification_matches_a_count_by_functional_parity(n):
         inside = sum(
             1 for e in data.branch_images if sum(p * x for p, x in zip(phi, e)) % 2 == 0
         )
-        key = (inside, (data.m - inside - 2) // 2)
+        key = (inside, (branch_count(data) - inside - 2) // 2)
         want[key] = want.get(key, 0) + 1
     assert classify_corank1_subgroups(data) == want
     assert sum(want.values()) == (1 << n) - 1
@@ -175,7 +192,7 @@ def test_hurwitz_matches_direct_count(n):
     data = standard_cover_data(n)
     g = cover_genus(data)
     deg = 1 << n
-    ramification = data.m * (deg // 2)
+    ramification = branch_count(data) * (deg // 2)
     assert 2 * g - 2 == deg * (-2) + ramification
 
 
