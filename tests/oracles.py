@@ -272,9 +272,9 @@ def quotient_genus(cover: BranchedCoverData, sub: Subgroup) -> int:
 
 
 def corank1_histogram(cover: BranchedCoverData) -> dict[tuple[int, int], int]:
-    """classify_corank1_subgroups by spans: each index-2 subgroup is the
-    span of a kernel basis, membership a lookup in it and the genus
-    quotient_genus's."""
+    """The span route to classify_corank1_subgroups: each index-2 subgroup
+    is built as the span of a kernel basis, membership is a set lookup and
+    the genus comes from quotient_genus."""
     histogram: dict[tuple[int, int], int] = {}
     for functional in product((0, 1), repeat=cover.n):
         if any(functional):
