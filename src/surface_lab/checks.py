@@ -360,7 +360,9 @@ CHECKS: dict[str, Claim] = {
             "sign_condition",
             "every coordinate is negated by some generator and sign patterns span the quotient",
             True,
-            lambda f: check_sign_condition(f.generators),
+            # g1 alone negates the first coordinate, so without it the condition must fail
+            lambda f: check_sign_condition(f.generators)
+            and not check_sign_condition(ExtensionData(4, f.generators.generators[1:])),
             text="sign condition holds",
             show=lambda ok: "holds" if ok else "violated",
         ),

@@ -1,21 +1,14 @@
-"""Command line front end: `surface-lab verify [CHECK ...|all] [options]`.
-
-Exit codes: 0 all requested checks pass (or are skipped), 1 any check
-fails, 2 usage or configuration error (reported before any check runs),
-3 any check raised an exception (status "error"; the report is still
-complete).  With --format json the output is a single document
-{schema_version, config, results}; the same configuration always
-produces byte-identical output (pass --timings to trade that away for
-per-check wall times).
-"""
+"""Command line front end: `surface-lab verify`; USAGE gives its grammar and exit
+codes.  parse_args reads a command line against the OPTIONS table by hand, as
+argparse and the gettext and locale it imports cost a cold run more than that."""
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .checks import (
     DEFAULT_TAUS,
@@ -28,6 +21,17 @@ from .checks import (
     resolve_names,
     run,
 )
+
+USAGE = """\
+usage: surface-lab verify [CHECK ...|all] [--list] [--format text|json] [--timings]
+           [--tau RE+IMi]... [--no-default-taus] [--eps F] [--samples N] [--seed N]
+
+Options and check names mix in any order.  A value follows its option after a
+space or "=" (--seed -3, --seed=-3), and an option may be cut to a unique
+prefix.  --timings breaks the byte identity of the output; --no-default-taus
+skips the numeric checks unless --tau is given; -h, --help print this text.
+Exit codes: 0 all pass or are skipped, 1 a check fails, 2 usage or
+configuration error (before any check runs), 3 a check raised (status error)."""
 
 
 def parse_tau(text: str) -> complex:
@@ -88,51 +92,60 @@ def render_json(config: RunConfig, results: list[CheckResult]) -> str:
     return json.dumps(document, indent=2, sort_keys=True)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="surface-lab",
-        description="Recompute and verify the quantitative claims about the "
-        "bidouble-cover surface with K^2 = 7.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    verify = sub.add_parser("verify", help="run verification checks")
-    verify.add_argument(
-        "checks",
-        nargs="*",
-        default=["all"],
-        metavar="CHECK",
-        help="check names, or 'all' (default)",
-    )
-    verify.add_argument(
-        "--tau",
-        action="append",
-        metavar="RE+IMi",
-        help="modulus for numeric checks; repeatable",
-    )
-    verify.add_argument("--eps", type=float, default=RunConfig.eps, metavar="F")
-    verify.add_argument("--samples", type=int, default=RunConfig.samples, metavar="N")
-    verify.add_argument("--seed", type=int, default=RunConfig.seed, metavar="N")
-    verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.add_argument(
-        "--list", action="store_true", help="list check names and exit"
-    )
-    verify.add_argument(
-        "--timings",
-        action="store_true",
-        help="include per-check wall time (breaks byte determinism)",
-    )
-    verify.add_argument(
-        "--no-default-taus",
-        action="store_true",
-        help="without explicit --tau, skip numeric checks instead of "
-        "using the built-in moduli",
-    )
-    return parser
+# option -> converter; None marks a flag, list the repeatable --tau
+OPTIONS = {"--tau": list, "--eps": float, "--samples": int, "--seed": int,
+           "--format": {"text": "text", "json": "json"}.__getitem__, "--list": None,
+           "--timings": None, "--no-default-taus": None, "--help": None}
+
+
+def build_parser() -> SimpleNamespace:
+    """argparse's calling shape: build_parser().parse_args(argv)."""
+    return SimpleNamespace(parse_args=parse_args)
+
+
+def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
+    """Read a `verify` command line against OPTIONS; see USAGE."""
+    args = SimpleNamespace(command="verify", tau=None, eps=RunConfig.eps, samples=RunConfig.samples,
+                           seed=RunConfig.seed, format="text", list=False, timings=False,
+                           no_default_taus=False)
+    words, names = iter(sys.argv[1:] if argv is None else argv), []
+    try:
+        for word in words:
+            if word == "--":
+                names += words
+            elif word[:1] != "-":
+                names.append(word)
+            else:
+                name, eq, value = word.partition("=")
+                found = ["--help"] if name == "-h" else [o for o in OPTIONS if o.startswith(name)]
+                if len(found) != 1:
+                    raise ValueError(f"option {name} matches {', '.join(found) or 'no option'}")
+                option, convert = found[0], OPTIONS[found[0]]
+                if option == "--help":
+                    print(USAGE)
+                    raise SystemExit(0)
+                if not eq:
+                    value = next(words, None) if convert else None
+                if (convert is None) != (value is None):
+                    raise ValueError(f"option {option} takes {'one' if convert else 'no'} value")
+                try:
+                    value = True if convert is None else value if convert is list else convert(value)
+                except (KeyError, ValueError):
+                    raise ValueError(f"option {option}: invalid value {value!r}") from None
+                if convert is list:
+                    value = [*(args.tau or ()), value]
+                setattr(args, option[2:].replace("-", "_"), value)
+        if names[:1] != ["verify"]:
+            raise ValueError("the command must be verify")
+    except ValueError as err:
+        print(USAGE.split("\n\n")[0], f"surface-lab: error: {err}", sep="\n", file=sys.stderr)
+        raise SystemExit(2) from None
+    args.checks = names[1:] or ["all"]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
 
     if args.list:
         print("\n".join(canonical_names()))

@@ -1,13 +1,15 @@
 """Test oracles: slow or redundant routes to quantities the package
 computes another way, and the helpers that only the tests need (a record
 copy with changed fields, a change of lift, composition of affine maps,
-subgroup spans and membership, ...).
+subgroup spans and membership, the argparse parser the CLI's own parser
+replaced, ...).
 `surface-lab verify` never calls them, so they live with the tests, and
 numpy (for the lattice sum) stays off the runtime path.
 """
 
 from __future__ import annotations
 
+import argparse
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
@@ -25,6 +27,7 @@ from surface_lab.affine_groups import (
     abelianize_extension,
     standard_generators,
 )
+from surface_lab.checks import RunConfig
 from surface_lab.integer_algebra import FinAbGroup, IntMatrix
 from surface_lab.legendre_numerics import PoleAtLatticePoint, _check_tau, _reduce
 from surface_lab.orbifold_covers import (
@@ -401,3 +404,47 @@ def legendre_derivative(params, z: complex, *, eps: float = 1e-14) -> complex:
     q, s = params.mobius
     w = params.rows.wps([z], eps)[0]
     return (s - q) / ((w + s) * (w + s)) * params.rows.wp_prime(z, eps)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser that `surface_lab.cli.parse_args` replaced; the
+    parity test reads each command line with both."""
+    parser = argparse.ArgumentParser(
+        prog="surface-lab",
+        description="Recompute and verify the quantitative claims about the "
+        "bidouble-cover surface with K^2 = 7.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    verify = sub.add_parser("verify", help="run verification checks")
+    verify.add_argument(
+        "checks",
+        nargs="*",
+        default=["all"],
+        metavar="CHECK",
+        help="check names, or 'all' (default)",
+    )
+    verify.add_argument(
+        "--tau",
+        action="append",
+        metavar="RE+IMi",
+        help="modulus for numeric checks; repeatable",
+    )
+    verify.add_argument("--eps", type=float, default=RunConfig.eps, metavar="F")
+    verify.add_argument("--samples", type=int, default=RunConfig.samples, metavar="N")
+    verify.add_argument("--seed", type=int, default=RunConfig.seed, metavar="N")
+    verify.add_argument("--format", choices=("text", "json"), default="text")
+    verify.add_argument(
+        "--list", action="store_true", help="list check names and exit"
+    )
+    verify.add_argument(
+        "--timings",
+        action="store_true",
+        help="include per-check wall time (breaks byte determinism)",
+    )
+    verify.add_argument(
+        "--no-default-taus",
+        action="store_true",
+        help="without explicit --tau, skip numeric checks instead of "
+        "using the built-in moduli",
+    )
+    return parser

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from surface_lab import cli
 from surface_lab import legendre_numerics as ln
 from surface_lab.affine_groups import abelianization_relations, standard_generators
 from surface_lab.integer_algebra import smith_normal_form
@@ -99,3 +100,16 @@ def test_smith_normal_form_as_the_bench_calls_it():
     bind(smith_normal_form, relations, transforms=True)
     form = smith_normal_form(relations, transforms=True)
     assert form.left is not None and form.right is not None
+
+
+def test_cli_parse_as_the_bench_times_it():
+    # bench/layers.py cli_layer
+    args = cli.build_parser().parse_args(["verify", "all", "--format", "json", "--seed", "7"])
+    assert (args.checks, args.format, args.seed) == (["all"], "json", 7)
+
+
+def test_cli_main_as_the_traced_run_calls_it(capsys):
+    # bench/traced_cli.py passes sys.argv[1:] and exits with the result
+    bind(cli.main, ["verify", "ks2_7", "--format", "json"])
+    assert cli.main(["verify", "ks2_7", "--format", "json"]) == 0
+    assert '"ks2_7"' in capsys.readouterr().out

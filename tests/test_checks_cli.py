@@ -25,10 +25,20 @@ from surface_lab.checks import (
     resolve_names,
     run,
 )
-from surface_lab.cli import format_tau, main, parse_tau, render_json, render_text
+from surface_lab.cli import (
+    USAGE,
+    build_parser,
+    format_tau,
+    main,
+    parse_args,
+    parse_tau,
+    render_json,
+    render_text,
+)
 from surface_lab.legendre_numerics import legendre_params
 from surface_lab.picard_lattice import E, L, catalog
 
+from oracles import build_parser as argparse_parser
 from oracles import replace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -241,6 +251,20 @@ class TestRun:
         [result] = run(RunConfig(checks=("legendre_identities",), taus=(1j,)))
         assert result.status == "fail"
         assert "mobius_e3: worst residual" in result.actual
+
+    def test_sign_test_that_ignores_the_sign_fails_sign_condition(self, monkeypatch):
+        # the mutant `g.signs[i] == -1` -> `!= -1` holds on the five
+        # generators too; the control without g1 is what fails it
+        def ignores_the_sign(data):
+            return all(any(g.signs[i] != -1 for g in data.generators) for i in range(data.n))
+
+        monkeypatch.setattr(checks_mod, "check_sign_condition", ignores_the_sign)
+        [result] = run(RunConfig(checks=("sign_condition",), taus=()))
+        assert (result.status, result.expected, result.actual) == (
+            "fail",
+            "sign condition holds",
+            "violated",
+        )
 
     def test_nan_values_fail_legendre_identities(self, monkeypatch):
         # the NaN mutant: with every L value NaN the check passed, because
@@ -553,6 +577,20 @@ class TestMain:
         assert loaded.isdisjoint({"dataclasses", "inspect", "fractions"}), loaded
         assert "surface_lab.checks" in loaded
 
+    def test_cold_verify_leaves_argparse_gettext_and_locale_out(self):
+        # argparse, and the gettext and locale that its first message imports,
+        # cost a cold `verify` more than its parse; only the interpreter's own
+        # start-up (site, .pth files) may load them
+        def imported(*args: str) -> set[str]:
+            out = run_python("-X", "importtime", *args)
+            assert out.returncode == 0, out.stderr
+            lines = out.stderr.decode().splitlines()
+            return {line.rsplit("|", 1)[1].strip() for line in lines if "|" in line}
+
+        cold = imported("-m", "surface_lab.cli", "verify", "all", "--format", "json")
+        assert "surface_lab.checks" in cold
+        assert cold.isdisjoint({"argparse", "gettext", "locale"} - imported("-c", "pass"))
+
     def test_numerics_import_leaves_algebra_out(self):
         script = (
             "import sys\n"
@@ -587,3 +625,95 @@ class TestMain:
             main([])
         assert info.value.code == 2
 
+
+
+# command lines that argparse read; the table-driven parser must read each
+# to the same values
+PARSED = (
+    ["verify"],
+    ["verify", "all"],
+    ["verify", "ks2_7", "homology_h1"],
+    ["verify", "--tau", "0+1i"],
+    ["verify", "--tau=0.5+1.5i"],
+    ["verify", "--tau", "0+1i", "--tau", "2i", "--tau=1.2+1i"],
+    ["verify", "--eps", "1e-3"],
+    ["verify", "--eps=1e-12"],
+    ["verify", "--samples", "5"],
+    ["verify", "--samp", "5"],
+    ["verify", "--samples=7"],
+    ["verify", "--seed", "-3"],
+    ["verify", "--seed=11"],
+    ["verify", "--format", "json"],
+    ["verify", "--form=text"],
+    ["verify", "--list"],
+    ["verify", "--timings", "--no-default-taus"],
+    ["verify", "--no-def"],
+    ["verify", "--format", "json", "--seed", "2", "ks2_7", "pg_38"],
+    ["verify", "ks2_7", "pg_38", "--seed", "2", "--li"],
+    ["verify", "all", "--format", "json", "--seed", "7"],
+    ["verify", "ks2_7", "--", "--list"],
+)
+
+# and those it rejected with exit code 2, as the new parser must
+UNPARSED = (
+    [],
+    ["check"],
+    ["verify", "--bogus"],
+    ["verify", "--t", "0+1i"],
+    ["verify", "--samples", "x"],
+    ["verify", "--format", "xml"],
+    ["verify", "--eps"],
+    ["verify", "--list=yes"],
+)
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSED, ids=" ".join)
+    def test_reads_what_argparse_read(self, argv):
+        assert vars(parse_args(argv)) == vars(argparse_parser().parse_args(argv))
+
+    def test_bench_calling_shape(self):
+        argv = ["verify", "all", "--format", "json", "--seed", "7"]
+        assert build_parser().parse_args(argv) == parse_args(argv)
+
+    @pytest.mark.parametrize("argv", UNPARSED, ids=repr)
+    def test_rejects_what_argparse_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            parse_args(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, error = captured.err.split("\nsurface-lab: error: ")
+        assert usage == USAGE.split("\n\n")[0] and error.count("\n") == 1
+        with pytest.raises(SystemExit) as info:
+            argparse_parser().parse_args(argv)
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["-h"], ["--help"], ["verify", "-h"], ["verify", "ks2_7", "--he"]], ids=" ".join
+    )
+    def test_help_prints_usage_and_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            parse_args(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out == USAGE + "\n"
+        with pytest.raises(SystemExit) as info:
+            argparse_parser().parse_args(argv)
+        assert info.value.code == 0
+
+    def test_negative_tau_is_read_as_a_value(self):
+        # an intended difference: argparse took "-0.5+1i", which starts with
+        # "-" and is no plain number, for an option
+        argv = ["verify", "--tau", "-0.5+1i"]
+        with pytest.raises(SystemExit):
+            argparse_parser().parse_args(argv)
+        assert parse_args(argv).tau == ["-0.5+1i"]
+        assert main([*argv, "legendre_identities"]) == 0
+
+    def test_check_names_on_both_sides_of_an_option(self):
+        # the other intended difference: argparse's nargs="*" took one run
+        # of check names, and rejected the second as unrecognized
+        argv = ["verify", "ks2_7", "--format", "json", "pg_38", "--seed", "2", "homology_h1"]
+        with pytest.raises(SystemExit):
+            argparse_parser().parse_args(argv)
+        assert parse_args(argv).checks == ["ks2_7", "pg_38", "homology_h1"]

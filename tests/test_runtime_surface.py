@@ -62,6 +62,7 @@ def bench_calls() -> None:
     """The package calls of tests/test_bench_interface.py, and a
     package-level lookup as bench/tests makes one."""
     import surface_lab
+    from surface_lab import cli
     from surface_lab import legendre_numerics as ln
     from surface_lab.affine_groups import abelianization_relations, standard_generators
     from surface_lab.integer_algebra import smith_normal_form
@@ -76,6 +77,7 @@ def bench_calls() -> None:
     ln.invariant_pencil_constant((TAU, TAU + 0.2, TAU - 0.2), tol)
     smith_normal_form(abelianization_relations(standard_generators()), transforms=True)
     assert surface_lab.abelianize_extension is not None
+    cli.build_parser().parse_args(["verify", "all", "--format", "json", "--seed", "7"])
 
 
 def probe() -> None:
