@@ -1,6 +1,6 @@
 """Command line front end: `surface-lab verify`; USAGE gives its grammar and exit
-codes.  parse_args reads a command line against the OPTIONS table by hand, as
-argparse and the gettext and locale it imports cost a cold run more than that."""
+codes.  parse_args reads a command line against the OPTIONS table: argparse, with
+the gettext and locale it imports, cost a cold run more than the parse itself."""
 
 from __future__ import annotations
 
@@ -99,15 +99,15 @@ OPTIONS = {"--tau": list, "--eps": float, "--samples": int, "--seed": int,
 
 
 def build_parser() -> SimpleNamespace:
-    """argparse's calling shape: build_parser().parse_args(argv)."""
+    """argparse's calling shape, build_parser().parse_args(argv), as bench/ uses it."""
     return SimpleNamespace(parse_args=parse_args)
 
 
 def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
     """Read a `verify` command line against OPTIONS; see USAGE."""
-    args = SimpleNamespace(command="verify", tau=None, eps=RunConfig.eps, samples=RunConfig.samples,
-                           seed=RunConfig.seed, format="text", list=False, timings=False,
-                           no_default_taus=False)
+    args = SimpleNamespace(command="verify", tau=None, eps=RunConfig.eps,
+                           samples=RunConfig.samples, seed=RunConfig.seed, format="text",
+                           list=False, timings=False, no_default_taus=False)
     words, names = iter(sys.argv[1:] if argv is None else argv), []
     try:
         for word in words:
@@ -129,12 +129,12 @@ def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
                 if (convert is None) != (value is None):
                     raise ValueError(f"option {option} takes {'one' if convert else 'no'} value")
                 try:
-                    value = True if convert is None else value if convert is list else convert(value)
+                    value = convert(value) if convert not in (None, list) else value
                 except (KeyError, ValueError):
                     raise ValueError(f"option {option}: invalid value {value!r}") from None
                 if convert is list:
                     value = [*(args.tau or ()), value]
-                setattr(args, option[2:].replace("-", "_"), value)
+                setattr(args, option[2:].replace("-", "_"), True if convert is None else value)
         if names[:1] != ["verify"]:
             raise ValueError("the command must be verify")
     except ValueError as err:

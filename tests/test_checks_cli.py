@@ -701,6 +701,9 @@ class TestParser:
             argparse_parser().parse_args(argv)
         assert info.value.code == 0
 
+    def test_readme_shows_the_usage_text(self):
+        assert USAGE in (SRC.parent / "README.md").read_text()
+
     def test_negative_tau_is_read_as_a_value(self):
         # an intended difference: argparse took "-0.5+1i", which starts with
         # "-" and is no plain number, for an option
