@@ -17,7 +17,8 @@ because both span the i-th complex line.  Under composition
 (eps, t) (eps', t') = (eps eps', eps t' + t), the commutator of two
 elements is the pure translation (eps - 1) t' - (eps' - 1) t and the
 square of (eps, t) is the translation (eps + 1) t; both are computed here
-in half-lattice coordinates and returned in full-lattice coordinates.
+in half-lattice coordinates and returned as full-lattice coordinate
+tuples.
 """
 
 from __future__ import annotations
@@ -28,17 +29,6 @@ from .integer_algebra import FinAbGroup, IntMatrix, cokernel, rank_mod2
 
 class NotInLattice(Exception):
     """A derived translation fell outside the full lattice."""
-
-
-@record
-class LatticeVector:
-    """A lattice vector in full-lattice coordinates (length 2n)."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coords) % 2 != 0:
-            raise ValueError("coordinate length must be even (e-part and tau-part)")
 
 
 @record
@@ -76,13 +66,13 @@ class ExtensionData:
                 raise ValueError("generator dimension mismatch")
 
 
-def _halves_to_lattice(halves: tuple[int, ...]) -> LatticeVector:
+def _halves_to_lattice(halves: tuple[int, ...]) -> tuple[int, ...]:
     if any(h % 2 for h in halves):
         raise NotInLattice(f"odd half-coordinates in {halves}")
-    return LatticeVector(tuple(h // 2 for h in halves))
+    return tuple(h // 2 for h in halves)
 
 
-def commutator(g: AffineElement, h: AffineElement) -> LatticeVector:
+def commutator(g: AffineElement, h: AffineElement) -> tuple[int, ...]:
     """[g, h] = g h g^-1 h^-1 as a full-lattice translation.
 
     Evaluates (eps - 1) t' - (eps' - 1) t in half-lattice coordinates and
@@ -97,7 +87,7 @@ def commutator(g: AffineElement, h: AffineElement) -> LatticeVector:
     return _halves_to_lattice(halves)
 
 
-def square_translation(g: AffineElement) -> LatticeVector:
+def square_translation(g: AffineElement) -> tuple[int, ...]:
     """g^2 = (eps + 1) t as a full-lattice translation."""
     halves = tuple((s + 1) * a for s, a in zip(g.signs * 2, g.trans))
     return _halves_to_lattice(halves)
@@ -143,21 +133,20 @@ def abelianization_relations(data: ExtensionData) -> IntMatrix:
     * one row per generator: 2 g_i - (square translation of g_i);
     * one row per generator and lattice coordinate: (eps_i - 1) lambda_k.
     """
-    m = len(data.generators)
+    gens = data.generators
+    m = len(gens)
     width = m + 2 * data.n
     rows: list[list[int]] = []
     for i in range(m):
         for j in range(i + 1, m):
-            c = commutator(data.generators[i], data.generators[j])
-            rows.append([0] * m + list(c.coords))
-    for i, g in enumerate(data.generators):
-        s = square_translation(g)
+            rows.append([0] * m + list(commutator(gens[i], gens[j])))
+    for i, g in enumerate(gens):
         row = [0] * width
         row[i] = 2
-        for k, v in enumerate(s.coords):
+        for k, v in enumerate(square_translation(g)):
             row[m + k] = -v
         rows.append(row)
-    for g in data.generators:
+    for g in gens:
         for k, sign in enumerate(g.signs * 2):
             factor = sign - 1
             if factor:
@@ -178,7 +167,5 @@ def commutator_subspan_rank(data: ExtensionData, pivot: int) -> int:
     so this is the rank of their span inside Lambda / 2 Lambda.
     """
     g = data.generators[pivot]
-    rows = [
-        commutator(g, h).coords for j, h in enumerate(data.generators) if j != pivot
-    ]
+    rows = [commutator(g, h) for j, h in enumerate(data.generators) if j != pivot]
     return rank_mod2(IntMatrix.from_rows(rows))

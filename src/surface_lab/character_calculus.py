@@ -2,9 +2,12 @@
 section spaces.
 
 Every representation handled here is a direct sum of one-dimensional
-eigenspaces on which each chosen group generator acts as +1 or -1, so a
-representation is just a multiset of sign strings.  The two concrete
-inputs are:
+eigenspaces on which each chosen group generator acts as +1 or -1.  Such
+a sign character of (Z/2)^k is held as its F_2 exponent tuple: entry i
+is 1 where generator i acts as -1.  Characters multiply by xor, and the
+value of chi on the element with exponent word w is (-1)^(chi . w).  A
+representation is a Counter of characters, mapping each to its
+multiplicity.  The two concrete inputs are:
 
 * the degree-two section space of an elliptic (or genus-5) factor, with
   basis {1, F} where F is the Legendre function of the factor: F is even
@@ -22,12 +25,11 @@ pair (they swap the pencil members instead) and are rejected.
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from itertools import product
 from math import prod
 from operator import mul
-from typing import Mapping, Sequence
-
-from ._record import record
+from typing import Sequence
 from .affine_groups import AffineElement, standard_generators
 from .orbifold_covers import BranchedCoverData, cover_genus
 
@@ -43,56 +45,8 @@ class ZeroParameter(Exception):
 Action = tuple[int, "int | tuple[int, int]"]
 
 
-@record
-class SignCharacter:
-    """A +-1 string, one entry per generator of the acting group."""
-
-    signs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("character entries must be +-1")
-
-    @staticmethod
-    def trivial(k: int) -> "SignCharacter":
-        return SignCharacter((1,) * k)
-
-    def __mul__(self, other: "SignCharacter") -> "SignCharacter":
-        if len(self.signs) != len(other.signs):
-            raise ValueError("generator counts differ")
-        return SignCharacter(tuple(a * b for a, b in zip(self.signs, other.signs)))
-
-    def value_on(self, word: Sequence[int]) -> int:
-        """Character value on the group element with exponent vector word."""
-        if len(word) != len(self.signs):
-            raise ValueError("word length must match generator count")
-        value = 1
-        for s, w in zip(self.signs, word):
-            if w % 2:
-                value *= s
-        return value
-
-
-@record
-class GradedSpace:
-    """A representation recorded as character -> multiplicity."""
-
-    components: Mapping[SignCharacter, int]
-
-    def __post_init__(self) -> None:
-        if any(m < 0 for m in self.components.values()):
-            raise ValueError("multiplicities must be nonnegative")
-        lengths = {len(c.signs) for c in self.components}
-        if len(lengths) > 1:
-            raise ValueError("characters index different generator lists")
-
-    @staticmethod
-    def of(pairs: Mapping[SignCharacter, int]) -> "GradedSpace":
-        return GradedSpace({c: m for c, m in pairs.items() if m})
-
-
-def character_of_basis(actions: Sequence[Action]) -> SignCharacter:
-    """Eigenvalue string of the Legendre basis section under each generator.
+def character_of_basis(actions: Sequence[Action]) -> tuple[int, ...]:
+    """Character of the Legendre basis section, one entry per generator.
 
     Each action is (sign, t) for z -> sign * z + t, with t recorded in
     half-units: either a single integer (count of e-halves) or a pair
@@ -113,8 +67,8 @@ def character_of_basis(actions: Sequence[Action]) -> SignCharacter:
             raise UnsupportedTranslation(
                 "tau-half translation does not act linearly on the sections"
             )
-        entries.append(-1 if u % 2 else 1)
-    return SignCharacter(tuple(entries))
+        entries.append(u % 2)
+    return tuple(entries)
 
 
 def coordinate_action(g: AffineElement, coord: int) -> Action:
@@ -122,40 +76,39 @@ def coordinate_action(g: AffineElement, coord: int) -> Action:
     return (g.sign_at(coord), (g.trans[coord] % 2, g.trans[g.n + coord] % 2))
 
 
-def tensor(spaces: Sequence[GradedSpace]) -> GradedSpace:
-    """Tensor product: characters multiply, multiplicities convolve."""
+def tensor(spaces: Sequence[Counter]) -> Counter:
+    """Tensor product: characters multiply (xor), multiplicities convolve."""
     if not spaces:
         raise ValueError("need at least one space")
-    result = dict(spaces[0].components)
+    result = spaces[0]
     for space in spaces[1:]:
-        nxt: dict[SignCharacter, int] = {}
+        nxt: Counter = Counter()
         for chi, m in result.items():
-            for psi, n in space.components.items():
-                prod_chi = chi * psi
-                nxt[prod_chi] = nxt.get(prod_chi, 0) + m * n
+            for psi, n in space.items():
+                nxt[tuple(a ^ b for a, b in zip(chi, psi, strict=True))] += m * n
         result = nxt
-    return GradedSpace.of(result)
+    return +result
 
 
-def invariant_dim(space: GradedSpace, subgroup_gens: Sequence[Sequence[int]]) -> int:
-    """Dimension of the subspace fixed by the given subgroup generators."""
+def invariant_dim(space: Counter, subgroup_gens: Sequence[Sequence[int]]) -> int:
+    """Dimension of the subspace fixed by the given subgroup generators:
+    chi is +1 on the word w exactly when chi . w is even."""
     return sum(
         m
-        for chi, m in space.components.items()
-        if all(chi.value_on(word) == 1 for word in subgroup_gens)
+        for chi, m in space.items()
+        if all(
+            sum(a * w for a, w in zip(chi, word, strict=True)) % 2 == 0
+            for word in subgroup_gens
+        )
     )
 
 
-def legendre_pair_space(actions: Sequence[Action]) -> GradedSpace:
+def legendre_pair_space(actions: Sequence[Action]) -> Counter:
     """The 2-dim section space spanned by 1 and the Legendre function."""
-    k = len(actions)
-    chi = character_of_basis(actions)
-    space = {SignCharacter.trivial(k): 1}
-    space[chi] = space.get(chi, 0) + 1
-    return GradedSpace.of(space)
+    return Counter([(0,) * len(actions), character_of_basis(actions)])
 
 
-def pencil_spaces() -> list[GradedSpace]:
+def pencil_spaces() -> list[Counter]:
     """The three section-pair factors of the invariant pencil, graded by
     the first four standard generators acting on coordinates 1..3."""
     gens = standard_generators().generators[:4]
@@ -242,24 +195,19 @@ def _branch_dual_characters() -> list[tuple[int, ...]]:
     return functionals
 
 
-def one_forms_space() -> GradedSpace:
+def one_forms_space() -> Counter:
     """The 7-dim space of one-forms on the product threefold, graded by
     the five standard generators."""
     gens = standard_generators().generators
-    components: dict[SignCharacter, int] = {}
-    for coord in (0, 1):
-        chi = SignCharacter(tuple(g.sign_at(coord) for g in gens))
-        components[chi] = components.get(chi, 0) + 1
-    for phi in _branch_dual_characters():
-        chi = SignCharacter((1, *(-1 if p else 1 for p in phi)))
-        components[chi] = components.get(chi, 0) + 1
-    return GradedSpace.of(components)
+    space = Counter(tuple((1 - g.sign_at(coord)) // 2 for g in gens) for coord in (0, 1))
+    space.update((0, *phi) for phi in _branch_dual_characters())
+    return space
 
 
 def one_forms_invariants() -> int:
     """One-forms invariant under the whole acting group: those on which
-    every standard generator acts as +1."""
-    return sum(m for chi, m in one_forms_space().components.items() if -1 not in chi.signs)
+    every standard generator acts as +1, the zero character."""
+    return sum(m for chi, m in one_forms_space().items() if not any(chi))
 
 
 def pencil_fixed_parameters(A: complex) -> tuple[complex, complex]:

@@ -235,7 +235,7 @@ _COMMUTATOR_TABLE: dict[tuple[int, int], tuple[int, ...]] = {
 def _commutators(f: Facts) -> dict[tuple[int, int], tuple[int, ...]]:
     gens = f.generators.generators
     return {
-        (i, j): commutator(gens[i], gens[j]).coords
+        (i, j): commutator(gens[i], gens[j])
         for i, j in combinations(range(len(gens)), 2)
     }
 
@@ -303,7 +303,7 @@ def _character_decomposition(f: Facts) -> tuple[int, list[int]]:
     v1 = legendre_pair_space([(-1, 0), (1, 0), (1, 1)])
     v2 = legendre_pair_space([(1, 0), (-1, 0), (1, 1)])
     pair_dim = invariant_dim(tensor([v1, v2]), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    return pair_dim, sorted(tensor(pencil_spaces()).components.values())
+    return pair_dim, sorted(tensor(pencil_spaces()).values())
 
 
 def _pencil_invariants(f: Facts) -> int | str:
@@ -358,7 +358,7 @@ CHECKS: dict[str, Claim] = {
         ),
         Claim(
             "sign_condition",
-            "every coordinate is negated by some generator and sign patterns span the quotient",
+            "every coordinate is negated by some generator, and g1 alone negates the first",
             True,
             # g1 alone negates the first coordinate, so without it the condition must fail
             lambda f: check_sign_condition(f.generators)

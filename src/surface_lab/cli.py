@@ -159,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             taus = DEFAULT_TAUS
         config = RunConfig(
-            checks=tuple(args.checks) or ("all",),
+            checks=tuple(args.checks),
             taus=taus,
             eps=args.eps,
             samples=args.samples,

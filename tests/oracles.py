@@ -23,7 +23,6 @@ from surface_lab._record import record
 from surface_lab.affine_groups import (
     AffineElement,
     ExtensionData,
-    LatticeVector,
     abelianize_extension,
     standard_generators,
 )
@@ -207,12 +206,13 @@ def sign_condition_witnesses(data: ExtensionData) -> list[tuple[int, ...]] | Non
     return witnesses
 
 
-def translate(g: AffineElement, v: LatticeVector) -> AffineElement:
-    """Right multiplication of g by the lattice translation v: another lift
-    of the same element of the quotient group."""
-    if len(v.coords) != 2 * g.n:
+def translate(g: AffineElement, v: tuple[int, ...]) -> AffineElement:
+    """Right multiplication of g by the lattice translation v, in
+    full-lattice coordinates: another lift of the same element of the
+    quotient group."""
+    if len(v) != 2 * g.n:
         raise ValueError("dimension mismatch")
-    trans = tuple(a + 2 * s * b for s, a, b in zip(g.signs * 2, g.trans, v.coords))
+    trans = tuple(a + 2 * s * b for s, a, b in zip(g.signs * 2, g.trans, v))
     return AffineElement(g.signs, trans)
 
 

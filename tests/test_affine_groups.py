@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from surface_lab.affine_groups import (
     AffineElement,
     ExtensionData,
-    LatticeVector,
     NotInLattice,
     _halves_to_lattice,
     abelianize_extension,
@@ -67,36 +66,34 @@ def generic_point(n: int, rng: random.Random) -> Point:
     ]
 
 
-def as_point(v: LatticeVector) -> Point:
-    n = len(v.coords) // 2
-    return [(Fraction(v.coords[i]), Fraction(v.coords[n + i])) for i in range(n)]
+def as_point(v: tuple[int, ...]) -> Point:
+    n = len(v) // 2
+    return [(Fraction(v[i]), Fraction(v[n + i])) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
 # frozen commutator and square tables for the five standard generators
 # ---------------------------------------------------------------------------
 
-E = lambda *c: LatticeVector(tuple(c))
-
 COMMUTATOR_TABLE = {
-    (0, 1): E(0, 1, 0, 0, 0, 0, 0, 0),
-    (0, 2): E(-1, 0, 0, 0, 0, 0, 0, 0),
-    (0, 3): E(0, 0, 0, 0, 0, 0, 0, 0),
-    (0, 4): E(0, 0, 0, 0, -1, 0, 0, 0),
-    (1, 2): E(0, 0, 1, 0, 0, 0, 0, 0),
-    (1, 3): E(0, 0, 1, 1, 0, 0, 0, 0),
-    (1, 4): E(0, 0, 0, 0, 0, -1, 0, -1),
-    (2, 3): E(0, 0, 1, 1, 0, 0, 0, 0),
-    (2, 4): E(0, 0, 0, 0, 0, 0, -1, -1),
-    (3, 4): E(0, 0, 0, 0, 0, 0, -1, -1),
+    (0, 1): (0, 1, 0, 0, 0, 0, 0, 0),
+    (0, 2): (-1, 0, 0, 0, 0, 0, 0, 0),
+    (0, 3): (0, 0, 0, 0, 0, 0, 0, 0),
+    (0, 4): (0, 0, 0, 0, -1, 0, 0, 0),
+    (1, 2): (0, 0, 1, 0, 0, 0, 0, 0),
+    (1, 3): (0, 0, 1, 1, 0, 0, 0, 0),
+    (1, 4): (0, 0, 0, 0, 0, -1, 0, -1),
+    (2, 3): (0, 0, 1, 1, 0, 0, 0, 0),
+    (2, 4): (0, 0, 0, 0, 0, 0, -1, -1),
+    (3, 4): (0, 0, 0, 0, 0, 0, -1, -1),
 }
 
 SQUARE_TABLE = {
-    0: E(0, 1, 0, 0, 0, 0, 0, 0),
-    1: E(0, 0, 1, 0, 0, 0, 0, 0),
-    2: E(1, 0, 0, 0, 0, 0, 0, 0),
-    3: E(0, 0, 0, 0, 0, 0, 0, 0),
-    4: E(0, 0, 0, 0, 1, 1, 1, 1),
+    0: (0, 1, 0, 0, 0, 0, 0, 0),
+    1: (0, 0, 1, 0, 0, 0, 0, 0),
+    2: (1, 0, 0, 0, 0, 0, 0, 0),
+    3: (0, 0, 0, 0, 0, 0, 0, 0),
+    4: (0, 0, 0, 0, 1, 1, 1, 1),
 }
 
 
@@ -125,8 +122,8 @@ def test_commutator_antisymmetry():
     gens = standard_generators().generators
     for i in range(5):
         for j in range(5):
-            assert commutator(gens[i], gens[j]).coords == tuple(
-                -v for v in commutator(gens[j], gens[i]).coords
+            assert commutator(gens[i], gens[j]) == tuple(
+                -v for v in commutator(gens[j], gens[i])
             )
 
 
@@ -208,7 +205,7 @@ def test_lift_independence_of_abelianization():
     for _ in range(10):
         gens = []
         for g in standard_generators().generators:
-            shift = LatticeVector(tuple(rng.randint(-3, 3) for _ in range(8)))
+            shift = tuple(rng.randint(-3, 3) for _ in range(8))
             gens.append(translate(g, shift))
         lifted = abelianize_extension(ExtensionData(4, tuple(gens)))
         assert groups_isomorphic(lifted, base)
@@ -216,7 +213,7 @@ def test_lift_independence_of_abelianization():
 
 def test_translate_changes_lift_not_image():
     g = standard_generators().generators[0]
-    moved = translate(g, LatticeVector((1, 0, 0, 0, 0, 2, 0, 0)))
+    moved = translate(g, (1, 0, 0, 0, 0, 2, 0, 0))
     assert moved.signs == g.signs
     # the difference of translations is twice a lattice vector
     assert all((a - b) % 2 == 0 for a, b in zip(moved.trans, g.trans))
@@ -240,7 +237,7 @@ def test_half_coordinate_guard():
     # lattice, so the parity guard only fires on raw odd input
     with pytest.raises(NotInLattice):
         _halves_to_lattice((1, 0))
-    assert _halves_to_lattice((4, -2)) == LatticeVector((2, -1))
+    assert _halves_to_lattice((4, -2)) == (2, -1)
 
 
 sign_vectors = st.lists(st.sampled_from((-1, 1)), min_size=2, max_size=2)

@@ -1,5 +1,7 @@
 """Sign characters of the section spaces and the one-form count."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +9,6 @@ from hypothesis import strategies as st
 from surface_lab import character_calculus
 from surface_lab.affine_groups import AffineElement, standard_generators
 from surface_lab.character_calculus import (
-    GradedSpace,
-    SignCharacter,
     UnsupportedTranslation,
     ZeroParameter,
     _mod2_actions,
@@ -33,13 +33,14 @@ from surface_lab.orbifold_covers import (
 from oracles import compose
 
 
-def C(pattern: str) -> SignCharacter:
-    """The character written as a +- string, one sign per generator."""
-    return SignCharacter(tuple(1 if c == "+" else -1 for c in pattern))
+def C(pattern: str) -> tuple[int, ...]:
+    """The character written as a +- string, one sign per generator, as
+    its F_2 exponent tuple: 1 where the generator acts as -1."""
+    return tuple(0 if c == "+" else 1 for c in pattern)
 
 
-def dim(space: GradedSpace) -> int:
-    return sum(space.components.values())
+def dim(space: Counter) -> int:
+    return sum(space.values())
 
 
 def four_gen_actions(coord):
@@ -49,24 +50,26 @@ def four_gen_actions(coord):
 
 class TestSignCharacter:
     def test_string_round_trip(self):
-        chi = C("+-+")
-        assert chi.signs == (1, -1, 1)
+        assert C("+-+") == (0, 1, 0)
 
     def test_multiplication_and_values(self):
-        assert C("+-") * C("--") == C("-+")
-        assert C("+--+").value_on((0, 1, 1, 0)) == 1
-        assert C("+--+").value_on((0, 1, 0, 0)) == -1
+        assert tensor([Counter([C("+-")]), Counter([C("--")])]) == {C("-+"): 1}
+        # the value on a word, read through the invariant dimension
+        assert invariant_dim(Counter([C("+--+")]), [(0, 1, 1, 0)]) == 1
+        assert invariant_dim(Counter([C("+--+")]), [(0, 1, 0, 0)]) == 0
+        assert invariant_dim(Counter([C("+--+")]), [(2, 3, -1, 0)]) == 1
         with pytest.raises(ValueError):
-            C("+-") * C("+--")
+            tensor([Counter([C("+-")]), Counter([C("+--")])])
         with pytest.raises(ValueError):
-            SignCharacter((1, 2))
+            invariant_dim(Counter([C("+-")]), [(0, 1, 0)])
 
     def test_graded_space_validation(self):
+        # characters of different lengths in one space meet a mismatch
         with pytest.raises(ValueError):
-            GradedSpace({C("++"): -1})
-        with pytest.raises(ValueError):
-            GradedSpace({C("++"): 1, C("+++"): 1})
-        assert dim(GradedSpace.of({C("++"): 0})) == 0
+            tensor([Counter([C("++"), C("+++")]), Counter([C("++")])])
+        # a zero multiplicity is dropped
+        assert tensor([Counter({C("++"): 0})]) == {}
+        assert dim(tensor([Counter({C("++"): 0})])) == 0
 
 
 class TestCharacterOfBasis:
@@ -97,7 +100,7 @@ class TestCharacterOfBasis:
 class TestTensor:
     def test_pencil_decomposition_four_blocks_of_two(self):
         total = tensor(pencil_spaces())
-        assert total.components == {
+        assert total == {
             C("++++"): 2,
             C("+--+"): 2,
             C("--++"): 2,
@@ -107,7 +110,7 @@ class TestTensor:
 
     def test_tensor_with_trivial_is_identity(self):
         v = legendre_pair_space(four_gen_actions(0))
-        one = GradedSpace({SignCharacter.trivial(4): 1})
+        one = Counter([C("++++")])
         assert tensor([v, one]) == v
 
     @given(st.data())
@@ -116,15 +119,11 @@ class TestTensor:
         k = data.draw(st.integers(min_value=1, max_value=3))
         spaces = []
         for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
-            comps = {}
+            comps = Counter()
             for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
-                signs = tuple(
-                    data.draw(st.sampled_from((1, -1))) for _ in range(k)
-                )
-                comps[SignCharacter(signs)] = comps.get(
-                    SignCharacter(signs), 0
-                ) + data.draw(st.integers(min_value=1, max_value=3))
-            spaces.append(GradedSpace.of(comps))
+                chi = tuple(data.draw(st.sampled_from((0, 1))) for _ in range(k))
+                comps[chi] += data.draw(st.integers(min_value=1, max_value=3))
+            spaces.append(comps)
         product_dim = 1
         for s in spaces:
             product_dim *= dim(s)
@@ -146,8 +145,8 @@ class TestInvariantDim:
         actions_z2 = [[(1, 0)], [(-1, 0)], [(1, 1)]]
         v1 = legendre_pair_space([a[0] for a in actions_z1])
         v2 = legendre_pair_space([a[0] for a in actions_z2])
-        assert v1.components == {C("+++"): 1, C("++-"): 1}
-        assert v2.components == {C("+++"): 1, C("++-"): 1}
+        assert v1 == {C("+++"): 1, C("++-"): 1}
+        assert v2 == {C("+++"): 1, C("++-"): 1}
         pair = tensor([v1, v2])
         assert invariant_dim(pair, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 2
         assert invariant_dim(pair, []) == 4
@@ -213,11 +212,11 @@ class TestOneForms:
     def test_character_inventory(self):
         space = one_forms_space()
         assert dim(space) == 7
-        assert len(space.components) == 7
-        assert all(m == 1 for m in space.components.values())
-        assert space.components.get(C("-++++")) == 1  # first coordinate form
-        assert space.components.get(C("+-+++")) == 1  # second coordinate form
-        assert SignCharacter.trivial(5) not in space.components
+        assert len(space) == 7
+        assert all(m == 1 for m in space.values())
+        assert space.get(C("-++++")) == 1  # first coordinate form
+        assert space.get(C("+-+++")) == 1  # second coordinate form
+        assert C("+++++") not in space
 
     def test_full_group_has_no_invariants(self):
         assert one_forms_invariants() == 0

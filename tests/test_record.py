@@ -5,7 +5,6 @@ from dataclasses import dataclass, field
 import pytest
 
 from surface_lab._record import HIDDEN, record
-from surface_lab.character_calculus import SignCharacter
 
 from oracles import replace
 
@@ -21,6 +20,11 @@ class Pair:
             raise ValueError("negative x")
         # normalisation through object.__setattr__, as orbifold_covers does
         object.__setattr__(self, "y", abs(self.y))
+
+
+@record
+class Single:
+    signs: tuple[int, ...]
 
 
 @record
@@ -46,9 +50,9 @@ def test_record_semantics():
     assert p != Twin(1, 2, "a") and Pair.__eq__(p, Twin(1, 2, "a")) is NotImplemented
     # hash of the compared-field tuple, also for a single field
     assert hash(p) == hash((1, 2))
-    assert hash(SignCharacter((1, -1))) == hash(((1, -1),))
+    assert hash(Single((1, -1))) == hash(((1, -1),))
     assert repr(p) == "Pair(x=1, y=2)"
-    assert repr(SignCharacter((1, -1))) == "SignCharacter(signs=(1, -1))"
+    assert repr(Single((1, -1))) == "Single(signs=(1, -1))"
     # keywords and defaults bind like a signature (x, y=0, note)
     assert Pair(x=1, note=None) == Pair(1, 0, None) == Pair(1, note=None)
     for args, kwargs in (((1, 2, 3, 4), {}), ((1,), {"z": 2, "note": 0}),

@@ -31,8 +31,14 @@ ARGVS = (
 )
 
 # a record's immutability guards: no run assigns to, deletes or prints a
-# record, yet they are what keeps every record frozen
-GUARDS = {"_record.record.__repr__", "_record.record.__setattr__", "_record.record.__delattr__"}
+# record, yet they are what keeps every record frozen; and its __hash__,
+# which no run needs, but == of a value type needs a hash that agrees with it
+GUARDS = {
+    "_record.record.__repr__",
+    "_record.record.__setattr__",
+    "_record.record.__delattr__",
+    "_record.record.__hash__",
+}
 
 TAU = 0.1 + 0.3j  # bench/layers.py's im_low probe
 
