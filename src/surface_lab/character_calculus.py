@@ -30,6 +30,7 @@ from itertools import product
 from math import prod
 from operator import mul
 from typing import Sequence
+
 from .affine_groups import AffineElement, standard_generators
 from .orbifold_covers import BranchedCoverData, cover_genus
 

@@ -69,7 +69,6 @@ class TestSignCharacter:
             tensor([Counter([C("++"), C("+++")]), Counter([C("++")])])
         # a zero multiplicity is dropped
         assert tensor([Counter({C("++"): 0})]) == {}
-        assert dim(tensor([Counter({C("++"): 0})])) == 0
 
 
 class TestCharacterOfBasis:
