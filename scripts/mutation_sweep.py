@@ -12,11 +12,14 @@ Each mutant changes one site of one module:
 * an int constant gains 1; a float constant is scaled by 1.5.
 
 The mutant is written into a temporary copy of the package, outside the
-source tree, and judged by one default `run(RunConfig())` in a fresh
-interpreter with a 20 s timeout.  It is killed if a check does not pass,
-or on a crash or a timeout; otherwise it survives.  Mutants run one at a
-time.  The script prints, per module, the killed and survived counts and
-the line of each survivor.  It uses the standard library only.
+source tree, and judged in a fresh interpreter with a 20 s timeout.  A
+mutant of `cli`, which `run` never reaches, is judged by
+`main(["verify", "all", "--format", "json"])`: it survives only if that
+exits 0 and prints the bytes of tests/data/verify_all.json.  A mutant of
+any other module is judged by one default `run(RunConfig())`: it survives
+only if every check passes.  A crash or a timeout kills it.  Mutants run
+one at a time.  The script prints, per module, the killed and survived
+counts and the line of each survivor.  It uses the standard library only.
 
 Usage:
     python3 scripts/mutation_sweep.py affine_groups character_calculus
@@ -33,11 +36,24 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = SRC.parent / "tests" / "data" / "verify_all.json"
 TIMEOUT_S = 20
 JUDGE = (
     "import sys\n"
     "from surface_lab.checks import RunConfig, run\n"
     "sys.exit(any(r.status != 'pass' for r in run(RunConfig())))\n"
+)
+CLI_JUDGE = (
+    "import io, sys\n"
+    "from contextlib import redirect_stdout\n"
+    "from surface_lab.cli import main\n"
+    "out = io.StringIO()\n"
+    "try:\n"
+    "    with redirect_stdout(out):\n"
+    "        code = main(['verify', 'all', '--format', 'json'])\n"
+    "except SystemExit:\n"
+    "    code = 'exit'\n"
+    f"sys.exit(code != 0 or out.getvalue().encode() != open({str(GOLDEN)!r}, 'rb').read())\n"
 )
 
 SWAP = {
@@ -85,11 +101,11 @@ def mutate(node: ast.AST, index: int | None) -> str:
     return f"{SYMBOL[type(op)]} -> {SYMBOL[SWAP[type(op)]]}"
 
 
-def killed(package: Path) -> bool:
-    """True if the default run in a fresh interpreter does not pass."""
+def killed(package: Path, judge: str) -> bool:
+    """True if the judge script, run in a fresh interpreter, does not exit 0."""
     try:
         proc = subprocess.run(
-            [sys.executable, "-B", "-c", JUDGE],
+            [sys.executable, "-B", "-c", judge],
             cwd=package.parent, env={**os.environ, "PYTHONPATH": str(package.parent)},
             capture_output=True, timeout=TIMEOUT_S,
         )
@@ -104,12 +120,13 @@ def sweep(module: str, src: Path) -> tuple[int, list[tuple[int, str, str]]]:
     source = path.read_text()
     lines = source.splitlines()
     count = len(sites(ast.parse(source)))
+    judge = CLI_JUDGE if module == "cli" else JUDGE
     with tempfile.TemporaryDirectory(prefix="mutation-sweep-") as tmp:
         package = Path(tmp) / "surface_lab"
         shutil.copytree(src / "surface_lab", package, ignore=shutil.ignore_patterns("__pycache__"))
         target = package / path.name
         target.write_text(ast.unparse(ast.parse(source)))
-        if killed(package):
+        if killed(package, judge):
             raise SystemExit(f"{module}: the unmutated run does not pass")
         n_killed, survivors = 0, []
         for k in range(count):
@@ -117,7 +134,7 @@ def sweep(module: str, src: Path) -> tuple[int, list[tuple[int, str, str]]]:
             node, index = sites(tree)[k]
             what = mutate(node, index)
             target.write_text(ast.unparse(tree))
-            if killed(package):
+            if killed(package, judge):
                 n_killed += 1
             else:
                 survivors.append((node.lineno, what, lines[node.lineno - 1].strip()))

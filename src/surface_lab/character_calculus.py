@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import cmath
 from collections import Counter
+from collections.abc import Sequence
 from itertools import product
 from math import prod
 from operator import mul
-from typing import Sequence
 
 from .affine_groups import AffineElement, standard_generators
 from .orbifold_covers import BranchedCoverData, cover_genus

@@ -24,10 +24,10 @@ from __future__ import annotations
 import cmath
 import time
 from collections import Counter
+from collections.abc import Callable
 from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
-from typing import Any, Callable
 
 from ._record import record
 from .affine_groups import (
@@ -197,10 +197,10 @@ class Claim:
 
     name: str
     anchor: str
-    expected: Any
-    measure: Callable[[Facts], Any]
+    expected: object
+    measure: Callable[[Facts], object]
     text: str | None = None
-    show: Callable[[Any], str] = str
+    show: Callable[[object], str] = str
     moduli: int = 0
     skip: tuple[str, str] = ("", "")
 

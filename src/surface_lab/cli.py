@@ -1,11 +1,18 @@
 """Command line front end: `surface-lab verify`; USAGE gives its grammar and exit
-codes.  parse_args reads a command line against the OPTIONS table: argparse, with
-the gettext and locale it imports, cost a cold run more than the parse itself."""
+codes.  A cold run loads only what `verify` needs.  parse_args reads a command
+line against the OPTIONS table: argparse, with the gettext and locale it
+imports, cost a cold run more than the parse itself.  to_json writes the report
+as json.dumps(doc, indent=2, sort_keys=True) would, without the json module and
+the re and enum that it imports.  entry, the process entry of both `surface-lab`
+and `python -m surface_lab.cli`, freezes the GC heap once main returns, so that
+the full collections of interpreter finalization skip every object the run made
+(atexit handlers still run and streams are still flushed); main itself never
+freezes, as tests and the benchmark call it in-process."""
 
 from __future__ import annotations
 
 import cmath
-import json
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -76,6 +83,48 @@ def render_text(results: list[CheckResult]) -> str:
     return "\n".join(lines)
 
 
+# str.translate table of JSON string escapes over ASCII: the control
+# characters, DEL, the quote and the backslash are escaped, every other
+# character maps to itself (a character missing from the table costs
+# str.translate a KeyError, which doubled the time of the report's strings)
+_ESCAPES = {c: chr(c) if 31 < c < 127 else f"\\u{c:04x}" for c in range(128)}
+_ESCAPES.update({8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r", 34: '\\"', 92: "\\\\"})
+_UTF16 = f"utf-16-{sys.byteorder[0]}e"  # native order, so a memoryview reads its code units
+_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def to_json(value: object, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) of str-keyed dicts, lists,
+    tuples, str, int, float, bool and None; indent starts the lines of value's
+    own closing bracket."""
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, str):
+        text = value.translate(_ESCAPES)
+        if not text.isascii():
+            # non-ASCII as \uXXXX, astral characters as a UTF-16 surrogate pair
+            units = memoryview(text.encode(_UTF16, "surrogatepass")).cast("H")
+            text = "".join(chr(u) if u < 128 else f"\\u{u:04x}" for u in units)
+        return f'"{text}"'
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOATS.get(text, text)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{to_json(k)}: {to_json(v, inner)}" for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [to_json(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def render_json(config: RunConfig, results: list[CheckResult]) -> str:
     document = {
         "schema_version": SCHEMA_VERSION,
@@ -89,7 +138,17 @@ def render_json(config: RunConfig, results: list[CheckResult]) -> str:
         },
         "results": [vars(r) for r in results],
     }
-    return json.dumps(document, indent=2, sort_keys=True)
+    return to_json(document)
+
+
+def emit(text: str) -> None:
+    """Print text to stdout and flush it; a reader that closed stdout
+    (`surface-lab verify | head -1`) ends the output quietly."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's final flush cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # option -> converter; None marks a flag, list the repeatable --tau
@@ -122,7 +181,7 @@ def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
                     raise ValueError(f"option {name} matches {', '.join(found) or 'no option'}")
                 option, convert = found[0], OPTIONS[found[0]]
                 if option == "--help":
-                    print(USAGE)
+                    emit(USAGE)
                     raise SystemExit(0)
                 if not eq:
                     value = next(words, None) if convert else None
@@ -148,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
 
     if args.list:
-        print("\n".join(canonical_names()))
+        emit("\n".join(canonical_names()))
         return 0
 
     try:
@@ -174,17 +233,18 @@ def main(argv: list[str] | None = None) -> int:
 
     results = run(config)
     if config.output_format == "json":
-        rendered = render_json(config, results)
+        emit(render_json(config, results))
     else:
-        rendered = render_text(results)
-    try:
-        print(rendered, flush=True)
-    except BrokenPipeError:
-        # the reader closed stdout (`surface-lab verify | head -1`): point
-        # stdout at devnull so the interpreter's final flush cannot fail too
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        emit(render_text(results))
     return exit_code(results)
 
 
+def entry() -> None:
+    """Run main on sys.argv and exit with its code, the GC heap frozen first."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -2,7 +2,7 @@
 computes another way, and the helpers that only the tests need (a record
 copy with changed fields, a change of lift, composition of affine maps,
 subgroup spans and membership, the argparse parser the CLI's own parser
-replaced, ...).
+replaced, the json.dumps call its JSON writer replaced, ...).
 `surface-lab verify` never calls them, so they live with the tests, and
 numpy (for the lattice sum) stays off the runtime path.
 """
@@ -10,6 +10,7 @@ numpy (for the lattice sum) stays off the runtime path.
 from __future__ import annotations
 
 import argparse
+import json
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
@@ -404,6 +405,12 @@ def legendre_derivative(params, z: complex, *, eps: float = 1e-14) -> complex:
     q, s = params.mobius
     w = params.rows.wps([z], eps)[0]
     return (s - q) / ((w + s) * (w + s)) * params.rows.wp_prime(z, eps)
+
+
+def json_dumps(document) -> str:
+    """The report text that `surface_lab.cli.to_json` writes without the
+    json module."""
+    return json.dumps(document, indent=2, sort_keys=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,6 +1,8 @@
 """Tests for the check registry, the run engine, and the CLI wrapper."""
 
 import ast
+import gc
+import importlib
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surface_lab import checks as checks_mod
 from surface_lab import legendre_numerics as numerics_mod
@@ -28,17 +32,20 @@ from surface_lab.checks import (
 from surface_lab.cli import (
     USAGE,
     build_parser,
+    entry,
     format_tau,
     main,
     parse_args,
     parse_tau,
     render_json,
     render_text,
+    to_json,
 )
 from surface_lab.legendre_numerics import legendre_params
 from surface_lab.picard_lattice import E, L, catalog
 
 from oracles import build_parser as argparse_parser
+from oracles import json_dumps
 from oracles import replace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -579,7 +586,8 @@ class TestMain:
 
     def test_cold_verify_leaves_argparse_gettext_and_locale_out(self):
         # argparse, and the gettext and locale that its first message imports,
-        # cost a cold `verify` more than its parse; only the interpreter's own
+        # cost a cold `verify` more than its parse, and json (with re and
+        # enum) more than writing the report; only the interpreter's own
         # start-up (site, .pth files) may load them
         def imported(*args: str) -> set[str]:
             out = run_python("-X", "importtime", *args)
@@ -589,7 +597,18 @@ class TestMain:
 
         cold = imported("-m", "surface_lab.cli", "verify", "all", "--format", "json")
         assert "surface_lab.checks" in cold
-        assert cold.isdisjoint({"argparse", "gettext", "locale"} - imported("-c", "pass"))
+        unwanted = {"argparse", "gettext", "locale", "json"}
+        assert cold.isdisjoint(unwanted - imported("-c", "pass"))
+
+    def test_bare_interpreter_import_leaves_json_typing_re_and_enum_out(self):
+        # with -S no site or .pth file preloads them, so the package's own
+        # imports are all that can bring them in
+        script = "import sys, surface_lab.cli; print(sorted(sys.modules))"
+        out = run_python("-S", "-c", script)
+        assert out.returncode == 0, out.stderr
+        loaded = set(ast.literal_eval(out.stdout.decode()))
+        assert "surface_lab.checks" in loaded
+        assert loaded.isdisjoint({"json", "typing", "re", "enum"}), loaded
 
     def test_numerics_import_leaves_algebra_out(self):
         script = (
@@ -606,25 +625,115 @@ class TestMain:
 
     def test_closed_stdout_exits_cleanly(self):
         # `surface-lab verify all | head -1`: the reader is gone before the
-        # report is written; this ended in a BrokenPipeError traceback
+        # report (or the --list names) is written; this ended in a
+        # BrokenPipeError traceback
         path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "surface_lab.cli", "verify", "all", "--no-default-taus"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait() == 0
-        assert stderr == b""
+        for args in (["all", "--no-default-taus"], ["--list"]):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "surface_lab.cli", "verify", *args],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait() == 0, args
+            assert stderr == b"", args
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
 
+
+
+# strings that reach every branch of a JSON string escape: the quote, the
+# backslash, the short escapes, other control characters, DEL, non-ASCII in
+# the BMP, an astral character (a surrogate pair) and lone surrogates
+ESCAPED = '"\\\b\t\n\f\r\x00\x1f\x7f\x80\xe9\u20ac\U0001f600\ud800\udfff'
+json_strings = st.text(
+    st.sampled_from(ESCAPED) | st.characters(max_codepoint=127) | st.characters(exclude_categories=())
+)
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300])
+    | json_strings
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(json_documents)
+    def test_writes_what_json_dumps_wrote(self, document):
+        assert to_json(document) == json_dumps(document)
+
+    def test_empty_containers_and_nesting(self):
+        document = {"b": [], "a": {}, "c": [{}, [[]], {"x": ()}]}
+        assert to_json(document) == json_dumps(document)
+
+    def test_rejects_what_json_rejected(self):
+        with pytest.raises(TypeError):
+            to_json({"a": {1, 2}})
+
+    def test_error_result_with_non_ascii_message(self):
+        cfg = RunConfig(checks=("pg_38",), taus=())
+        message = "ValueError: p_g \u2260 38 f\xfcr \u03c4 = 2i \U0001f600"
+        text = render_json(cfg, [CheckResult("pg_38", "error", "38", message, "anchor")])
+        assert text.isascii()
+        assert "\\u2260" in text and "\\ud83d\\ude00" in text
+        document = json.loads(text)
+        assert document["results"][0]["actual"] == message
+        assert text == json_dumps(document)
+
+
+class TestEntry:
+    """entry, not main, freezes the GC heap: tests and the benchmark call main
+    in-process and must get their collector back as it was."""
+
+    def test_main_never_freezes(self, capsys):
+        assert main(["verify", "--list"]) == 0
+        assert main(["verify", "ks2_7", "--format", "json"]) == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_script_target_is_the_freezing_entry(self, monkeypatch, capsys):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+        module, _, name = project["scripts"]["surface-lab"].partition(":")
+        target = getattr(importlib.import_module(module), name)
+        assert target is entry
+        monkeypatch.setattr(sys, "argv", ["surface-lab", "verify", "--list"])
+        try:
+            with pytest.raises(SystemExit) as info:
+                target()
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert info.value.code == 0
+        assert capsys.readouterr().out.splitlines() == canonical_names()
+
+    def test_module_run_freezes_and_keeps_the_exit_code(self):
+        script = (
+            "import gc, runpy, sys\n"
+            "sys.argv = ['surface-lab', 'verify', 'nope']\n"
+            "try:\n"
+            "    runpy.run_module('surface_lab.cli', run_name='__main__')\n"
+            "except SystemExit as exit:\n"
+            "    print(exit.code, gc.get_freeze_count() > 0)\n"
+        )
+        out = run_python("-c", script)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.decode().split() == ["2", "True"]
 
 
 # command lines that argparse read; the table-driven parser must read each

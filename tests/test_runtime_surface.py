@@ -1,7 +1,8 @@
 """The runtime package holds only what `surface-lab verify` and the
 benchmark call.  A fresh interpreter, profiled from before the package
-import, runs a handful of command lines and the calls that bench/ makes;
-every function defined under src/surface_lab must be entered.  A function
+import, runs a handful of command lines, the process entry (as the
+`surface-lab` script runs it) and the calls that bench/ makes; every
+function defined under src/surface_lab must be entered.  A function
 that only the tests reach belongs in tests/oracles.py.
 
 This module imports no surface_lab at its top, so that the fresh
@@ -9,6 +10,7 @@ interpreter can import probe() from it before the profiler is on.
 """
 
 import ast
+import gc
 import io
 import json
 import os
@@ -88,7 +90,8 @@ def bench_calls() -> None:
 
 def probe() -> None:
     """Print, as JSON, the (file, first line) of every Python function
-    entered from the package import through ARGVS and bench_calls."""
+    entered from the package import through ARGVS, the process entry and
+    bench_calls."""
     entered = set()
 
     def hook(frame, event, arg):
@@ -101,6 +104,14 @@ def probe() -> None:
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         for argv in ARGVS:
             cli.main(argv)
+        argv, sys.argv = sys.argv, ["surface-lab", *ARGVS[2]]
+        try:
+            cli.entry()
+        except SystemExit:
+            pass
+        finally:
+            sys.argv = argv
+            gc.unfreeze()  # entry froze the heap on its way out
     bench_calls()
     sys.setprofile(None)
     print(json.dumps(sorted(entered)))
