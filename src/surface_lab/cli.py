@@ -1,7 +1,7 @@
 """Command line front end: `surface-lab verify`; USAGE gives its grammar and exit
 codes.  A cold run loads only what `verify` needs.  parse_args reads a command
 line against the OPTIONS table: argparse, with the gettext and locale it
-imports, cost a cold run more than the parse itself.  to_json writes the report
+imports, cost a cold run more than the parse itself.  _to_json writes the report
 as json.dumps(doc, indent=2, sort_keys=True) would, without the json module and
 the re and enum that it imports.  entry, the process entry of both `surface-lab`
 and `python -m surface_lab.cli`, freezes the GC heap once main returns, so that
@@ -83,28 +83,31 @@ def render_text(results: list[CheckResult]) -> str:
     return "\n".join(lines)
 
 
-# str.translate table of JSON string escapes over ASCII: the control
-# characters, DEL, the quote and the backslash are escaped, every other
-# character maps to itself (a character missing from the table costs
-# str.translate a KeyError, which doubled the time of the report's strings)
-_ESCAPES = {c: chr(c) if 31 < c < 127 else f"\\u{c:04x}" for c in range(128)}
+# JSON string escapes of the ASCII control characters, DEL, the quote and
+# the backslash, as a str.translate table
+_ESCAPES = {c: f"\\u{c:04x}" for c in (*range(32), 127)}
 _ESCAPES.update({8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r", 34: '\\"', 92: "\\\\"})
 _UTF16 = f"utf-16-{sys.byteorder[0]}e"  # native order, so a memoryview reads its code units
 _FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def to_json(value: object, indent: str = "\n") -> str:
+# private: the benchmark tracer wraps each public function, and a span per
+# value of the report would swamp the trace
+def _to_json(value: object, indent: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True) of str-keyed dicts, lists,
     tuples, str, int, float, bool and None; indent starts the lines of value's
     own closing bracket."""
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, str):
-        text = value.translate(_ESCAPES)
-        if not text.isascii():
-            # non-ASCII as \uXXXX, astral characters as a UTF-16 surrogate pair
-            units = memoryview(text.encode(_UTF16, "surrogatepass")).cast("H")
-            text = "".join(chr(u) if u < 128 else f"\\u{u:04x}" for u in units)
+        if value.isascii() and value.isprintable():  # the report's strings
+            text = value.replace("\\", "\\\\").replace('"', '\\"')
+        else:
+            text = value.translate(_ESCAPES)
+            if not text.isascii():
+                # non-ASCII as \uXXXX, astral characters as a UTF-16 surrogate pair
+                units = memoryview(text.encode(_UTF16, "surrogatepass")).cast("H")
+                text = "".join(chr(u) if u < 128 else f"\\u{u:04x}" for u in units)
         return f'"{text}"'
     if isinstance(value, int):
         return int.__repr__(value)
@@ -113,10 +116,10 @@ def to_json(value: object, indent: str = "\n") -> str:
         return _FLOATS.get(text, text)
     inner = indent + "  "
     if isinstance(value, dict):
-        items = [f"{to_json(k)}: {to_json(v, inner)}" for k, v in sorted(value.items())]
+        items = [f"{_to_json(k)}: {_to_json(v, inner)}" for k, v in sorted(value.items())]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
-        items = [to_json(v, inner) for v in value]
+        items = [_to_json(v, inner) for v in value]
         brackets = "[]"
     else:
         raise TypeError(f"{type(value).__name__} is not JSON serializable")
@@ -138,7 +141,7 @@ def render_json(config: RunConfig, results: list[CheckResult]) -> str:
         },
         "results": [vars(r) for r in results],
     }
-    return to_json(document)
+    return _to_json(document)
 
 
 def emit(text: str) -> None:

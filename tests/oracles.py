@@ -408,7 +408,7 @@ def legendre_derivative(params, z: complex, *, eps: float = 1e-14) -> complex:
 
 
 def json_dumps(document) -> str:
-    """The report text that `surface_lab.cli.to_json` writes without the
+    """The report text that `surface_lab.cli._to_json` writes without the
     json module."""
     return json.dumps(document, indent=2, sort_keys=True)
 
