@@ -83,9 +83,11 @@ def render_text(results: list[CheckResult]) -> str:
     return "\n".join(lines)
 
 
-# JSON string escapes of the ASCII control characters, DEL, the quote and
-# the backslash, as a str.translate table
-_ESCAPES = {c: f"\\u{c:04x}" for c in (*range(32), 127)}
+# str.translate table of JSON string escapes over ASCII: the control
+# characters, DEL, the quote and the backslash are escaped, every other
+# character maps to itself (a character missing from the table costs
+# str.translate a KeyError, which doubled the time of the report's strings)
+_ESCAPES = {c: chr(c) if 31 < c < 127 else f"\\u{c:04x}" for c in range(128)}
 _ESCAPES.update({8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r", 34: '\\"', 92: "\\\\"})
 _UTF16 = f"utf-16-{sys.byteorder[0]}e"  # native order, so a memoryview reads its code units
 _FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -100,14 +102,11 @@ def _to_json(value: object, indent: str = "\n") -> str:
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, str):
-        if value.isascii() and value.isprintable():  # the report's strings
-            text = value.replace("\\", "\\\\").replace('"', '\\"')
-        else:
-            text = value.translate(_ESCAPES)
-            if not text.isascii():
-                # non-ASCII as \uXXXX, astral characters as a UTF-16 surrogate pair
-                units = memoryview(text.encode(_UTF16, "surrogatepass")).cast("H")
-                text = "".join(chr(u) if u < 128 else f"\\u{u:04x}" for u in units)
+        text = value.translate(_ESCAPES)
+        if not text.isascii():
+            # non-ASCII as \uXXXX, astral characters as a UTF-16 surrogate pair
+            units = memoryview(text.encode(_UTF16, "surrogatepass")).cast("H")
+            text = "".join(chr(u) if u < 128 else f"\\u{u:04x}" for u in units)
         return f'"{text}"'
     if isinstance(value, int):
         return int.__repr__(value)

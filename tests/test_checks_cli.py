@@ -650,12 +650,11 @@ class TestMain:
 
 # strings that reach every branch of a JSON string escape: the quote, the
 # backslash, the short escapes, other control characters, DEL, non-ASCII in
-# the BMP, an astral character (a surrogate pair) and lone surrogates; and
-# printable ASCII alone, with the quote and the backslash, as the report has
+# the BMP, an astral character (a surrogate pair) and lone surrogates
 ESCAPED = '"\\\b\t\n\f\r\x00\x1f\x7f\x80\xe9\u20ac\U0001f600\ud800\udfff'
 json_strings = st.text(
     st.sampled_from(ESCAPED) | st.characters(max_codepoint=127) | st.characters(exclude_categories=())
-) | st.text(st.sampled_from('"\\') | st.characters(min_codepoint=32, max_codepoint=126))
+)
 json_scalars = (
     st.none()
     | st.booleans()
