@@ -20,7 +20,6 @@ from importlib import import_module
 # numerics alone and not the six algebra modules
 _EXPORTS = {
     "FinAbGroup": "integer_algebra",
-    "IntMatrix": "integer_algebra",
     "RunConfig": "checks",
     "Tolerance": "legendre_numerics",
     "abelianize_extension": "affine_groups",

@@ -24,7 +24,7 @@ tuples.
 from __future__ import annotations
 
 from ._record import record
-from .integer_algebra import FinAbGroup, IntMatrix, cokernel, rank_mod2
+from .integer_algebra import FinAbGroup, cokernel, rank_mod2
 
 
 class NotInLattice(Exception):
@@ -122,7 +122,7 @@ def check_sign_condition(data: ExtensionData) -> bool:
     return all(any(g.signs[i] == -1 for g in data.generators) for i in range(data.n))
 
 
-def abelianization_relations(data: ExtensionData) -> IntMatrix:
+def abelianization_relations(data: ExtensionData) -> list[list[int]]:
     """Relation matrix for the abelianized extension.
 
     Generators (columns): the m group generators followed by the 2n
@@ -153,7 +153,7 @@ def abelianization_relations(data: ExtensionData) -> IntMatrix:
                 row = [0] * width
                 row[m + k] = factor
                 rows.append(row)
-    return IntMatrix.from_rows(rows)
+    return rows
 
 
 def abelianize_extension(data: ExtensionData) -> FinAbGroup:
@@ -168,4 +168,4 @@ def commutator_subspan_rank(data: ExtensionData, pivot: int) -> int:
     """
     g = data.generators[pivot]
     rows = [commutator(g, h) for j, h in enumerate(data.generators) if j != pivot]
-    return rank_mod2(IntMatrix.from_rows(rows))
+    return rank_mod2(rows)

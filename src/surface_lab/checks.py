@@ -507,15 +507,15 @@ def canonical_names() -> list[str]:
 
 
 def resolve_names(requested: tuple[str, ...]) -> list[str]:
-    """Expand "all" and validate, returning canonical sorted order."""
-    if "all" in requested:
-        return canonical_names()
-    unknown = [name for name in requested if name not in CHECKS]
+    """Validate every name, then expand "all"; canonical sorted order."""
+    unknown = [name for name in requested if name != "all" and name not in CHECKS]
     if unknown:
         raise UnknownCheck(
             f"unknown check(s): {', '.join(sorted(unknown))}; "
             f"valid names: {', '.join(canonical_names())}"
         )
+    if "all" in requested:
+        return canonical_names()
     return sorted(set(requested))
 
 

@@ -1,5 +1,7 @@
 """Exact integer matrix algebra: Smith normal form, cokernels, ranks.
 
+A matrix is a sequence of integer rows (lists or tuples, all of one
+length), and its width is the length of its first row, 0 for no rows.
 Everything here runs on Python integers, so there is no overflow and no
 floating point anywhere.  The Smith reduction uses a smallest-pivot
 strategy to keep intermediate entries from exploding on the small dense
@@ -13,42 +15,11 @@ divisibility pass is skipped.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from ._record import record
 
-
-@record
-class IntMatrix:
-    """An immutable integer matrix stored as a tuple of row tuples."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        widths = {len(row) for row in self.entries}
-        if len(widths) > 1:
-            raise ValueError("ragged rows")
-        for row in self.entries:
-            for v in row:
-                if not isinstance(v, int):
-                    raise TypeError(f"non-integer entry {v!r}")
-
-    @classmethod
-    def from_rows(cls, rows: list[list[int]] | list[tuple[int, ...]]) -> "IntMatrix":
-        return cls(tuple(tuple(map(int, row)) for row in rows))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
+Rows = Sequence[Sequence[int]]
 
 
 @record
@@ -56,13 +27,13 @@ class SmithForm:
     """Result of a Smith reduction U @ M @ V = diag(diagonal).
 
     diagonal is the tuple of nonzero invariant factors d_1 | d_2 | ... | d_k,
-    all positive.  U and V are unimodular when transforms were requested,
-    otherwise None.
+    all positive.  U and V are unimodular tuples of row tuples when
+    transforms were requested, otherwise None.
     """
 
     diagonal: tuple[int, ...]
-    left: IntMatrix | None = None
-    right: IntMatrix | None = None
+    left: tuple[tuple[int, ...], ...] | None = None
+    right: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         for a, b in zip(self.diagonal, self.diagonal[1:]):
@@ -120,7 +91,7 @@ class FinAbGroup:
         return " x ".join(parts) if parts else "0"
 
 
-def smith_normal_form(m: IntMatrix, *, transforms: bool = False) -> SmithForm:
+def smith_normal_form(m: Rows, *, transforms: bool = False) -> SmithForm:
     """Smith normal form over Z.
 
     Returns the nonzero invariant factors as a divisibility chain.  With
@@ -130,10 +101,10 @@ def smith_normal_form(m: IntMatrix, *, transforms: bool = False) -> SmithForm:
     Pivots are chosen with minimal absolute value over the remaining
     submatrix, which keeps coefficient growth tame.
     """
-    r, c = m.nrows, m.ncols
-    a = m.to_lists()
-    u = IntMatrix.identity(r).to_lists() if transforms else None
-    v = IntMatrix.identity(c).to_lists() if transforms else None
+    r, c = len(m), len(m[0]) if m else 0
+    a = [list(row) for row in m]
+    u = [[int(i == j) for j in range(r)] for i in range(r)] if transforms else None
+    v = [[int(i == j) for j in range(c)] for i in range(c)] if transforms else None
     # row operations act on a and U, column operations on a and V
     row_mats = [a] if u is None else [a, u]
     col_mats = [a] if v is None else [a, v]
@@ -233,35 +204,35 @@ def smith_normal_form(m: IntMatrix, *, transforms: bool = False) -> SmithForm:
         diag.append(a[t][t])
         t += 1
 
-    left = IntMatrix.from_rows(u) if u is not None else None
-    right = IntMatrix.from_rows(v) if v is not None else None
-    return SmithForm(tuple(diag), left, right)
+    if u is None:
+        return SmithForm(tuple(diag))
+    return SmithForm(tuple(diag), tuple(map(tuple, u)), tuple(map(tuple, v)))
 
 
-def cokernel(m: IntMatrix) -> FinAbGroup:
-    """Cokernel Z^ncols / rowspan(m) as an abstract abelian group.
+def cokernel(m: Rows) -> FinAbGroup:
+    """Cokernel Z^width / rowspan(m) as an abstract abelian group.
 
-    Rows of m are relations among ncols generators.  Unit invariant
+    Rows of m are relations among width generators.  Unit invariant
     factors are dropped; the rest become the torsion chain.
     """
     snf = smith_normal_form(m)
     torsion = tuple(d for d in snf.diagonal if d > 1)
-    free = m.ncols - len(snf.diagonal)
+    free = (len(m[0]) if m else 0) - len(snf.diagonal)
     return FinAbGroup(free, torsion)
 
 
-def rank(m: IntMatrix) -> int:
+def rank(m: Rows) -> int:
     """Rank over Q."""
     return len(smith_normal_form(m).diagonal)
 
 
-def rank_mod2(m: IntMatrix) -> int:
+def rank_mod2(m: Rows) -> int:
     """Rank of m over the field with two elements.
 
     Rows are packed into bit masks and eliminated greedily.
     """
     masks: list[int] = []
-    for row in m.entries:
+    for row in m:
         bits = 0
         for j, val in enumerate(row):
             if val & 1:

@@ -17,7 +17,7 @@ from itertools import product
 from operator import mul
 
 from ._record import record
-from .integer_algebra import FinAbGroup, IntMatrix, cokernel, rank_mod2
+from .integer_algebra import FinAbGroup, cokernel, rank_mod2
 
 
 class NonIntegralGenus(Exception):
@@ -55,7 +55,7 @@ class BranchedCoverData:
             total = [a ^ b for a, b in zip(total, v)]
         if any(total):
             raise ValueError("branch images must sum to zero")
-        if rank_mod2(IntMatrix.from_rows([list(v) for v in imgs])) != self.n:
+        if rank_mod2(imgs) != self.n:
             raise ValueError("branch images must generate the full group")
 
 
@@ -139,5 +139,5 @@ def orbifold_abelianization(m: int) -> FinAbGroup:
         row = [0] * m
         row[i] = 2
         rows.append(row)
-    return cokernel(IntMatrix.from_rows(rows))
+    return cokernel(rows)
 

@@ -2,7 +2,9 @@
 complete quadrilateral.
 
 Classes live in Pic(Y) = Z L + Z E_1 + ... + Z E_6 with the unimodular
-form (d, m) . (d', m') = d d' - sum m_i m'_i of signature (1, 6).
+form (d, m) . (d', m') = d d' - sum m_i m'_i of signature (1, 6).  A class
+is its coefficient 7-tuple (d, m_1, ..., m_6), a DivisorClass: a tuple
+whose +, - and integer scaling act entrywise, so it is also a matrix row.
 
 The catalog records the curve configuration attached to the quadrilateral
 through P_1 .. P_6 (four sides S_i, three diagonals Delta_i, three conic
@@ -30,41 +32,35 @@ from itertools import repeat
 from operator import add, mul, neg, sub
 
 from ._record import record
-from .integer_algebra import IntMatrix, rank
+from .integer_algebra import rank
 
 EULER_NUMBER = 9
 CHI_TRIVIAL = 1
 
 
-@record
-class DivisorClass:
-    """d L + sum m_i E_i in the Picard lattice of the blown-up plane."""
+class DivisorClass(tuple):
+    """(d, m_1, ..., m_6) for d L + sum m_i E_i; arithmetic is entrywise,
+    never tuple concatenation or repetition."""
 
-    d: int
-    m: tuple[int, int, int, int, int, int]
-
-    def __post_init__(self) -> None:
-        if len(self.m) != 6:
-            raise ValueError("need exactly six exceptional coefficients")
+    __slots__ = ()
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.d + other.d, tuple(map(add, self.m, other.m)))
+        return DivisorClass(map(add, self, other))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.d - other.d, tuple(map(sub, self.m, other.m)))
+        return DivisorClass(map(sub, self, other))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.d, tuple(map(neg, self.m)))
+        return DivisorClass(map(neg, self))
 
-    def __rmul__(self, k: int) -> "DivisorClass":
-        return DivisorClass(k * self.d, tuple(map(mul, repeat(k), self.m)))
+    def __mul__(self, k: int) -> "DivisorClass":
+        return DivisorClass(map(mul, repeat(k), self))
 
-    def vector(self) -> tuple[int, ...]:
-        return (self.d, *self.m)
+    __rmul__ = __mul__
 
 
 def cls(d: int, *m: int) -> DivisorClass:
-    return DivisorClass(d, tuple(m))
+    return DivisorClass((d, *m))
 
 
 L = cls(1, 0, 0, 0, 0, 0, 0)
@@ -74,7 +70,7 @@ K = -3 * L + E[0] + E[1] + E[2] + E[3] + E[4] + E[5]
 
 
 def intersect(a: DivisorClass, b: DivisorClass) -> int:
-    return a.d * b.d - sum(map(mul, a.m, b.m))
+    return a[0] * b[0] - sum(map(mul, a[1:], b[1:]))
 
 
 def selfint(a: DivisorClass) -> int:
@@ -247,12 +243,6 @@ def verify_configuration(c: ConfigCatalog) -> ConfigReport:
     return ConfigReport(checks_run, tuple(failures))
 
 
-def rank_of_span(classes: list[DivisorClass]) -> int:
-    if not classes:
-        return 0
-    return rank(IntMatrix(tuple(c.vector() for c in classes)))
-
-
 def chi_bundle_hrr(rk: int, c1: DivisorClass, c2: int) -> int:
     """chi of a rank-rk bundle on Y by Hirzebruch-Riemann-Roch:
     rk chi(O_Y) + (c1^2 - 2 c2 - c1.K) / 2."""
@@ -309,7 +299,7 @@ def theta_cohomology_report(c: ConfigCatalog) -> ThetaReport:
     span1 = [c.Delta[0], c.f[1], c.S[0], c.S[1], c.f[0]]
     span2 = [c.f[2], c.S[0], c.S[1], c.S[2], c.S[3], E[0], E[2]]
     span3 = [c.f[0], c.f[0], c.S[2], c.S[3], c.S[0], c.S[1], E[1]]
-    ranks = (rank_of_span(span1), rank_of_span(span2), rank_of_span(span3))
+    ranks = (rank(span1), rank(span2), rank(span3))
     degrees = restriction_degrees(c)
 
     def sections_on_line(degree: int) -> int:

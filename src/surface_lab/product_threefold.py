@@ -4,8 +4,8 @@ C_1 x C_2 x C_3 with factor genera (1, 1, 5).
 Divisor classes are integer combinations of the three fiber classes
 F_1, F_2, F_3 of the projections.  The calculus needs only the relations
 F_i F_j F_k = 1 for {i, j, k} = {1, 2, 3} and zero whenever an index
-repeats, so a class is just its coefficient vector, which is also its
-multidegree (degree on each factor curve).
+repeats, so a class is just its coefficient 3-tuple (a_1, a_2, a_3),
+which is also its multidegree (degree on each factor curve).
 
 Degree bookkeeping for the invariant hypersurface inside the product:
 
@@ -18,8 +18,10 @@ Degree bookkeeping for the invariant hypersurface inside the product:
 
 from __future__ import annotations
 
-from ._record import record
 from itertools import permutations
+from operator import add
+
+from ._record import record
 
 
 class NonIntegral(Exception):
@@ -37,41 +39,31 @@ STANDARD_GENERA = (1, 1, 5)
 GROUP_ORDER = 32
 
 
-@record
-class MultiClass:
-    """a_1 F_1 + a_2 F_2 + a_3 F_3; coefficients double as multidegrees."""
-
-    a: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        if len(self.a) != 3:
-            raise ValueError("need exactly three fiber coefficients")
-
-    def __add__(self, other: "MultiClass") -> "MultiClass":
-        return MultiClass(tuple(x + y for x, y in zip(self.a, other.a)))
+FiberClass = tuple[int, int, int]
 
 
-def canonical_class() -> MultiClass:
-    return MultiClass((0, 0, CANONICAL_D_DEGREE))
+def canonical_class() -> FiberClass:
+    return (0, 0, CANONICAL_D_DEGREE)
 
 
-def hypersurface_class() -> MultiClass:
-    return MultiClass(
-        (ELLIPTIC_BRANCH_DEGREE, ELLIPTIC_BRANCH_DEGREE, HYPERSURFACE_D_DEGREE)
-    )
+def hypersurface_class() -> FiberClass:
+    return (ELLIPTIC_BRANCH_DEGREE, ELLIPTIC_BRANCH_DEGREE, HYPERSURFACE_D_DEGREE)
 
 
-def triple_product(x: MultiClass, y: MultiClass, z: MultiClass) -> int:
+def _adjoint_class() -> FiberClass:
+    """K + the hypersurface class, fiber by fiber."""
+    return tuple(map(add, canonical_class(), hypersurface_class()))
+
+
+def triple_product(x: FiberClass, y: FiberClass, z: FiberClass) -> int:
     """Trilinear expansion; only the six all-distinct fiber terms survive."""
-    return sum(
-        x.a[i] * y.a[j] * z.a[k] for i, j, k in permutations(range(3))
-    )
+    return sum(x[i] * y[j] * z[k] for i, j, k in permutations(range(3)))
 
 
 def adjoint_cube() -> int:
     """The adjoint class (K + hypersurface) squared against the hypersurface
     class: the canonical self-intersection of the hypersurface upstairs."""
-    adjoint = canonical_class() + hypersurface_class()
+    adjoint = _adjoint_class()
     return triple_product(adjoint, adjoint, hypersurface_class())
 
 
@@ -105,33 +97,17 @@ def curve_h(genus: int, degree: int) -> tuple[int, int]:
     raise AmbiguousCase(f"special bundle: genus {genus}, degree {degree}")
 
 
-@record
-class FactorData:
-    """Per-factor genera and line-bundle degrees on a product of curves."""
-
-    genera: tuple[int, ...]
-    degrees: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.genera) != len(self.degrees):
-            raise ValueError("one degree per factor required")
-        if any(g < 0 for g in self.genera):
-            raise ValueError("genera must be nonnegative")
-
-
-def standard_factors(degrees: tuple[int, int, int]) -> FactorData:
-    return FactorData(STANDARD_GENERA, degrees)
-
-
-def kunneth_h(factors: FactorData) -> tuple[int, ...]:
+def kunneth_h(genera: tuple[int, ...], degrees: tuple[int, ...]) -> tuple[int, ...]:
     """Cohomology of an exterior product bundle by Kuenneth convolution.
 
+    Factor i is a curve of genus genera[i] carrying a line bundle of
+    degree degrees[i] (ValueError unless there is one degree per factor).
     Each factor contributes the pair (h0, h1); the product's h^k is the
     coefficient of x^k in the product of the per-factor polynomials
     h0 + h1 x.
     """
     coeffs = [1]
-    for g, d in zip(factors.genera, factors.degrees):
+    for g, d in zip(genera, degrees, strict=True):
         h0, h1 = curve_h(g, d)
         nxt = [0] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
@@ -161,10 +137,8 @@ def adjunction_chain() -> AdjunctionReport:
     p_g = h0(adjoint) + h1(canonical) - h0(canonical) and
     q = h1 of the structure sheaf, i.e. h2 of the canonical bundle.
     """
-    k = canonical_class()
-    adjoint = k + hypersurface_class()
-    h_can = kunneth_h(standard_factors(k.a))
-    h_adj = kunneth_h(standard_factors(adjoint.a))
+    h_can = kunneth_h(STANDARD_GENERA, canonical_class())
+    h_adj = kunneth_h(STANDARD_GENERA, _adjoint_class())
     pg = h_adj[0] + h_can[1] - h_can[0]
     q = h_can[2]
     chi_cover = 1 - q + pg

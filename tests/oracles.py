@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 from collections import deque
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -28,7 +29,7 @@ from surface_lab.affine_groups import (
     standard_generators,
 )
 from surface_lab.checks import RunConfig
-from surface_lab.integer_algebra import FinAbGroup, IntMatrix
+from surface_lab.integer_algebra import FinAbGroup
 from surface_lab.legendre_numerics import PoleAtLatticePoint, _check_tau, _reduce
 from surface_lab.orbifold_covers import (
     BranchedCoverData,
@@ -51,30 +52,35 @@ def groups_isomorphic(a: FinAbGroup, b: FinAbGroup) -> bool:
     return a.free_rank == b.free_rank and a.torsion == b.torsion
 
 
-def matmul(*factors: IntMatrix) -> IntMatrix:
-    """Exact product of integer matrices, left to right."""
-    out = factors[0]
+Rows = Sequence[Sequence[int]]
+
+
+def width(m: Rows) -> int:
+    """Number of columns of a matrix given by its rows (0 for no rows)."""
+    return len(m[0]) if m else 0
+
+
+def matmul(*factors: Rows) -> tuple[tuple[int, ...], ...]:
+    """Exact product of integer matrices, left to right, as row tuples."""
+    out = tuple(map(tuple, factors[0]))
     for m in factors[1:]:
-        if out.ncols != m.nrows:
+        if width(out) != len(m):
             raise ValueError("shape mismatch")
-        cols = tuple(zip(*m.entries))
-        out = IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in out.entries
-            )
+        cols = tuple(zip(*m))
+        out = tuple(
+            tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in out
         )
     return out
 
 
-def determinant(m: IntMatrix) -> int:
+def determinant(m: Rows) -> int:
     """Exact determinant via fraction-free Bareiss elimination."""
-    if m.nrows != m.ncols:
+    n = len(m)
+    if width(m) != n:
         raise ValueError("determinant of a non-square matrix")
-    n = m.nrows
     if n == 0:
         return 1
-    a = m.to_lists()
+    a = [list(row) for row in m]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -94,7 +100,7 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def gcd_of_minors(m: IntMatrix, k: int) -> int:
+def gcd_of_minors(m: Rows, k: int) -> int:
     """gcd of all k x k minors (0 if every minor vanishes).
 
     Exponential in the matrix size, so only suitable as a test oracle on
@@ -103,24 +109,24 @@ def gcd_of_minors(m: IntMatrix, k: int) -> int:
     if k == 0:
         return 1
     g = 0
-    for rows in combinations(range(m.nrows), k):
-        for cols in combinations(range(m.ncols), k):
-            sub = IntMatrix.from_rows([[m.entries[i][j] for j in cols] for i in rows])
+    for rows in combinations(range(len(m)), k):
+        for cols in combinations(range(width(m)), k):
+            sub = [[m[i][j] for j in cols] for i in rows]
             g = gcd(g, determinant(sub))
             if g == 1:
                 return 1
     return g
 
 
-def symmetric_signature(gram: IntMatrix) -> tuple[int, int, int]:
+def symmetric_signature(gram: Rows) -> tuple[int, int, int]:
     """Signature (positive, negative, zero) of a symmetric integer matrix.
 
     Congruence diagonalization over the rationals; exact, no eigenvalues.
     """
-    n = gram.nrows
-    if gram.ncols != n:
+    n = len(gram)
+    if width(gram) != n:
         raise ValueError("gram matrix must be square")
-    a = [[Fraction(v) for v in row] for row in gram.entries]
+    a = [[Fraction(v) for v in row] for row in gram]
     for i in range(n):
         for j in range(n):
             if a[i][j] != a[j][i]:
@@ -318,10 +324,8 @@ def homology_bound_check(data=None) -> bool:
     return bound == actual
 
 
-def gram_matrix(classes: list[DivisorClass]) -> IntMatrix:
-    return IntMatrix.from_rows(
-        [[intersect(a, b) for b in classes] for a in classes]
-    )
+def gram_matrix(classes: list[DivisorClass]) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(intersect(a, b) for b in classes) for a in classes)
 
 
 def curve_components(c: ConfigCatalog) -> list[Component]:

@@ -117,8 +117,9 @@ class TestRegistry:
         ]
 
     def test_resolve_unknown(self):
-        with pytest.raises(UnknownCheck):
-            resolve_names(("definitely_not_a_check",))
+        for requested in (("definitely_not_a_check",), ("all", "bogus")):
+            with pytest.raises(UnknownCheck):
+                resolve_names(requested)
 
     def test_anchor_strings_present(self):
         for name, claim in CHECKS.items():
@@ -479,8 +480,9 @@ class TestMain:
         assert lines == canonical_names()
 
     def test_unknown_check_is_usage_error(self, capsys):
-        assert main(["verify", "nope"]) == 2
-        assert "unknown check" in capsys.readouterr().err
+        for names in (["nope"], ["all", "bogus"]):
+            assert main(["verify", *names]) == 2
+            assert "unknown check" in capsys.readouterr().err
 
     def test_bad_tau_is_usage_error(self, capsys):
         for bad in ("wat", "nan+1i", "0+nani", "0+infi", "inf+1i", "1e999+1i"):

@@ -1,14 +1,15 @@
 """Fiber-class intersection numbers and Kuenneth cohomology."""
 
+from operator import add
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surface_lab import product_threefold
 from surface_lab.product_threefold import (
+    STANDARD_GENERA,
     AmbiguousCase,
-    FactorData,
-    MultiClass,
     NonIntegral,
     adjoint_cube,
     adjunction_chain,
@@ -17,7 +18,6 @@ from surface_lab.product_threefold import (
     hypersurface_class,
     ks_squared,
     kunneth_h,
-    standard_factors,
     triple_product,
 )
 
@@ -41,33 +41,30 @@ def brute_triple(x, y, z):
 
 class TestTripleProduct:
     def test_frozen_examples(self):
-        a = MultiClass((2, 2, 12))
-        b = MultiClass((2, 2, 4))
+        a = (2, 2, 12)
+        b = (2, 2, 4)
         assert triple_product(a, a, b) == 224
-        f1 = MultiClass((1, 0, 0))
-        assert triple_product(f1, f1, MultiClass((3, 7, 9))) == 0
-        ones = MultiClass((1, 1, 1))
+        f1 = (1, 0, 0)
+        assert triple_product(f1, f1, (3, 7, 9)) == 0
+        ones = (1, 1, 1)
         assert triple_product(ones, ones, ones) == 6
 
     def test_class_arithmetic(self):
-        assert canonical_class() + hypersurface_class() == MultiClass((2, 2, 12))
-        with pytest.raises(ValueError):
-            MultiClass((1, 2))
+        assert product_threefold._adjoint_class() == (2, 2, 12)
+        assert tuple(map(add, canonical_class(), hypersurface_class())) == (2, 2, 12)
 
     @given(x=vec3, y=vec3, z=vec3)
     @settings(max_examples=100, deadline=None)
     def test_symmetric_and_matches_brute_force(self, x, y, z):
-        cx, cy, cz = MultiClass(x), MultiClass(y), MultiClass(z)
-        val = triple_product(cx, cy, cz)
+        val = triple_product(x, y, z)
         assert val == brute_triple(x, y, z)
-        assert val == triple_product(cy, cx, cz) == triple_product(cz, cy, cx)
+        assert val == triple_product(y, x, z) == triple_product(z, y, x)
 
     @given(x=vec3, y=vec3, z=vec3, w=vec3, s=st.integers(-5, 5))
     @settings(max_examples=100, deadline=None)
     def test_trilinear(self, x, y, z, w, s):
-        cx, cy, cz, cw = MultiClass(x), MultiClass(y), MultiClass(z), MultiClass(w)
-        lhs = triple_product(cx + MultiClass(tuple(s * c for c in w)), cy, cz)
-        rhs = triple_product(cx, cy, cz) + s * triple_product(cw, cy, cz)
+        lhs = triple_product(tuple(a + s * c for a, c in zip(x, w)), y, z)
+        rhs = triple_product(x, y, z) + s * triple_product(w, y, z)
         assert lhs == rhs
 
 
@@ -123,49 +120,47 @@ class TestCurveH:
 
 class TestKunneth:
     def test_canonical_multidegree(self):
-        assert kunneth_h(standard_factors((0, 0, 8))) == (5, 11, 7, 1)
+        assert kunneth_h(STANDARD_GENERA, (0, 0, 8)) == (5, 11, 7, 1)
 
     def test_adjoint_multidegree(self):
-        assert kunneth_h(standard_factors((2, 2, 12))) == (32, 0, 0, 0)
+        assert kunneth_h(STANDARD_GENERA, (2, 2, 12)) == (32, 0, 0, 0)
 
     def test_trivial_bundle(self):
         # convolution of (1,1),(1,1),(1,5): (1+x)^2 (1+5x)
-        assert kunneth_h(standard_factors((0, 0, 0))) == (1, 7, 11, 5)
+        assert kunneth_h(STANDARD_GENERA, (0, 0, 0)) == (1, 7, 11, 5)
 
     def test_structure_sheaf_chi_vanishes(self):
-        h = kunneth_h(standard_factors((0, 0, 0)))
+        h = kunneth_h(STANDARD_GENERA, (0, 0, 0))
         assert h[0] - h[1] + h[2] - h[3] == 0
 
     def test_ambiguity_propagates(self):
         with pytest.raises(AmbiguousCase):
-            kunneth_h(standard_factors((0, 0, 4)))
+            kunneth_h(STANDARD_GENERA, (0, 0, 4))
 
     def test_factor_data_validation(self):
         with pytest.raises(ValueError):
-            FactorData((1, 1), (0, 0, 0))
+            kunneth_h((1, 1), (0, 0, 0))
         with pytest.raises(ValueError):
-            FactorData((1, -1, 5), (0, 0, 0))
+            kunneth_h((1, -1, 5), (0, 0, 0))
 
     @given(degs=vec3, perm=st.permutations([0, 1, 2]))
     @settings(max_examples=100, deadline=None)
     def test_factor_permutation_invariance(self, degs, perm):
         genera = (1, 1, 5)
         try:
-            base = kunneth_h(FactorData(genera, degs))
+            base = kunneth_h(genera, degs)
         except AmbiguousCase:
             return
-        permuted = FactorData(
-            tuple(genera[i] for i in perm), tuple(degs[i] for i in perm)
-        )
-        assert kunneth_h(permuted) == base
+        permuted = kunneth_h(tuple(genera[i] for i in perm), tuple(degs[i] for i in perm))
+        assert permuted == base
 
     @given(degs=vec3)
     @settings(max_examples=100, deadline=None)
     def test_serre_duality(self, degs):
         dual = (-degs[0], -degs[1], 8 - degs[2])
         try:
-            h = kunneth_h(standard_factors(degs))
-            hd = kunneth_h(standard_factors(dual))
+            h = kunneth_h(STANDARD_GENERA, degs)
+            hd = kunneth_h(STANDARD_GENERA, dual)
         except AmbiguousCase:
             return
         assert hd == tuple(reversed(h))
