@@ -229,9 +229,8 @@ def test_criterion_9_property_suites():
     # Kuenneth convolution is invariant under permuting the factors
     for degrees in ((0, 0, 8), (2, 2, 12), (0, 0, 0), (2, 0, 10)):
         reference = sorted(kunneth_h(STANDARD_GENERA, degrees))
-        genera = STANDARD_GENERA
         for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0), (0, 2, 1), (2, 0, 1)):
             shuffled = kunneth_h(
-                tuple(genera[i] for i in perm), tuple(degrees[i] for i in perm)
+                tuple(STANDARD_GENERA[i] for i in perm), tuple(degrees[i] for i in perm)
             )
             assert sorted(shuffled) == reference

@@ -40,6 +40,7 @@ def test_snf_frozen_examples():
 
 def test_snf_empty_and_zero():
     assert smith_normal_form([]).diagonal == ()
+    assert smith_normal_form([], transforms=True) == SmithForm((), (), ())
     assert smith_normal_form([[0, 0], [0, 0]]).diagonal == ()
     f = smith_normal_form([[0, 0], [0, 0]], transforms=True)
     assert f.left == ((1, 0), (0, 1))
@@ -69,6 +70,8 @@ def test_cokernel_frozen_examples():
     assert cokernel([[2, 4], [4, 2]]) == FinAbGroup(0, (2, 6))
     # free part: a single relation on three generators
     assert cokernel([[2, -1, 0]]) == FinAbGroup(2)
+    # no relations among no generators
+    assert cokernel([]) == FinAbGroup(0)
 
 
 def test_finab_str_and_order():
