@@ -19,6 +19,9 @@ elements is the pure translation (eps - 1) t' - (eps' - 1) t and the
 square of (eps, t) is the translation (eps + 1) t; both are computed here
 in half-lattice coordinates and returned as full-lattice coordinate
 tuples.
+
+An extension of (Z/2)^m by Lambda is presented by its generating set, a
+plain tuple of m AffineElements on one C^n (n is read off the first).
 """
 
 from __future__ import annotations
@@ -53,19 +56,6 @@ class AffineElement:
         return self.signs[coord % self.n]
 
 
-@record
-class ExtensionData:
-    """Generators of a group extension 1 -> Lambda -> Gamma -> (Z/2)^m -> 1."""
-
-    n: int
-    generators: tuple[AffineElement, ...]
-
-    def __post_init__(self) -> None:
-        for g in self.generators:
-            if g.n != self.n:
-                raise ValueError("generator dimension mismatch")
-
-
 def _halves_to_lattice(halves: tuple[int, ...]) -> tuple[int, ...]:
     if any(h % 2 for h in halves):
         raise NotInLattice(f"odd half-coordinates in {halves}")
@@ -93,7 +83,7 @@ def square_translation(g: AffineElement) -> tuple[int, ...]:
     return _halves_to_lattice(halves)
 
 
-def standard_generators() -> ExtensionData:
+def standard_generators() -> tuple[AffineElement, ...]:
     """The five standard generators acting on C^4.
 
     g1 = ((-1, 1, 1, 1), (1/2)(e1 + e2))
@@ -107,10 +97,10 @@ def standard_generators() -> ExtensionData:
     g3 = AffineElement((1, 1, -1, -1), (1, 0, 1, 1, 0, 0, 0, 0))
     g4 = AffineElement((1, 1, -1, -1), (0, 0, 0, 0, 0, 0, 0, 0))
     g5 = AffineElement((1, 1, 1, 1), (0, 0, 0, 0, 1, 1, 1, 1))
-    return ExtensionData(4, (g1, g2, g3, g4, g5))
+    return (g1, g2, g3, g4, g5)
 
 
-def check_sign_condition(data: ExtensionData) -> bool:
+def check_sign_condition(gens: tuple[AffineElement, ...]) -> bool:
     """Every lattice coordinate is negated by some word in the generators.
 
     Checked per complex coordinate i, as both lattice coordinates of the
@@ -119,10 +109,10 @@ def check_sign_condition(data: ExtensionData) -> bool:
     does, and that letter alone is such a word: the condition holds
     exactly when every coordinate has a generator with sign -1 there.
     """
-    return all(any(g.signs[i] == -1 for g in data.generators) for i in range(data.n))
+    return all(any(g.signs[i] == -1 for g in gens) for i in range(gens[0].n))
 
 
-def abelianization_relations(data: ExtensionData) -> list[list[int]]:
+def abelianization_relations(gens: tuple[AffineElement, ...]) -> list[list[int]]:
     """Relation matrix for the abelianized extension.
 
     Generators (columns): the m group generators followed by the 2n
@@ -133,9 +123,8 @@ def abelianization_relations(data: ExtensionData) -> list[list[int]]:
     * one row per generator: 2 g_i - (square translation of g_i);
     * one row per generator and lattice coordinate: (eps_i - 1) lambda_k.
     """
-    gens = data.generators
     m = len(gens)
-    width = m + 2 * data.n
+    width = m + 2 * gens[0].n
     rows: list[list[int]] = []
     for i in range(m):
         for j in range(i + 1, m):
@@ -156,16 +145,16 @@ def abelianization_relations(data: ExtensionData) -> list[list[int]]:
     return rows
 
 
-def abelianize_extension(data: ExtensionData) -> FinAbGroup:
-    """Abelianization of the extension presented by data."""
-    return cokernel(abelianization_relations(data))
+def abelianize_extension(gens: tuple[AffineElement, ...]) -> FinAbGroup:
+    """Abelianization of the extension the generators present."""
+    return cokernel(abelianization_relations(gens))
 
 
-def commutator_subspan_rank(data: ExtensionData, pivot: int) -> int:
+def commutator_subspan_rank(gens: tuple[AffineElement, ...], pivot: int) -> int:
     """F_2-rank of {[g_pivot, g_j] : j != pivot} in full-lattice
     coordinates.  The commutators are reduced against the doubled lattice,
     so this is the rank of their span inside Lambda / 2 Lambda.
     """
-    g = data.generators[pivot]
-    rows = [commutator(g, h) for j, h in enumerate(data.generators) if j != pivot]
+    g = gens[pivot]
+    rows = [commutator(g, h) for j, h in enumerate(gens) if j != pivot]
     return rank_mod2(rows)

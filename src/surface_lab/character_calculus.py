@@ -16,7 +16,9 @@ multiplicity.  The two concrete inputs are:
   when t contains the e-half-translation 1/2;
 * the 7-dimensional space of global one-forms on the product threefold,
   whose genus-5 summand decomposes by the branch combinatorics of the
-  (Z/2)^4 cover of the line.
+  (Z/2)^4 cover of the line.  That cover's branch data is derived here,
+  from the standard generators' action on the genus-5 factor, and it is
+  the one cover the claims table judges.
 
 Half-period translations by tau/2 do not act linearly on the section
 pair (they swap the pencil members instead) and are rejected.
@@ -32,7 +34,7 @@ from math import prod
 from operator import mul
 
 from .affine_groups import AffineElement, standard_generators
-from .orbifold_covers import BranchedCoverData, cover_genus
+from .orbifold_covers import BranchedCoverData
 
 
 class UnsupportedTranslation(Exception):
@@ -112,7 +114,7 @@ def legendre_pair_space(actions: Sequence[Action]) -> Counter:
 def pencil_spaces() -> list[Counter]:
     """The three section-pair factors of the invariant pencil, graded by
     the first four standard generators acting on coordinates 1..3."""
-    gens = standard_generators().generators[:4]
+    gens = standard_generators()[:4]
     return [
         legendre_pair_space([coordinate_action(g, coord) for g in gens])
         for coord in range(3)
@@ -130,7 +132,7 @@ def _mod2_actions() -> dict[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
     the letters does not matter, as commutators translate by full lattice
     vectors.
     """
-    gens = standard_generators().generators[1:]
+    gens = standard_generators()[1:]
     actions = {}
     for word in product((0, 1), repeat=len(gens)):
         letters = [g for g, e in zip(gens, word) if e]
@@ -145,9 +147,10 @@ def _mod2_actions() -> dict[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
     return actions
 
 
-def d_factor_branch_elements() -> tuple[tuple[int, ...], ...]:
-    """Branch images of the genus-5 factor over its quotient line, as
-    vectors over the images of the last four standard generators.
+def d_factor_branch_elements() -> BranchedCoverData:
+    """Branch data of the genus-5 factor over its quotient line: the
+    branch images are vectors over the images of the last four standard
+    generators.  The genus is not judged here; the claims table does.
 
     The first generator acts trivially on the curve factor, so the cover
     group is the quotient by it.  An element fixes points of the curve
@@ -169,22 +172,19 @@ def d_factor_branch_elements() -> tuple[tuple[int, ...], ...]:
         double_involution = all(sign == -1 and not (u or v) for sign, u, v in action)
         if not (free_translation or double_involution):
             chosen.append(word)
-    genus = cover_genus(BranchedCoverData(4, tuple(chosen)))
-    if genus != 5:
-        raise AssertionError(f"derived branch data has genus {genus}, not 5")
-    return tuple(chosen)
+    return BranchedCoverData(4, tuple(chosen))
 
 
-def _branch_dual_characters() -> list[tuple[int, ...]]:
+def _branch_dual_characters(cover: BranchedCoverData) -> list[tuple[int, ...]]:
     """One functional per branch element: nontrivial on all the others.
 
     These index the 5-dim space of one-forms of the genus-5 cover, one
     line per intermediate elliptic quotient.
     """
-    branches = d_factor_branch_elements()
+    branches = cover.branch_images
     values = {
         phi: tuple(sum(map(mul, phi, v)) % 2 for v in branches)
-        for phi in product((0, 1), repeat=4)
+        for phi in product((0, 1), repeat=cover.n)
     }
     functionals = []
     for j in range(len(branches)):
@@ -196,19 +196,19 @@ def _branch_dual_characters() -> list[tuple[int, ...]]:
     return functionals
 
 
-def one_forms_space() -> Counter:
+def one_forms_space(cover: BranchedCoverData) -> Counter:
     """The 7-dim space of one-forms on the product threefold, graded by
-    the five standard generators."""
-    gens = standard_generators().generators
+    the five standard generators; cover is d_factor_branch_elements()."""
+    gens = standard_generators()
     space = Counter(tuple((1 - g.sign_at(coord)) // 2 for g in gens) for coord in (0, 1))
-    space.update((0, *phi) for phi in _branch_dual_characters())
+    space.update((0, *phi) for phi in _branch_dual_characters(cover))
     return space
 
 
-def one_forms_invariants() -> int:
+def one_forms_invariants(cover: BranchedCoverData) -> int:
     """One-forms invariant under the whole acting group: those on which
     every standard generator acts as +1, the zero character."""
-    return sum(m for chi, m in one_forms_space().items() if not any(chi))
+    return sum(m for chi, m in one_forms_space(cover).items() if not any(chi))
 
 
 def pencil_fixed_parameters(A: complex) -> tuple[complex, complex]:

@@ -31,7 +31,7 @@ from operator import attrgetter
 
 from ._record import record
 from .affine_groups import (
-    ExtensionData,
+    AffineElement,
     abelianize_extension,
     check_sign_condition,
     commutator,
@@ -39,6 +39,7 @@ from .affine_groups import (
     standard_generators,
 )
 from .character_calculus import (
+    d_factor_branch_elements,
     invariant_dim,
     legendre_pair_space,
     one_forms_invariants,
@@ -63,7 +64,6 @@ from .orbifold_covers import (
     cover_genus,
     fixed_point_count,
     orbifold_abelianization,
-    standard_cover_data,
 )
 from .picard_lattice import (
     ConfigCatalog,
@@ -105,6 +105,8 @@ class RunConfig:
         for tau in self.taus:
             if not cmath.isfinite(tau):
                 raise ValueError(f"modulus {tau!r} is not finite")
+            if not tau.imag > 0:
+                raise ValueError(f"modulus {tau!r} must have positive imaginary part")
         if self.output_format not in ("text", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 
@@ -153,12 +155,12 @@ class Facts:
         return self._elliptic[i]
 
     @cached_property
-    def generators(self) -> ExtensionData:
+    def generators(self) -> tuple[AffineElement, ...]:
         return standard_generators()
 
     @cached_property
     def cover(self) -> BranchedCoverData:
-        return standard_cover_data(4)
+        return d_factor_branch_elements()
 
     @cached_property
     def catalog(self) -> ConfigCatalog:
@@ -182,7 +184,7 @@ class Facts:
 
     @cached_property
     def orbifold5(self) -> FinAbGroup:
-        return orbifold_abelianization(5)
+        return orbifold_abelianization(len(self.cover.branch_images))
 
 
 @record
@@ -233,7 +235,7 @@ _COMMUTATOR_TABLE: dict[tuple[int, int], tuple[int, ...]] = {
 
 
 def _commutators(f: Facts) -> dict[tuple[int, int], tuple[int, ...]]:
-    gens = f.generators.generators
+    gens = f.generators
     return {
         (i, j): commutator(gens[i], gens[j])
         for i, j in combinations(range(len(gens)), 2)
@@ -250,9 +252,10 @@ def _show_commutators(got: dict[tuple[int, int], tuple[int, ...]]) -> str:
 
 
 def _fixed_point_histogram(f: Facts) -> dict[int, int]:
+    n = f.cover.n
     counts = Counter(
-        fixed_point_count(f.cover, tuple((k >> i) & 1 for i in range(4)))
-        for k in range(1, 16)
+        fixed_point_count(f.cover, tuple((k >> i) & 1 for i in range(n)))
+        for k in range(1, 1 << n)
     )
     return dict(sorted(counts.items()))
 
@@ -362,7 +365,7 @@ CHECKS: dict[str, Claim] = {
             True,
             # g1 alone negates the first coordinate, so without it the condition must fail
             lambda f: check_sign_condition(f.generators)
-            and not check_sign_condition(ExtensionData(4, f.generators.generators[1:])),
+            and not check_sign_condition(f.generators[1:]),
             text="sign condition holds",
             show=lambda ok: "holds" if ok else "violated",
         ),
@@ -429,7 +432,7 @@ CHECKS: dict[str, Claim] = {
             "q_S_zero",
             "no one-form on the product is invariant, so the quotient has irregularity 0",
             0,
-            lambda f: one_forms_invariants(),
+            lambda f: one_forms_invariants(f.cover),
             text="0 invariant one-forms",
         ),
         Claim(

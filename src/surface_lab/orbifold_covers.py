@@ -9,6 +9,9 @@ subgroups <e_i>, so Riemann-Hurwitz takes the simple shape
 
 Quotients by a subgroup H replace each e_i by its image in G/H; branch
 points whose image dies stop contributing.
+
+The cover the claims judge is not written here: it is the branch data
+character_calculus.d_factor_branch_elements derives from the generators.
 """
 
 from __future__ import annotations
@@ -57,15 +60,6 @@ class BranchedCoverData:
             raise ValueError("branch images must sum to zero")
         if rank_mod2(imgs) != self.n:
             raise ValueError("branch images must generate the full group")
-
-
-def standard_cover_data(n: int = 4) -> BranchedCoverData:
-    """n + 1 branch points: the standard basis plus its sum."""
-    basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    s = [0] * n
-    for v in basis:
-        s = [a ^ b for a, b in zip(s, v)]
-    return BranchedCoverData(n, tuple(basis) + (tuple(s),))
 
 
 def _genus_from_double(doubled: int, context: str) -> int:

@@ -10,7 +10,9 @@ The catalog records the curve configuration attached to the quadrilateral
 through P_1 .. P_6 (four sides S_i, three diagonals Delta_i, three conic
 pencils f_i), the three branch divisors D_i built from them, and the
 first Chern classes L_1, L_2, L_3 of the character sheaves of the
-associated bidouble cover.  Conventions:
+associated bidouble cover.  A branch divisor is held as the tuple of its
+components' classes; every component is a line or a conic, so of genus
+0.  Conventions:
 
 * sides: S_1 through P_1 P_2 P_5, S_2 through P_2 P_3 P_6,
   S_3 through P_3 P_4 P_5, S_4 through P_4 P_1 P_6;
@@ -78,28 +80,16 @@ def selfint(a: DivisorClass) -> int:
 
 
 @record
-class Component:
-    """An irreducible configuration curve with its genus label."""
-
-    name: str
-    divisor: DivisorClass
-    genus: int = 0
-
-
-@record
 class ConfigCatalog:
     S: tuple[DivisorClass, ...]
     Delta: tuple[DivisorClass, ...]
     f: tuple[DivisorClass, ...]
     K: DivisorClass
     chern: tuple[DivisorClass, ...]  # character sheaf classes L_1, L_2, L_3
-    branch_components: tuple[tuple[Component, ...], ...]  # D_1, D_2, D_3
+    branch_components: tuple[tuple[DivisorClass, ...], ...]  # D_1, D_2, D_3
 
     def branch_divisor(self, i: int) -> DivisorClass:
-        total = cls(0, 0, 0, 0, 0, 0, 0)
-        for comp in self.branch_components[i]:
-            total = total + comp.divisor
-        return total
+        return sum(self.branch_components[i], cls(0, 0, 0, 0, 0, 0, 0))
 
 
 def catalog() -> ConfigCatalog:
@@ -116,20 +106,11 @@ def catalog() -> ConfigCatalog:
     l1 = -1 * K + f1 - E[3]
     l2 = -2 * K - E[4] - E[5]
     l3 = -1 * K + L - E[0] - E[1] - E[2]
-    branch1 = (
-        Component("Delta1", d1),
-        Component("f2", f2),
-        Component("S1", s1),
-        Component("S2", s2),
-    )
-    branch2 = (Component("Delta2", d2), Component("f3", f3))
-    branch3 = (
-        Component("Delta3", d3),
-        Component("f1", f1),
-        Component("f1'", f1),
-        Component("S3", s3),
-        Component("S4", s4),
-    )
+    # the components of D_1, D_2, D_3, by curve: D_3 holds two members
+    # of the pencil f1, whose class appears twice
+    branch1 = (d1, f2, s1, s2)  # Delta1, f2, S1, S2
+    branch2 = (d2, f3)  # Delta2, f3
+    branch3 = (d3, f1, f1, s3, s4)  # Delta3, f1, f1', S3, S4
     return ConfigCatalog(
         S=(s1, s2, s3, s4),
         Delta=(d1, d2, d3),
@@ -260,9 +241,10 @@ def twisted_cotangent_chern(twist: DivisorClass) -> tuple[int, DivisorClass, int
     return 2, c1, c2
 
 
-def chi_restricted_twist(component: DivisorClass, genus: int, twist: DivisorClass) -> int:
-    """Riemann-Roch on a configuration curve: deg + 1 - g."""
-    return intersect(twist, component) + 1 - genus
+def chi_restricted_twist(component: DivisorClass, twist: DivisorClass) -> int:
+    """Riemann-Roch on a configuration curve, deg + 1 - g, where g = 0:
+    every configuration curve is a line or a conic."""
+    return intersect(twist, component) + 1
 
 
 @record
@@ -291,7 +273,7 @@ def theta_cohomology_report(c: ConfigCatalog) -> ThetaReport:
     rk, c1, c2 = twisted_cotangent_chern(c.K)
     chi_tw = chi_bundle_hrr(rk, c1, c2)
     chi_restr = sum(
-        chi_restricted_twist(comp.divisor, comp.genus, c.K)
+        chi_restricted_twist(comp, c.K)
         for i in range(3)
         for comp in c.branch_components[i]
     )

@@ -22,12 +22,7 @@ import random
 import numpy as np
 
 from surface_lab._record import record
-from surface_lab.affine_groups import (
-    AffineElement,
-    ExtensionData,
-    abelianize_extension,
-    standard_generators,
-)
+from surface_lab.affine_groups import AffineElement, abelianize_extension, standard_generators
 from surface_lab.checks import RunConfig
 from surface_lab.integer_algebra import FinAbGroup
 from surface_lab.legendre_numerics import PoleAtLatticePoint, _check_tau, _reduce
@@ -38,7 +33,7 @@ from surface_lab.orbifold_covers import (
     _quotient_genus,
     orbifold_abelianization,
 )
-from surface_lab.picard_lattice import E, Component, ConfigCatalog, DivisorClass, intersect
+from surface_lab.picard_lattice import E, ConfigCatalog, DivisorClass, intersect
 
 
 def replace(obj, **changes):
@@ -184,25 +179,26 @@ def symmetric_signature(gram: Rows) -> tuple[int, int, int]:
     return pos, neg, zero
 
 
-def sign_condition_witnesses(data: ExtensionData) -> list[tuple[int, ...]] | None:
+def sign_condition_witnesses(gens: Sequence[AffineElement]) -> list[tuple[int, ...]] | None:
     """For each coordinate, a generator word (as index tuple) negating it.
 
     Returns None if some coordinate is never negated.  Words are found by
     breadth-first search over products, so they are shortest.
     """
-    start = (0,) * data.n
+    n = gens[0].n
+    start = (0,) * n
     seen: dict[tuple[int, ...], tuple[int, ...]] = {start: ()}
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        for idx, g in enumerate(data.generators):
+        for idx, g in enumerate(gens):
             pattern = tuple(1 if s == -1 else 0 for s in g.signs)
             w = tuple(a ^ b for a, b in zip(pattern, v))
             if w not in seen:
                 seen[w] = seen[v] + (idx,)
                 queue.append(w)
     witnesses: list[tuple[int, ...]] = []
-    for i in range(data.n):
+    for i in range(n):
         best = None
         for v, word in seen.items():
             if v[i] and (best is None or len(word) < len(best)):
@@ -301,7 +297,7 @@ def contains(sub: Subgroup, v: Vec) -> bool:
     return _check_vec(v, sub.n) in sub.elements()
 
 
-def homology_bound(data=None) -> tuple[int, int]:
+def homology_bound(gens=None) -> tuple[int, int]:
     """(bound, actual): orbifold cap on the homology order versus the
     computed abelianization order.
 
@@ -310,17 +306,17 @@ def homology_bound(data=None) -> tuple[int, int]:
     more factor of 2, capping the order at
     2 * |orbifold_abelianization(5) x Z/2| = 2 * (16 * 2) = 64.
     """
-    if data is None:
-        data = standard_generators()
+    if gens is None:
+        gens = standard_generators()
     orb = orbifold_abelianization(5)
     bound = 2 * ((orb.order() or 0) * 2)
-    actual = abelianize_extension(data).order() or 0
+    actual = abelianize_extension(gens).order() or 0
     return bound, actual
 
 
-def homology_bound_check(data=None) -> bool:
+def homology_bound_check(gens=None) -> bool:
     """True when the computed homology order attains the orbifold bound."""
-    bound, actual = homology_bound(data)
+    bound, actual = homology_bound(gens)
     return bound == actual
 
 
@@ -328,17 +324,36 @@ def gram_matrix(classes: list[DivisorClass]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(intersect(a, b) for b in classes) for a in classes)
 
 
-def curve_components(c: ConfigCatalog) -> list[Component]:
-    """All distinct named curves of the configuration, each rational, for
-    adjunction."""
+def curve_components(c: ConfigCatalog) -> list[tuple[str, DivisorClass]]:
+    """All distinct configuration curves as (name, class) pairs; each is
+    rational (genus 0), which the tests check by adjunction."""
     named = [
         ("S1", c.S[0]), ("S2", c.S[1]), ("S3", c.S[2]), ("S4", c.S[3]),
         ("Delta1", c.Delta[0]), ("Delta2", c.Delta[1]), ("Delta3", c.Delta[2]),
         ("f1", c.f[0]), ("f2", c.f[1]), ("f3", c.f[2]),
     ]
-    comps = [Component(n, d, 0) for n, d in named]
-    comps.extend(Component(f"E{i+1}", E[i], 0) for i in range(6))
-    return comps
+    return named + [(f"E{i+1}", E[i]) for i in range(6)]
+
+
+def branch_component_names() -> tuple[tuple[str, ...], ...]:
+    """The curve names of the components of D_1, D_2, D_3, in the order of
+    catalog().branch_components; D_3 holds two members f1, f1' of one
+    pencil."""
+    return (
+        ("Delta1", "f2", "S1", "S2"),
+        ("Delta2", "f3"),
+        ("Delta3", "f1", "f1'", "S3", "S4"),
+    )
+
+
+def standard_cover_data(n: int = 4) -> BranchedCoverData:
+    """The generic (Z/2)^n cover with n + 1 branch points: the standard
+    basis plus its sum."""
+    basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    s = [0] * n
+    for v in basis:
+        s = [a ^ b for a, b in zip(s, v)]
+    return BranchedCoverData(n, tuple(basis) + (tuple(s),))
 
 
 def _frame_distance(tau: complex) -> float:

@@ -10,13 +10,13 @@ import random
 import time
 
 from surface_lab.affine_groups import (
-    ExtensionData,
     abelianize_extension,
     commutator,
     commutator_subspan_rank,
     standard_generators,
 )
 from surface_lab.character_calculus import (
+    d_factor_branch_elements,
     invariant_dim,
     legendre_pair_space,
     pencil_invariant_count,
@@ -39,7 +39,6 @@ from surface_lab.orbifold_covers import (
     cover_genus,
     fixed_point_count,
     orbifold_abelianization,
-    standard_cover_data,
 )
 from surface_lab.picard_lattice import (
     catalog,
@@ -89,7 +88,7 @@ def test_criterion_2_commutator_table_exact():
         (2, 4): (0, 0, 0, 0, 0, 0, -1, -1),
         (3, 4): (0, 0, 0, 0, 0, 0, -1, -1),
     }
-    gens = standard_generators().generators
+    gens = standard_generators()
     assert len(table) == 10
     for (i, j), coords in table.items():
         # zero tolerance: exact lattice vectors
@@ -104,7 +103,9 @@ def test_criterion_3_orbifold_bound():
 
 
 def test_criterion_4_subgroup_classification():
-    data = standard_cover_data(4)
+    # the genus-5 cover the generators induce on their curve factor
+    data = d_factor_branch_elements()
+    assert cover_genus(data) == 5
     histogram = classify_corank1_subgroups(data)
     assert histogram == {(1, 1): 5, (3, 0): 10}
     assert sum(histogram.values()) == 15
@@ -131,7 +132,7 @@ def test_criterion_5_numerical_invariants():
     assert kunneth == (5, 32, 11, 7)
     from surface_lab.character_calculus import one_forms_invariants
 
-    assert one_forms_invariants() == 0  # q(S) = 0, exact
+    assert one_forms_invariants(d_factor_branch_elements()) == 0  # q(S) = 0, exact
 
 
 def test_criterion_6_picard_and_tangent_sheaf():
@@ -212,19 +213,17 @@ def test_criterion_9_property_suites():
     base = abelianize_extension(standard_generators())
     for _ in range(50):
         gens = []
-        for g in standard_generators().generators:
+        for g in standard_generators():
             shift = tuple(rng.randint(-4, 4) for _ in range(8))
             gens.append(translate(g, shift))
-        lifted = abelianize_extension(ExtensionData(4, tuple(gens)))
+        lifted = abelianize_extension(tuple(gens))
         assert groups_isomorphic(lifted, base)
 
     # adjunction for every catalog curve, exact
     config = catalog()
-    for curve in curve_components(config):
-        lhs = intersect(curve.divisor, curve.divisor) + intersect(
-            config.K, curve.divisor
-        )
-        assert lhs == 2 * curve.genus - 2, curve.name
+    for name, curve in curve_components(config):
+        lhs = intersect(curve, curve) + intersect(config.K, curve)
+        assert lhs == -2, name  # 2g - 2 with g = 0
 
     # Kuenneth convolution is invariant under permuting the factors
     for degrees in ((0, 0, 8), (2, 2, 12), (0, 0, 0), (2, 0, 10)):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from surface_lab.affine_groups import (
     AffineElement,
-    ExtensionData,
     NotInLattice,
     _halves_to_lattice,
     abelianize_extension,
@@ -98,7 +97,7 @@ SQUARE_TABLE = {
 
 
 def test_commutator_table_matches_formula_and_oracle():
-    gens = standard_generators().generators
+    gens = standard_generators()
     rng = random.Random(7)
     for (i, j), expected in COMMUTATOR_TABLE.items():
         got = commutator(gens[i], gens[j])
@@ -108,7 +107,7 @@ def test_commutator_table_matches_formula_and_oracle():
 
 
 def test_squares_match_symbolic_composition():
-    gens = standard_generators().generators
+    gens = standard_generators()
     for i, expected in SQUARE_TABLE.items():
         assert square_translation(gens[i]) == expected
         z = [(Fraction(3, 7), Fraction(-2, 5))] * 4
@@ -119,7 +118,7 @@ def test_squares_match_symbolic_composition():
 
 
 def test_commutator_antisymmetry():
-    gens = standard_generators().generators
+    gens = standard_generators()
     for i in range(5):
         for j in range(5):
             assert commutator(gens[i], gens[j]) == tuple(
@@ -128,40 +127,39 @@ def test_commutator_antisymmetry():
 
 
 def test_sign_condition_holds_with_witnesses():
-    data = standard_generators()
-    assert check_sign_condition(data)
-    witnesses = sign_condition_witnesses(data)
+    gens = standard_generators()
+    assert check_sign_condition(gens)
+    witnesses = sign_condition_witnesses(gens)
     assert witnesses is not None
     for coord, word in enumerate(witnesses):
         sign = 1
         for idx in word:
-            sign *= data.generators[idx].signs[coord]
+            sign *= gens[idx].signs[coord]
         assert sign == -1
 
 
 def test_sign_condition_fails_without_full_coverage():
     # two coordinates, signs only ever flip the first
     g = AffineElement((-1, 1), (0, 0, 0, 0))
-    data = ExtensionData(2, (g,))
-    assert not check_sign_condition(data)
-    assert sign_condition_witnesses(data) is None
+    assert not check_sign_condition((g,))
+    assert sign_condition_witnesses((g,)) is None
 
 
 @st.composite
-def extension_data(draw):
+def generating_sets(draw):
     """1-4 coordinates and 1-5 generators with random signs and halves."""
     n = draw(st.integers(1, 4))
     signs = st.tuples(*[st.sampled_from((-1, 1))] * n)
     halves = st.tuples(*[st.integers(-2, 2)] * (2 * n))
     gens = draw(st.lists(st.builds(AffineElement, signs, halves), min_size=1, max_size=5))
-    return ExtensionData(n, tuple(gens))
+    return tuple(gens)
 
 
 @settings(max_examples=200, deadline=None)
-@given(extension_data())
-def test_sign_condition_agrees_with_the_witness_search(data):
+@given(generating_sets())
+def test_sign_condition_agrees_with_the_witness_search(gens):
     # the breadth-first search over words is the independent route
-    assert check_sign_condition(data) == (sign_condition_witnesses(data) is not None)
+    assert check_sign_condition(gens) == (sign_condition_witnesses(gens) is not None)
 
 
 def test_abelianization_of_standard_extension():
@@ -175,10 +173,10 @@ def test_abelianization_small_oracles():
     # single pure translation by (1/2) e1 on a rank-2 lattice: squaring to
     # e1 gives relation matrix [[2, -1, 0]] with Smith form (1), leaving Z^2
     t = AffineElement((1,), (1, 0))
-    assert abelianize_extension(ExtensionData(1, (t,))) == FinAbGroup(2)
+    assert abelianize_extension((t,)) == FinAbGroup(2)
     # single negation z |-> -z: gamma^2 = 0 and both lambdas are killed mod 2
     neg = AffineElement((-1,), (0, 0))
-    assert abelianize_extension(ExtensionData(1, (neg,))) == FinAbGroup(0, (2, 2, 2))
+    assert abelianize_extension((neg,)) == FinAbGroup(0, (2, 2, 2))
 
 
 def test_relation_matrix_shape():
@@ -187,7 +185,7 @@ def test_relation_matrix_shape():
     assert {len(row) for row in m} == {5 + 8}
     negated = sum(
         1
-        for g in standard_generators().generators
+        for g in standard_generators()
         for k in range(8)
         if g.sign_at(k) == -1
     )
@@ -195,8 +193,7 @@ def test_relation_matrix_shape():
 
 
 def test_commutator_subspan_ranks():
-    data = standard_generators()
-    assert commutator_subspan_rank(data, 0) == 3
+    assert commutator_subspan_rank(standard_generators(), 0) == 3
 
 
 def test_lift_independence_of_abelianization():
@@ -204,15 +201,15 @@ def test_lift_independence_of_abelianization():
     rng = random.Random(11)
     for _ in range(10):
         gens = []
-        for g in standard_generators().generators:
+        for g in standard_generators():
             shift = tuple(rng.randint(-3, 3) for _ in range(8))
             gens.append(translate(g, shift))
-        lifted = abelianize_extension(ExtensionData(4, tuple(gens)))
+        lifted = abelianize_extension(tuple(gens))
         assert groups_isomorphic(lifted, base)
 
 
 def test_translate_changes_lift_not_image():
-    g = standard_generators().generators[0]
+    g = standard_generators()[0]
     moved = translate(g, (1, 0, 0, 0, 0, 2, 0, 0))
     assert moved.signs == g.signs
     # the difference of translations is twice a lattice vector

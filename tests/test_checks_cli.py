@@ -42,6 +42,7 @@ from surface_lab.cli import (
     _to_json,
 )
 from surface_lab.legendre_numerics import legendre_params
+from surface_lab.orbifold_covers import BranchedCoverData
 from surface_lab.picard_lattice import E, L, catalog
 
 from oracles import build_parser as argparse_parser
@@ -75,6 +76,7 @@ SHARED_BUILDERS = (
     "verify_configuration",
     "adjunction_chain",
     "abelianize_extension",
+    "d_factor_branch_elements",
 )
 
 
@@ -143,7 +145,7 @@ class TestRunConfig:
         for eps in (math.nan, math.inf):
             with pytest.raises(ValueError, match="eps"):
                 RunConfig(eps=eps)
-        for tau in (complex(math.nan, 1), complex(0, math.inf)):
+        for tau in (complex(math.nan, 1), complex(0, math.inf), 1 - 1j, 3 + 0j):
             with pytest.raises(ValueError, match="modulus"):
                 RunConfig(taus=(tau,))
 
@@ -263,8 +265,8 @@ class TestRun:
     def test_sign_test_that_ignores_the_sign_fails_sign_condition(self, monkeypatch):
         # the mutant `g.signs[i] == -1` -> `!= -1` holds on the five
         # generators too; the control without g1 is what fails it
-        def ignores_the_sign(data):
-            return all(any(g.signs[i] != -1 for g in data.generators) for i in range(data.n))
+        def ignores_the_sign(gens):
+            return all(any(g.signs[i] != -1 for g in gens) for i in range(gens[0].n))
 
         monkeypatch.setattr(checks_mod, "check_sign_condition", ignores_the_sign)
         [result] = run(RunConfig(checks=("sign_condition",), taus=()))
@@ -273,6 +275,20 @@ class TestRun:
             "sign condition holds",
             "violated",
         )
+
+    def test_six_point_cover_fails_the_four_cover_claims(self, monkeypatch):
+        # valid branch data (it sums to zero and spans F_2^4), but with six
+        # branch points: every claim that reads the cover must see it
+        basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+        six = BranchedCoverData(4, (*basis, (1, 1, 0, 0), (0, 0, 1, 1)))
+        monkeypatch.setattr(checks_mod, "d_factor_branch_elements", lambda: six)
+        names = ("hurwitz_genus5", "fixed_points_8", "subgroup_classification", "orbifold_bound_64")
+        results = {r.name: r for r in run(RunConfig(checks=names, taus=()))}
+        assert {r.status for r in results.values()} == {"fail"}
+        assert results["hurwitz_genus5"].actual == "genus 9"
+        assert results["fixed_points_8"].actual == "{0: 9, 8: 6}"
+        assert results["subgroup_classification"].actual == "{(2, 1): 9, (4, 0): 6}"
+        assert results["orbifold_bound_64"].actual.startswith("bound 128, order 64, ")
 
     def test_nan_values_fail_legendre_identities(self, monkeypatch):
         # the NaN mutant: with every L value NaN the check passed, because

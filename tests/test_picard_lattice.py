@@ -10,7 +10,6 @@ from surface_lab.integer_algebra import rank
 from surface_lab.picard_lattice import (
     E,
     L,
-    Component,
     catalog,
     chi_bundle_hrr,
     chi_restricted_twist,
@@ -24,7 +23,13 @@ from surface_lab.picard_lattice import (
 )
 from surface_lab.product_threefold import adjunction_chain, ks_squared
 
-from oracles import curve_components, gram_matrix, replace, symmetric_signature
+from oracles import (
+    branch_component_names,
+    curve_components,
+    gram_matrix,
+    replace,
+    symmetric_signature,
+)
 
 BASIS = [L, *E]
 
@@ -197,14 +202,14 @@ class TestChiBundle:
 class TestChiRestricted:
     def test_frozen_components(self):
         c = catalog()
-        assert chi_restricted_twist(c.f[1], 0, c.K) == -1
-        assert chi_restricted_twist(c.S[0], 0, c.K) == 1
+        assert chi_restricted_twist(c.f[1], c.K) == -1
+        assert chi_restricted_twist(c.S[0], c.K) == 1
 
     def test_total_over_branch_divisors(self):
         c = catalog()
         per_divisor = [
             sum(
-                chi_restricted_twist(comp.divisor, comp.genus, c.K)
+                chi_restricted_twist(comp, c.K)
                 for comp in c.branch_components[i]
             )
             for i in range(3)
@@ -276,9 +281,9 @@ class TestLatticeInvariants:
 
     def test_adjunction_for_every_catalog_curve(self):
         c = catalog()
-        for comp in curve_components(c):
-            lhs = selfint(comp.divisor) + intersect(c.K, comp.divisor)
-            assert lhs == 2 * comp.genus - 2, comp.name
+        # every curve is rational: C^2 + K.C = 2g - 2 with g = 0
+        for name, curve in curve_components(c):
+            assert selfint(curve) + intersect(c.K, curve) == -2, name
 
     def test_anticanonical_degrees(self):
         c = catalog()
@@ -287,6 +292,13 @@ class TestLatticeInvariants:
         assert [intersect(minus_k, f) for f in c.f] == [2, 2, 2]
         assert [intersect(minus_k, s) for s in c.S] == [0, 0, 0, 0]
 
-    def test_component_dataclass(self):
-        comp = Component("test", L, 0)
-        assert comp.genus == 0 and comp.divisor == L
+    def test_branch_components_are_the_named_curves(self):
+        # each component is a catalog curve, so rational, which is why
+        # chi_restricted_twist takes no genus; f1' is a second member of f1
+        c = catalog()
+        curves = dict(curve_components(c))
+        named = tuple(
+            tuple(curves[name.rstrip("'")] for name in names)
+            for names in branch_component_names()
+        )
+        assert c.branch_components == named
