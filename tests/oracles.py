@@ -348,12 +348,9 @@ def branch_component_names() -> tuple[tuple[str, ...], ...]:
 
 def standard_cover_data(n: int = 4) -> BranchedCoverData:
     """The generic (Z/2)^n cover with n + 1 branch points: the standard
-    basis plus its sum."""
-    basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    s = [0] * n
-    for v in basis:
-        s = [a ^ b for a, b in zip(s, v)]
-    return BranchedCoverData(n, tuple(basis) + (tuple(s),))
+    basis plus its sum, the all-ones vector."""
+    basis = tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
+    return BranchedCoverData(n, (*basis, (1,) * n))
 
 
 def _frame_distance(tau: complex) -> float:
