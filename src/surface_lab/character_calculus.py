@@ -13,15 +13,17 @@ multiplicity.  The two concrete inputs are:
   basis {1, F} where F is the Legendre function of the factor: F is even
   and anti-invariant under the half-period translation z -> z + 1/2, so
   a generator acting as z -> (+-)z + t has eigenvalue -1 on F exactly
-  when t contains the e-half-translation 1/2;
+  when t contains the e-half-translation 1/2.  An action is read as t
+  alone, the pair (e-halves, tau-halves); a translation by tau/2 does not
+  act linearly on the section pair (it swaps the pencil members) and is
+  rejected;
 * the 7-dimensional space of global one-forms on the product threefold,
   whose genus-5 summand decomposes by the branch combinatorics of the
   (Z/2)^4 cover of the line.  That cover's branch data is derived here,
-  from the standard generators' action on the genus-5 factor, and it is
-  the one cover the claims table judges.
+  from the generators' action on the genus-5 factor, and it is the one
+  cover the claims table judges.
 
-Half-period translations by tau/2 do not act linearly on the section
-pair (they swap the pencil members instead) and are rejected.
+Whatever reads the group action takes the generators the run built.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from itertools import product
 from math import prod
 from operator import mul
 
-from .affine_groups import AffineElement, standard_generators
+from .affine_groups import AffineElement
 from .orbifold_covers import BranchedCoverData
 
 
@@ -45,38 +47,23 @@ class ZeroParameter(Exception):
     """The pencil involution degenerates only for parameter zero."""
 
 
-Action = tuple[int, "int | tuple[int, int]"]
-
-
-def character_of_basis(actions: Sequence[Action]) -> tuple[int, ...]:
+def character_of_basis(actions: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     """Character of the Legendre basis section, one entry per generator.
 
-    Each action is (sign, t) for z -> sign * z + t, with t recorded in
-    half-units: either a single integer (count of e-halves) or a pair
-    (e-halves, tau-halves).  Evenness makes the sign irrelevant; the
+    Each action is the translation part (e-halves, tau-halves) of
+    z -> +-z + t, in half-units; evenness makes the sign irrelevant.  The
     eigenvalue is -1 exactly when the e-half count is odd.  An odd
     tau-half count is rejected: that translation maps the section pair
     into a different pencil member rather than scaling it.
     """
-    entries = []
-    for sign, trans in actions:
-        if sign not in (1, -1):
-            raise ValueError("linear part must be +-1")
-        if isinstance(trans, tuple):
-            u, v = trans
-        else:
-            u, v = trans, 0
-        if v % 2:
-            raise UnsupportedTranslation(
-                "tau-half translation does not act linearly on the sections"
-            )
-        entries.append(u % 2)
-    return tuple(entries)
+    if any(v % 2 for _, v in actions):
+        raise UnsupportedTranslation("tau-half translation does not act linearly on the sections")
+    return tuple(u % 2 for u, _ in actions)
 
 
-def coordinate_action(g: AffineElement, coord: int) -> Action:
-    """(sign, (e-halves, tau-halves)) of g on one torus coordinate."""
-    return (g.sign_at(coord), (g.trans[coord] % 2, g.trans[g.n + coord] % 2))
+def coordinate_action(g: AffineElement, coord: int) -> tuple[int, int]:
+    """(e-halves, tau-halves) of g's translation on one torus coordinate."""
+    return (g.trans[coord] % 2, g.trans[g.n + coord] % 2)
 
 
 def tensor(spaces: Sequence[Counter]) -> Counter:
@@ -106,22 +93,23 @@ def invariant_dim(space: Counter, subgroup_gens: Sequence[Sequence[int]]) -> int
     )
 
 
-def legendre_pair_space(actions: Sequence[Action]) -> Counter:
+def legendre_pair_space(actions: Sequence[tuple[int, int]]) -> Counter:
     """The 2-dim section space spanned by 1 and the Legendre function."""
     return Counter([(0,) * len(actions), character_of_basis(actions)])
 
 
-def pencil_spaces() -> list[Counter]:
+def pencil_spaces(gens: Sequence[AffineElement]) -> list[Counter]:
     """The three section-pair factors of the invariant pencil, graded by
-    the first four standard generators acting on coordinates 1..3."""
-    gens = standard_generators()[:4]
+    the first four generators acting on coordinates 1..3."""
     return [
-        legendre_pair_space([coordinate_action(g, coord) for g in gens])
+        legendre_pair_space([coordinate_action(g, coord) for g in gens[:4]])
         for coord in range(3)
     ]
 
 
-def _mod2_actions() -> dict[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+def _mod2_actions(
+    gens: Sequence[AffineElement],
+) -> dict[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
     """(sign, e-halves, tau-halves) of g2^a g3^b g4^c g5^d on the two curve
     coordinates, the halves mod 2, for every 0/1 word (a, b, c, d).
 
@@ -132,10 +120,9 @@ def _mod2_actions() -> dict[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
     the letters does not matter, as commutators translate by full lattice
     vectors.
     """
-    gens = standard_generators()[1:]
     actions = {}
-    for word in product((0, 1), repeat=len(gens)):
-        letters = [g for g, e in zip(gens, word) if e]
+    for word in product((0, 1), repeat=len(gens) - 1):
+        letters = [g for g, e in zip(gens[1:], word) if e]
         actions[word] = tuple(
             (
                 prod(g.sign_at(c) for g in letters),
@@ -147,9 +134,9 @@ def _mod2_actions() -> dict[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
     return actions
 
 
-def d_factor_branch_elements() -> BranchedCoverData:
+def d_factor_branch_elements(gens: Sequence[AffineElement]) -> BranchedCoverData:
     """Branch data of the genus-5 factor over its quotient line: the
-    branch images are vectors over the images of the last four standard
+    branch images are vectors over the images of the last four
     generators.  The genus is not judged here; the claims table does.
 
     The first generator acts trivially on the curve factor, so the cover
@@ -165,14 +152,14 @@ def d_factor_branch_elements() -> BranchedCoverData:
       vanishes, and then the fixed fibers meet the curve.
     """
     chosen = []
-    for word, action in _mod2_actions().items():
+    for word, action in _mod2_actions(gens).items():
         if not any(word):
             continue
         free_translation = any(sign == 1 and (u or v) for sign, u, v in action)
         double_involution = all(sign == -1 and not (u or v) for sign, u, v in action)
         if not (free_translation or double_involution):
             chosen.append(word)
-    return BranchedCoverData(4, tuple(chosen))
+    return BranchedCoverData(len(gens) - 1, tuple(chosen))
 
 
 def _branch_dual_characters(cover: BranchedCoverData) -> list[tuple[int, ...]]:
@@ -196,19 +183,18 @@ def _branch_dual_characters(cover: BranchedCoverData) -> list[tuple[int, ...]]:
     return functionals
 
 
-def one_forms_space(cover: BranchedCoverData) -> Counter:
+def one_forms_space(cover: BranchedCoverData, gens: Sequence[AffineElement]) -> Counter:
     """The 7-dim space of one-forms on the product threefold, graded by
-    the five standard generators; cover is d_factor_branch_elements()."""
-    gens = standard_generators()
+    the five generators; cover is d_factor_branch_elements(gens)."""
     space = Counter(tuple((1 - g.sign_at(coord)) // 2 for g in gens) for coord in (0, 1))
     space.update((0, *phi) for phi in _branch_dual_characters(cover))
     return space
 
 
-def one_forms_invariants(cover: BranchedCoverData) -> int:
+def one_forms_invariants(cover: BranchedCoverData, gens: Sequence[AffineElement]) -> int:
     """One-forms invariant under the whole acting group: those on which
-    every standard generator acts as +1, the zero character."""
-    return sum(m for chi, m in one_forms_space(cover).items() if not any(chi))
+    every generator acts as +1, the zero character."""
+    return sum(m for chi, m in one_forms_space(cover, gens).items() if not any(chi))
 
 
 def pencil_fixed_parameters(A: complex) -> tuple[complex, complex]:

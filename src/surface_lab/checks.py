@@ -5,7 +5,7 @@ verifies, the frozen expected value, and a function that recomputes the
 value from the run's Facts.  The engine compares the two, and only it:
 the builders in the other modules compute and report numbers but do not
 judge them, so each expected value is written once, here.  Facts builds
-each shared intermediate (the theta report, the adjunction chain, ...)
+each shared intermediate (the generators, the theta report, ...)
 on first use and lives for one run only, so every run recomputes from
 scratch and checks that read the same report read the same object.  The
 engine runs whatever subset is requested and reports results in a fixed
@@ -140,7 +140,8 @@ class Facts:
     (and each modulus's Legendre parameters, elliptic(i)) is built on first
     use by the builder this module imports, looked up at call time (so a
     replaced builder is seen by the next run), and kept until the run
-    ends; nothing outlives the Facts object.
+    ends; nothing outlives the Facts object.  Whatever reads the group
+    action (the cover, the one-forms, the pencil) is given the generators.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -160,7 +161,7 @@ class Facts:
 
     @cached_property
     def cover(self) -> BranchedCoverData:
-        return d_factor_branch_elements()
+        return d_factor_branch_elements(self.generators)
 
     @cached_property
     def catalog(self) -> ConfigCatalog:
@@ -302,11 +303,11 @@ def _show_h1_h2(v: tuple[int, int, int]) -> str:
 
 def _character_decomposition(f: Facts) -> tuple[int, list[int]]:
     # two-factor model with three involutions: negate first coordinate,
-    # negate second, shift both by a half period
-    v1 = legendre_pair_space([(-1, 0), (1, 0), (1, 1)])
-    v2 = legendre_pair_space([(1, 0), (-1, 0), (1, 1)])
-    pair_dim = invariant_dim(tensor([v1, v2]), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    return pair_dim, sorted(tensor(pencil_spaces()).values())
+    # negate second, shift both by a half period; both coordinates see the
+    # translations (0, 0), (0, 0), (1, 0), so the two factors are one space
+    v = legendre_pair_space([(0, 0), (0, 0), (1, 0)])
+    pair_dim = invariant_dim(tensor([v, v]), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    return pair_dim, sorted(tensor(pencil_spaces(f.generators)).values())
 
 
 def _pencil_invariants(f: Facts) -> int | str:
@@ -432,7 +433,7 @@ CHECKS: dict[str, Claim] = {
             "q_S_zero",
             "no one-form on the product is invariant, so the quotient has irregularity 0",
             0,
-            lambda f: one_forms_invariants(f.cover),
+            lambda f: one_forms_invariants(f.cover, f.generators),
             text="0 invariant one-forms",
         ),
         Claim(

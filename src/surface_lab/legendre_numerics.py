@@ -79,8 +79,9 @@ class Tolerance:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
-        if self.samples <= 0:
-            raise ValueError(f"samples must be at least 1, got {self.samples!r}")
+        if self.samples < 2:
+            # one ratio has spread 0, so quadratic_ratio_constancy would pass
+            raise ValueError(f"samples must be at least 2, got {self.samples!r}")
 
     @property
     def series_eps(self) -> float:
@@ -93,11 +94,12 @@ class EllipticParams:
     """Everything the identity checks need about one modulus.
 
     tau, a, b and e1 = wp(1/2), e2 = wp(tau/2), e3 = wp((1+tau)/2) are those
-    of the modulus as given.  mobius = (q, s) gives M(w) = (w + q)/(w + s),
-    with M(inf) = 1, M(e1) = -1, M(e2) = a; verify_identities checks
-    M(e3) = -a.
-    The frames evaluate on the translated modulus frame.tau, whose parameter
-    is frame.a = (-1)^k a; they live and die with these parameters.
+    of the modulus as given.  The frames evaluate on the translated modulus
+    frame.tau = tau - k, k = round(Re tau), with parameter frame.a = (-1)^k a
+    and e2, e3 swapped at odd k; they live and die with these parameters.
+    mobius = (q, s) gives M(w) = (w + q)/(w + s), solved on frame.tau with
+    M(inf) = 1, M(e1) = -1, M(e2) = frame.a; verify_identities checks
+    M(e3) = -frame.a there.
     """
 
     tau: complex
@@ -617,9 +619,11 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
     mean = sum(ratios) / len(ratios)
     spread = math.sqrt(sum(abs(r - mean) ** 2 for r in ratios) / len(ratios))
     residuals["quadratic_ratio_constancy"] = spread / abs(mean)
-    # M(e3) = -a with e3 from the row series and a from theta, compared in
+    # M(e3) = -a with e3 from the row series and a from theta, on the frame
+    # M was solved on (odd round(Re tau) reports its e3 as e2), compared in
     # the wp coordinate: M has a pole near e3 when |a| is large
-    residuals["mobius_e3"] = _residual(params.e3, params.inverse_mobius(-params.a))
+    e3 = params.e2 if round(params.tau.real) % 2 else params.e3
+    residuals["mobius_e3"] = _residual(e3, params.inverse_mobius(-a))
 
     failures = [
         f"{name}: worst residual {worst:.3e} > {tol.eps:.3e}"

@@ -3,8 +3,7 @@ computes another way, and the helpers that only the tests need (a record
 copy with changed fields, a change of lift, composition of affine maps,
 subgroup spans and membership, the argparse parser the CLI's own parser
 replaced, the json.dumps call its JSON writer replaced, ...).
-`surface-lab verify` never calls them, so they live with the tests, and
-numpy (for the lattice sum) stays off the runtime path.
+`surface-lab verify` never calls them, so they live with the tests.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from itertools import combinations, product
 from math import gcd
 from operator import mul, xor
 import random
-
-import numpy as np
 
 from surface_lab._record import record
 from surface_lab.affine_groups import AffineElement, abelianize_extension, standard_generators
@@ -385,11 +382,12 @@ def weierstrass_p_lattice_sum(
     c = _frame_distance(tau)
     if terms * c < 2 * abs(zr):
         raise ValueError("too few terms for a valid tail bound")
-    rng = np.arange(-terms, terms + 1)
-    m, n = np.meshgrid(rng, rng)
-    w = m + n * complex(tau)
-    w = w[(m != 0) | (n != 0)]
-    value = complex(np.sum(1.0 / (zr - w) ** 2 - 1.0 / w**2)) + 1.0 / zr**2
+    value = 1.0 / zr**2
+    for m in range(-terms, terms + 1):
+        for n in range(-terms, terms + 1):
+            if m or n:
+                w = m + n * tau
+                value += 1.0 / (zr - w) ** 2 - 1.0 / w**2
     tail = 47.0 * abs(zr) ** 2 / (c**4 * terms**2)
     return value, tail
 

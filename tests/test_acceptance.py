@@ -104,7 +104,7 @@ def test_criterion_3_orbifold_bound():
 
 def test_criterion_4_subgroup_classification():
     # the genus-5 cover the generators induce on their curve factor
-    data = d_factor_branch_elements()
+    data = d_factor_branch_elements(standard_generators())
     assert cover_genus(data) == 5
     histogram = classify_corank1_subgroups(data)
     assert histogram == {(1, 1): 5, (3, 0): 10}
@@ -132,7 +132,8 @@ def test_criterion_5_numerical_invariants():
     assert kunneth == (5, 32, 11, 7)
     from surface_lab.character_calculus import one_forms_invariants
 
-    assert one_forms_invariants(d_factor_branch_elements()) == 0  # q(S) = 0, exact
+    gens = standard_generators()
+    assert one_forms_invariants(d_factor_branch_elements(gens), gens) == 0  # q(S) = 0, exact
 
 
 def test_criterion_6_picard_and_tangent_sheaf():
@@ -150,10 +151,11 @@ def test_criterion_6_picard_and_tangent_sheaf():
 
 
 def test_criterion_7_character_decompositions():
-    v1 = legendre_pair_space([(-1, 0), (1, 0), (1, 1)])
-    v2 = legendre_pair_space([(1, 0), (-1, 0), (1, 1)])
-    assert invariant_dim(tensor([v1, v2]), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 2
-    triple = tensor(pencil_spaces())
+    # negate the first coordinate, the second, shift both by an e-half:
+    # on either coordinate the translations are (0, 0), (0, 0), (1, 0)
+    v = legendre_pair_space([(0, 0), (0, 0), (1, 0)])
+    assert invariant_dim(tensor([v, v]), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 2
+    triple = tensor(pencil_spaces(standard_generators()))
     assert sorted(triple.values()) == [2, 2, 2, 2]
     constant = invariant_pencil_constant(
         DEFAULT_TAUS[:3], Tolerance(eps=EPS, samples=10, seed=0)

@@ -39,9 +39,11 @@ def dim(space: Counter) -> int:
     return sum(space.values())
 
 
+GENS = standard_generators()
+
+
 def four_gen_actions(coord):
-    gens = standard_generators()[:4]
-    return [coordinate_action(g, coord) for g in gens]
+    return [coordinate_action(g, coord) for g in GENS[:4]]
 
 
 class TestSignCharacter:
@@ -74,27 +76,26 @@ class TestCharacterOfBasis:
         assert character_of_basis(four_gen_actions(2)) == C("+--+")
 
     def test_identity_generator_gives_plus(self):
-        g4 = standard_generators()[3]
-        assert character_of_basis([coordinate_action(g4, 0)]) == C("+")
+        assert character_of_basis([coordinate_action(GENS[3], 0)]) == C("+")
 
     def test_sign_of_linear_part_is_irrelevant(self):
-        assert character_of_basis([(-1, 0)]) == C("+")
-        assert character_of_basis([(-1, 1)]) == C("-")
-        assert character_of_basis([(1, (1, 0))]) == C("-")
+        # an action is read as its translation alone: g1 negates the first
+        # coordinate and g3 fixes it, and both shift it by an e-half
+        g1, _, g3, _, _ = GENS
+        assert (g1.sign_at(0), g3.sign_at(0)) == (-1, 1)
+        assert coordinate_action(g1, 0) == coordinate_action(g3, 0) == (1, 0)
+        assert character_of_basis([(1, 0), (3, 2), (0, 0), (2, 0)]) == C("--++")
 
     def test_tau_half_translation_rejected(self):
-        g5 = standard_generators()[4]
         with pytest.raises(UnsupportedTranslation):
-            character_of_basis([coordinate_action(g5, 0)])
-
-    def test_bad_sign_rejected(self):
-        with pytest.raises(ValueError):
-            character_of_basis([(2, 0)])
+            character_of_basis([coordinate_action(GENS[4], 0)])
+        with pytest.raises(UnsupportedTranslation):
+            character_of_basis([(0, 0), (1, 1)])
 
 
 class TestTensor:
     def test_pencil_decomposition_four_blocks_of_two(self):
-        total = tensor(pencil_spaces())
+        total = tensor(pencil_spaces(GENS))
         assert total == {
             C("++++"): 2,
             C("+--+"): 2,
@@ -129,27 +130,24 @@ class TestInvariantDim:
     FULL4 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
 
     def test_three_factor_invariants(self):
-        total = tensor(pencil_spaces())
+        total = tensor(pencil_spaces(GENS))
         assert invariant_dim(total, self.FULL4) == 2
         assert invariant_dim(total, []) == dim(total) == 8
 
     def test_two_factor_case_on_three_generators(self):
         # three involutions on the elliptic square: negation of the first
-        # coordinate, negation of the second, simultaneous half-shift
-        actions_z1 = [[(-1, 0)], [(1, 0)], [(1, 1)]]
-        actions_z2 = [[(1, 0)], [(-1, 0)], [(1, 1)]]
-        v1 = legendre_pair_space([a[0] for a in actions_z1])
-        v2 = legendre_pair_space([a[0] for a in actions_z2])
-        assert v1 == {C("+++"): 1, C("++-"): 1}
-        assert v2 == {C("+++"): 1, C("++-"): 1}
-        pair = tensor([v1, v2])
+        # coordinate, negation of the second, simultaneous half-shift; on
+        # either coordinate they translate by (0, 0), (0, 0) and (1, 0)
+        v = legendre_pair_space([(0, 0), (0, 0), (1, 0)])
+        assert v == {C("+++"): 1, C("++-"): 1}
+        pair = tensor([v, v])
         assert invariant_dim(pair, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 2
         assert invariant_dim(pair, []) == 4
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_monotone_under_subgroup_growth(self, data):
-        total = tensor(pencil_spaces())
+        total = tensor(pencil_spaces(GENS))
         small = data.draw(
             st.lists(st.sampled_from(self.FULL4), max_size=2, unique=True)
         )
@@ -161,7 +159,7 @@ class TestInvariantDim:
 
 class TestBranchElements:
     def test_derived_branch_set(self):
-        assert set(d_factor_branch_elements().branch_images) == {
+        assert set(d_factor_branch_elements(GENS).branch_images) == {
             (0, 1, 0, 0),
             (0, 1, 0, 1),
             (0, 0, 1, 1),
@@ -170,21 +168,21 @@ class TestBranchElements:
         }
 
     def test_consistency_with_cover_machinery(self):
-        data = d_factor_branch_elements()
+        data = d_factor_branch_elements(GENS)
         assert data.n == 4 and len(data.branch_images) == 5
         assert cover_genus(data) == 5
         for v in data.branch_images:
             assert fixed_point_count(data, v) == 8
 
     def test_three_elements_avoid_the_first_generator(self):
-        elements = d_factor_branch_elements().branch_images
+        elements = d_factor_branch_elements(GENS).branch_images
         assert sum(1 for v in elements if v[0] == 0) == 3
 
     def test_mod2_actions_match_composed_elements(self):
         # each word's element composed left to right with the oracle
         # compose, its action read off on the curve coordinates 2 and 3
-        gens = standard_generators()[1:]
-        actions = _mod2_actions()
+        gens = GENS[1:]
+        actions = _mod2_actions(GENS)
         assert len(actions) == 16
         for word, action in actions.items():
             element = AffineElement((1, 1, 1, 1), (0,) * 8)
@@ -205,7 +203,7 @@ class TestBranchElements:
 
 class TestOneForms:
     def test_character_inventory(self):
-        space = one_forms_space(d_factor_branch_elements())
+        space = one_forms_space(d_factor_branch_elements(GENS), GENS)
         assert dim(space) == 7
         assert len(space) == 7
         assert all(m == 1 for m in space.values())
@@ -214,16 +212,16 @@ class TestOneForms:
         assert C("+++++") not in space
 
     def test_full_group_has_no_invariants(self):
-        assert one_forms_invariants(d_factor_branch_elements()) == 0
+        assert one_forms_invariants(d_factor_branch_elements(GENS), GENS) == 0
 
     def test_index_two_subgroups_with_one_invariant(self):
         e = [tuple(1 if i == j else 0 for i in range(5)) for j in range(5)]
-        space = one_forms_space(d_factor_branch_elements())
+        space = one_forms_space(d_factor_branch_elements(GENS), GENS)
         assert invariant_dim(space, [e[1], e[2], e[3], e[4]]) == 1
         assert invariant_dim(space, [e[0], e[2], e[3], e[4]]) == 1
 
     def test_trivial_subgroup_sees_everything(self):
-        assert invariant_dim(one_forms_space(d_factor_branch_elements()), []) == 7
+        assert invariant_dim(one_forms_space(d_factor_branch_elements(GENS), GENS), []) == 7
 
 
 class TestPencilInvariants:

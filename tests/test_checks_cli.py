@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surface_lab import affine_groups as affine_groups_mod
 from surface_lab import checks as checks_mod
 from surface_lab import legendre_numerics as numerics_mod
 from surface_lab.checks import (
@@ -281,7 +282,7 @@ class TestRun:
         # branch points: every claim that reads the cover must see it
         basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
         six = BranchedCoverData(4, (*basis, (1, 1, 0, 0), (0, 0, 1, 1)))
-        monkeypatch.setattr(checks_mod, "d_factor_branch_elements", lambda: six)
+        monkeypatch.setattr(checks_mod, "d_factor_branch_elements", lambda gens: six)
         names = ("hurwitz_genus5", "fixed_points_8", "subgroup_classification", "orbifold_bound_64")
         results = {r.name: r for r in run(RunConfig(checks=names, taus=()))}
         assert {r.status for r in results.values()} == {"fail"}
@@ -366,6 +367,25 @@ class TestSharedFacts:
         results = run(RunConfig(taus=()))
         assert all(r.status in ("pass", "skipped") for r in results)
         assert calls == {name: 1 for name in SHARED_BUILDERS}
+
+    def test_one_run_builds_the_generators_once(self):
+        # the character calculus takes the run's generators; count_calls
+        # would see only checks' own binding, so the calls are counted by
+        # code object, from wherever they come
+        code = affine_groups_mod.standard_generators.__code__
+        calls = Counter()
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls["standard_generators"] += 1
+
+        sys.setprofile(hook)
+        try:
+            results = run(RunConfig(taus=()))
+        finally:
+            sys.setprofile(None)
+        assert all(r.status in ("pass", "skipped") for r in results)
+        assert calls == {"standard_generators": 1}
 
     def test_every_run_recomputes(self, monkeypatch):
         calls = count_calls(monkeypatch, SHARED_BUILDERS)
@@ -535,10 +555,11 @@ class TestMain:
         assert doc["results"][0]["status"] == "pass"
 
     def test_bad_samples_is_usage_error(self, capsys):
-        assert main(["verify", "legendre_identities", "--samples", "0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "samples" in captured.err and captured.err.count("\n") == 1
+        for samples in ("0", "1"):
+            assert main(["verify", "legendre_identities", "--samples", samples]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "samples" in captured.err and captured.err.count("\n") == 1
 
     def test_raising_check_text_report_is_complete(self, monkeypatch, capsys):
         raise_in_pg_38(monkeypatch)

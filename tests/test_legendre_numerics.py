@@ -34,6 +34,7 @@ from surface_lab.legendre_numerics import (
     PoleAtLatticePoint,
     Tolerance,
     _LegendreFrame,
+    _NomeFrame,
     _half_shift_table,
     _modular_reduction,
     _nan_max,
@@ -466,8 +467,11 @@ class TestTolerance:
         for eps in (math.nan, math.inf):
             with pytest.raises(ValueError, match=str(eps)):
                 Tolerance(eps=eps)
-        with pytest.raises(ValueError):
-            Tolerance(samples=0)
+        for samples in (0, 1):
+            # one ratio has spread 0: quadratic_ratio_constancy would pass
+            with pytest.raises(ValueError, match="at least 2"):
+                Tolerance(samples=samples)
+        assert Tolerance(samples=2).samples == 2
 
     def test_series_eps_floor(self):
         assert Tolerance(eps=1e-6).series_eps == pytest.approx(1e-9)
@@ -534,6 +538,28 @@ class TestThetaForm:
         for tau in DEFAULT_TAUS + [0.1j, 0.3 + 0.2j]:
             params = legendre_params(tau)
             assert rel(params.inverse_mobius(-params.a), params.e3) < 1e-12
+
+    @pytest.mark.parametrize(
+        "tau", [1.2 + 1j, 1.3 + 0.2j, 1.3 + 0.9j, -0.7 + 8j, 3.1 + 2j, 2.2 + 1j]
+    )
+    def test_wrong_e3_fails_mobius_e3(self, monkeypatch, tau):
+        # wp((1 + frame.tau)/2), the third value of legendre_params'
+        # row-series call, off by 1e-4.  At odd round(Re tau) it is reported
+        # as e2, and M(e3) = -a read on the reported e3 and a was M's own
+        # solve M(e2) = a on the frame, which held under the mutant
+        original = _NomeFrame.wps
+
+        def wps(self, points, eps):
+            out = original(self, points, eps)
+            if len(points) == 3 and points[0] == 0.5:
+                out[2] *= 1 + 1e-4
+            return out
+
+        monkeypatch.setattr(_NomeFrame, "wps", wps)
+        tol = Tolerance()
+        report = verify_identities(legendre_params(tau, tol), tol)
+        assert report.residuals["mobius_e3"] > 1e-5
+        assert any(f.startswith("mobius_e3:") for f in report.failures)
 
     @pytest.mark.parametrize("tau", [0.1j, 0.12 + 0.1j, 0.3 + 0.2j, 2j])
     def test_a_minus_1_keeps_its_digits(self, tau):
