@@ -24,7 +24,6 @@ _EXPORTS = {
     "Tolerance": "legendre_numerics",
     "abelianize_extension": "affine_groups",
     "adjunction_chain": "product_threefold",
-    "ks_squared": "product_threefold",
     "legendre_params": "legendre_numerics",
     "run": "checks",
     "smith_normal_form": "integer_algebra",

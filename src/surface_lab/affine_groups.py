@@ -150,11 +150,10 @@ def abelianize_extension(gens: tuple[AffineElement, ...]) -> FinAbGroup:
     return cokernel(abelianization_relations(gens))
 
 
-def commutator_subspan_rank(gens: tuple[AffineElement, ...], pivot: int) -> int:
-    """F_2-rank of {[g_pivot, g_j] : j != pivot} in full-lattice
+def commutator_subspan_rank(gens: tuple[AffineElement, ...]) -> int:
+    """F_2-rank of the commutators [g_1, g_j], j > 1, in full-lattice
     coordinates.  The commutators are reduced against the doubled lattice,
     so this is the rank of their span inside Lambda / 2 Lambda.
     """
-    g = gens[pivot]
-    rows = [commutator(g, h) for j, h in enumerate(gens) if j != pivot]
-    return rank_mod2(rows)
+    g, *others = gens
+    return rank_mod2([commutator(g, h) for h in others])

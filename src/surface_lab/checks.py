@@ -73,7 +73,7 @@ from .picard_lattice import (
     theta_cohomology_report,
     verify_configuration,
 )
-from .product_threefold import AdjunctionReport, adjoint_cube, adjunction_chain, ks_squared
+from .product_threefold import AdjunctionReport, adjunction_chain
 
 DEFAULT_TAUS: tuple[complex, ...] = (1j, (1 + 3j) / 2, 2j, (1 + 5j) / 3)
 
@@ -267,7 +267,7 @@ def _orbifold_bound(f: Facts) -> tuple[int, int, FinAbGroup, int]:
     # of 2: the homology order is at most 2 * (|orbifold| * 2)
     bound = 2 * ((f.orbifold5.order() or 0) * 2)
     order = f.h1.order() or 0
-    return bound, order, f.orbifold5, commutator_subspan_rank(f.generators, 0)
+    return bound, order, f.orbifold5, commutator_subspan_rank(f.generators)
 
 
 def _kunneth_list(f: Facts) -> tuple[int, int, int, int]:
@@ -286,11 +286,11 @@ def _configuration_audit(f: Facts) -> Problems:
 def _h1_h2(f: Facts) -> tuple[int, int, int]:
     """(h1, h2, the bound on h2) of the tangent sheaf downstairs.  The
     theta report's h1, the dimension of the invariant part, bounds h1 from
-    below; h2 - h1 = chi(Theta) = 2 K^2 - 10 chi(O), with the run's own K^2
+    below; h2 - h1 = chi(Theta) = 2 K^2 - 10 chi(O), with the chain's K^2
     and chi, turns it into a lower bound on h2.  The character bounds sum
     to an upper bound on h2, so where the two meet they pin h1 and h2."""
     h1 = f.theta.h1
-    return h1, 2 * ks_squared() - 10 * f.chain.chi_quotient + h1, f.theta.h2_bound
+    return h1, 2 * f.chain.k2_quotient - 10 * f.chain.chi_quotient + h1, f.theta.h2_bound
 
 
 def _show_h1_h2(v: tuple[int, int, int]) -> str:
@@ -402,13 +402,13 @@ CHECKS: dict[str, Claim] = {
             "k2_hat_224",
             "the adjoint class on the product threefold has triple self-product 224 against the hypersurface",
             224,
-            lambda f: adjoint_cube(),
+            lambda f: f.chain.k2_cover,
         ),
         Claim(
             "ks2_7",
             "dividing 224 by the group order 32 gives canonical self-intersection 7",
             7,
-            lambda f: ks_squared(),
+            lambda f: f.chain.k2_quotient,
         ),
         Claim(
             "pg_38",

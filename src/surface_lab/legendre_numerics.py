@@ -98,8 +98,9 @@ class EllipticParams:
     frame.tau = tau - k, k = round(Re tau), with parameter frame.a = (-1)^k a
     and e2, e3 swapped at odd k; they live and die with these parameters.
     mobius = (q, s) gives M(w) = (w + q)/(w + s), solved on frame.tau with
-    M(inf) = 1, M(e1) = -1, M(e2) = frame.a; verify_identities checks
-    M(e3) = -frame.a there.
+    M(inf) = 1, M(e1) = -1, M(e2) = frame.a.  It is the same map for the
+    modulus as given, M(e2) = a and M(e3) = -a, which verify_identities
+    checks without reference to k.
     """
 
     tau: complex
@@ -111,11 +112,6 @@ class EllipticParams:
     mobius: tuple[complex, complex]
     frame: _LegendreFrame = HIDDEN
     rows: _NomeFrame = HIDDEN
-
-    def inverse_mobius(self, value: complex) -> complex:
-        """M^-1(value), the wp value at the points where L takes value."""
-        q, s = self.mobius
-        return (q - value * s) / (value - 1)
 
 
 def _check_tau(tau: complex) -> None:
@@ -576,8 +572,10 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
     Residual metric: |lhs - rhs| / max(1, |lhs|, |rhs|), worst case over
     the samples, compared against tol.eps.  Every value, shifted or not,
     is a fresh evaluation of the theta series.  half_period_derivative is
-    |L'(p)| / max(1, |L(p)|) at the four half periods, where L' vanishes;
-    mobius_e3 ties theta's a to the row series through M(e3) = -a.  The
+    |L'(p)| / max(1, |L(p)|) at the four half periods, where L' vanishes.
+    The ratio L'^2 / ((L^2 - 1)(L^2 - a^2)) is constant (its spread is
+    quadratic_ratio_constancy) and equals (2 pi)^2 theta2(0 | 2 tau)^4
+    (quadratic_constant); mobius_e3 ties theta's a to the row series.  The
     points with L at them and at them + tau/2 are left in the frame's
     sample table for evaluator_agreement and invariant_pencil_constant.
     """
@@ -619,11 +617,16 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
     mean = sum(ratios) / len(ratios)
     spread = math.sqrt(sum(abs(r - mean) ** 2 for r in ratios) / len(ratios))
     residuals["quadratic_ratio_constancy"] = spread / abs(mean)
-    # M(e3) = -a with e3 from the row series and a from theta, on the frame
-    # M was solved on (odd round(Re tau) reports its e3 as e2), compared in
-    # the wp coordinate: M has a pole near e3 when |a| is large
-    e3 = params.e2 if round(params.tau.real) % 2 else params.e3
-    residuals["mobius_e3"] = _residual(e3, params.inverse_mobius(-a))
+    # the constant judges the scale of L'; |C| falls like exp(-2 pi Im tau),
+    # so this residual is relative to |C|, not to max(1, |C|) as _residual
+    constant = 4 * PI * PI * (2 * sum(row[0] for row in frame.terms)) ** 4
+    residuals["quadratic_constant"] = abs(mean - constant) / abs(constant)
+    # M(e2) = a and M(e3) = -a give, with q + s = -2 e1, the relation
+    # qs = e1 (e2 + e3) - e2 e3, symmetric in e2 and e3 and so free of k;
+    # one of the two is M's own solve, so it ties theta's a to the rows
+    q, s = params.mobius
+    e1, e2, e3 = params.e1, params.e2, params.e3
+    residuals["mobius_e3"] = _residual(q * s, e1 * (e2 + e3) - e2 * e3)
 
     failures = [
         f"{name}: worst residual {worst:.3e} > {tol.eps:.3e}"

@@ -7,13 +7,17 @@ F_i F_j F_k = 1 for {i, j, k} = {1, 2, 3} and zero whenever an index
 repeats, so a class is just its coefficient 3-tuple (a_1, a_2, a_3),
 which is also its multidegree (degree on each factor curve).
 
-Degree bookkeeping for the invariant hypersurface inside the product:
+Degree bookkeeping for the hypersurface class HYPERSURFACE = (2, 2, 4)
+and the canonical class CANONICAL = (0, 0, 8) of the product:
 
 * a double point bundle on an elliptic factor has degree 2;
 * a (2, 0) class on the elliptic square restricts to the genus-5 curve
   with degree 4 (the curve is a bidegree (2, 2) divisor, so it meets
   each fiber twice);
 * the canonical bundle of the genus-5 factor has degree 2*5 - 2 = 8.
+
+adjunction_chain reports every number of the product that the checks read,
+K^2 and chi of the cover and of the quotient included.
 """
 
 from __future__ import annotations
@@ -32,48 +36,20 @@ class AmbiguousCase(Exception):
     """Cohomology of a special line bundle cannot be read off the degree."""
 
 
-ELLIPTIC_BRANCH_DEGREE = 2  # O(2 . origin) on an elliptic factor
-HYPERSURFACE_D_DEGREE = 4  # (2,0) class restricted to the bidegree-(2,2) curve
-CANONICAL_D_DEGREE = 8  # 2g - 2 for g = 5
 STANDARD_GENERA = (1, 1, 5)
 GROUP_ORDER = 32
 
 
 FiberClass = tuple[int, int, int]
 
-
-def canonical_class() -> FiberClass:
-    return (0, 0, CANONICAL_D_DEGREE)
-
-
-def hypersurface_class() -> FiberClass:
-    return (ELLIPTIC_BRANCH_DEGREE, ELLIPTIC_BRANCH_DEGREE, HYPERSURFACE_D_DEGREE)
-
-
-def _adjoint_class() -> FiberClass:
-    """K + the hypersurface class, fiber by fiber."""
-    return tuple(map(add, canonical_class(), hypersurface_class()))
+CANONICAL: FiberClass = (0, 0, 8)
+HYPERSURFACE: FiberClass = (2, 2, 4)
+ADJOINT: FiberClass = tuple(map(add, CANONICAL, HYPERSURFACE))  # fiber by fiber
 
 
 def triple_product(x: FiberClass, y: FiberClass, z: FiberClass) -> int:
     """Trilinear expansion; only the six all-distinct fiber terms survive."""
     return sum(x[i] * y[j] * z[k] for i, j, k in permutations(range(3)))
-
-
-def adjoint_cube() -> int:
-    """The adjoint class (K + hypersurface) squared against the hypersurface
-    class: the canonical self-intersection of the hypersurface upstairs."""
-    adjoint = _adjoint_class()
-    return triple_product(adjoint, adjoint, hypersurface_class())
-
-
-def ks_squared() -> int:
-    """Self-intersection of the canonical class on the quotient surface:
-    adjoint_cube() divided by the order of the free group action."""
-    total = adjoint_cube()
-    if total % GROUP_ORDER:
-        raise NonIntegral(f"{total} is not divisible by {GROUP_ORDER}")
-    return total // GROUP_ORDER
 
 
 def curve_h(genus: int, degree: int) -> tuple[int, int]:
@@ -127,23 +103,29 @@ class AdjunctionReport:
     q_cover: int
     chi_cover: int
     chi_quotient: int
+    k2_cover: int
+    k2_quotient: int
 
 
 def adjunction_chain() -> AdjunctionReport:
-    """p_g, q and chi of the invariant hypersurface and its free quotient.
+    """p_g, q, chi and K^2 of the invariant hypersurface and its free quotient.
 
     The twisted restriction sequence relating the threefold's canonical
     bundle, its adjoint and the hypersurface's dualizing sheaf gives
     p_g = h0(adjoint) + h1(canonical) - h0(canonical) and
-    q = h1 of the structure sheaf, i.e. h2 of the canonical bundle.
+    q = h1 of the structure sheaf, i.e. h2 of the canonical bundle.  K^2
+    is ADJOINT^2 HYPERSURFACE; the quotient's chi and K^2 divide by the
+    group order.
     """
-    h_can = kunneth_h(STANDARD_GENERA, canonical_class())
-    h_adj = kunneth_h(STANDARD_GENERA, _adjoint_class())
+    h_can = kunneth_h(STANDARD_GENERA, CANONICAL)
+    h_adj = kunneth_h(STANDARD_GENERA, ADJOINT)
     pg = h_adj[0] + h_can[1] - h_can[0]
     q = h_can[2]
     chi_cover = 1 - q + pg
-    if chi_cover % GROUP_ORDER:
-        raise NonIntegral(f"chi {chi_cover} not divisible by {GROUP_ORDER}")
+    k2_cover = triple_product(ADJOINT, ADJOINT, HYPERSURFACE)
+    for name, total in (("K^2", k2_cover), ("chi", chi_cover)):
+        if total % GROUP_ORDER:
+            raise NonIntegral(f"{name} {total} not divisible by {GROUP_ORDER}")
     return AdjunctionReport(
         h_canonical=h_can,
         h_adjoint=h_adj,
@@ -151,4 +133,6 @@ def adjunction_chain() -> AdjunctionReport:
         q_cover=q,
         chi_cover=chi_cover,
         chi_quotient=chi_cover // GROUP_ORDER,
+        k2_cover=k2_cover,
+        k2_quotient=k2_cover // GROUP_ORDER,
     )

@@ -48,10 +48,8 @@ from surface_lab.picard_lattice import (
 )
 from surface_lab.product_threefold import (
     STANDARD_GENERA,
-    adjoint_cube,
     adjunction_chain,
     kunneth_h,
-    ks_squared,
 )
 
 from oracles import (
@@ -99,7 +97,7 @@ def test_criterion_3_orbifold_bound():
     bound, actual = homology_bound()
     assert (bound, actual) == (64, 64)  # 2 * |(Z/2)^5| attained exactly
     assert orbifold_abelianization(5) == FinAbGroup(0, (2, 2, 2, 2))
-    assert commutator_subspan_rank(standard_generators(), 0) == 3
+    assert commutator_subspan_rank(standard_generators()) == 3
 
 
 def test_criterion_4_subgroup_classification():
@@ -117,9 +115,9 @@ def test_criterion_4_subgroup_classification():
 
 
 def test_criterion_5_numerical_invariants():
-    assert adjoint_cube() == 224
-    assert ks_squared() == 7
     chain = adjunction_chain()
+    assert chain.k2_cover == 224
+    assert chain.k2_quotient == 7
     assert chain.pg_cover == 38
     assert chain.chi_cover == 32
     assert chain.chi_quotient == 1
@@ -144,7 +142,8 @@ def test_criterion_6_picard_and_tangent_sheaf():
     assert report.chi_cotangent_twisted == -4
     assert report.chi_restricted_total == 0
     assert report.character_bounds == (2, 3, 3)
-    chi_theta = 2 * ks_squared() - 10 * adjunction_chain().chi_quotient
+    chain = adjunction_chain()
+    chi_theta = 2 * chain.k2_quotient - 10 * chain.chi_quotient
     assert chi_theta == 4
     assert report.h1 == 4
     assert chi_theta + report.h1 == report.h2_bound == 8

@@ -193,7 +193,7 @@ def test_relation_matrix_shape():
 
 
 def test_commutator_subspan_ranks():
-    assert commutator_subspan_rank(standard_generators(), 0) == 3
+    assert commutator_subspan_rank(standard_generators()) == 3
 
 
 def test_lift_independence_of_abelianization():

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from surface_lab import affine_groups as affine_groups_mod
 from surface_lab import checks as checks_mod
 from surface_lab import legendre_numerics as numerics_mod
+from surface_lab import product_threefold as product_mod
 from surface_lab.checks import (
     CHECKS,
     DEFAULT_TAUS,
@@ -90,6 +91,25 @@ def count_calls(monkeypatch, names) -> Counter:
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(checks_mod, name, counted)
+    return calls
+
+
+def calls_in_one_run(*fns) -> Counter:
+    """Calls of fns in one passing algebra run, counted by code object from
+    wherever they come; count_calls sees only the names checks looks up."""
+    codes = {fn.__code__: fn.__name__ for fn in fns}
+    calls: Counter = Counter()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
+
+    sys.setprofile(hook)
+    try:
+        results = run(RunConfig(taus=()))
+    finally:
+        sys.setprofile(None)
+    assert all(r.status in ("pass", "skipped") for r in results)
     return calls
 
 
@@ -304,7 +324,10 @@ class TestRun:
 
     def test_wrong_ks_squared_fails_ks2_7_and_theta_h1_h2(self, monkeypatch):
         # h2 - h1 = 2 K^2 - 10 chi is read from the run's own K^2
-        monkeypatch.setattr(checks_mod, "ks_squared", lambda: 6)
+        chain = product_mod.adjunction_chain
+        monkeypatch.setattr(
+            checks_mod, "adjunction_chain", lambda: replace(chain(), k2_quotient=6)
+        )
         results = {r.name: r for r in run(RunConfig(taus=()))}
         assert {n for n, r in results.items() if r.status == "fail"} == {
             "ks2_7",
@@ -347,7 +370,14 @@ class TestRun:
         monkeypatch.setattr(checks_mod, "adjunction_chain", boom)
         results = run(RunConfig(taus=()))
         errored = {r.name for r in results if r.status == "error"}
-        assert errored == {"chi_32", "kunneth_list", "pg_38", "theta_h1_4_h2_8"}
+        assert errored == {
+            "chi_32",
+            "k2_hat_224",
+            "ks2_7",
+            "kunneth_list",
+            "pg_38",
+            "theta_h1_4_h2_8",
+        }
         assert all(
             r.actual == "RuntimeError: no chain" for r in results if r.name in errored
         )
@@ -369,23 +399,15 @@ class TestSharedFacts:
         assert calls == {name: 1 for name in SHARED_BUILDERS}
 
     def test_one_run_builds_the_generators_once(self):
-        # the character calculus takes the run's generators; count_calls
-        # would see only checks' own binding, so the calls are counted by
-        # code object, from wherever they come
-        code = affine_groups_mod.standard_generators.__code__
-        calls = Counter()
-
-        def hook(frame, event, arg):
-            if event == "call" and frame.f_code is code:
-                calls["standard_generators"] += 1
-
-        sys.setprofile(hook)
-        try:
-            results = run(RunConfig(taus=()))
-        finally:
-            sys.setprofile(None)
-        assert all(r.status in ("pass", "skipped") for r in results)
+        # the character calculus takes the run's generators
+        calls = calls_in_one_run(affine_groups_mod.standard_generators)
         assert calls == {"standard_generators": 1}
+
+    def test_one_run_computes_the_product_numbers_once(self):
+        # K^2 and chi of the cover and the quotient come from one
+        # adjunction_chain, which takes the one triple product
+        calls = calls_in_one_run(product_mod.adjunction_chain, product_mod.triple_product)
+        assert calls == {"adjunction_chain": 1, "triple_product": 1}
 
     def test_every_run_recomputes(self, monkeypatch):
         calls = count_calls(monkeypatch, SHARED_BUILDERS)
@@ -434,7 +456,7 @@ class TestSharedFacts:
         names = (*SHARED_BUILDERS, "catalog")
         calls = count_calls(monkeypatch, names)
         assert run(RunConfig(checks=("ks2_7",)))[0].status == "pass"
-        assert not calls
+        assert calls == {"adjunction_chain": 1}
 
 
 class TestTauParsing:

@@ -537,7 +537,9 @@ class TestThetaForm:
     def test_mobius_sends_e3_to_minus_a(self):
         for tau in DEFAULT_TAUS + [0.1j, 0.3 + 0.2j]:
             params = legendre_params(tau)
-            assert rel(params.inverse_mobius(-params.a), params.e3) < 1e-12
+            q, s = params.mobius
+            # M^-1(-a), M^-1(v) = (q - v s) / (v - 1)
+            assert rel((q + params.a * s) / (-params.a - 1), params.e3) < 1e-12
 
     @pytest.mark.parametrize(
         "tau", [1.2 + 1j, 1.3 + 0.2j, 1.3 + 0.9j, -0.7 + 8j, 3.1 + 2j, 2.2 + 1j]
@@ -545,8 +547,7 @@ class TestThetaForm:
     def test_wrong_e3_fails_mobius_e3(self, monkeypatch, tau):
         # wp((1 + frame.tau)/2), the third value of legendre_params'
         # row-series call, off by 1e-4.  At odd round(Re tau) it is reported
-        # as e2, and M(e3) = -a read on the reported e3 and a was M's own
-        # solve M(e2) = a on the frame, which held under the mutant
+        # as e2; the check is symmetric in e2 and e3, so it sees it at any k
         original = _NomeFrame.wps
 
         def wps(self, points, eps):
@@ -560,6 +561,25 @@ class TestThetaForm:
         report = verify_identities(legendre_params(tau, tol), tol)
         assert report.residuals["mobius_e3"] > 1e-5
         assert any(f.startswith("mobius_e3:") for f in report.failures)
+
+    @pytest.mark.parametrize("tau", [*DEFAULT_TAUS, 8j, 20j])
+    def test_wrong_slope_scale_fails_quadratic_constant(self, monkeypatch, tau):
+        # the mutant slope = 2 pi i * null in place of 2 pi i / null scales
+        # L' by null^2: L' still vanishes at the half periods and the ratio
+        # stays constant, so only the value of the constant sees it.  At 8i
+        # and 20i |C| is far below 1, where a residual relative to
+        # max(1, |C|) would pass
+        original = _LegendreFrame.__init__
+
+        def init(self, tau):
+            original(self, tau)
+            self.slope *= self.null * self.null
+
+        monkeypatch.setattr(_LegendreFrame, "__init__", init)
+        tol = Tolerance()
+        report = verify_identities(legendre_params(tau, tol), tol)
+        assert report.residuals["quadratic_constant"] > 0.5
+        assert [f.split(":")[0] for f in report.failures] == ["quadratic_constant"]
 
     @pytest.mark.parametrize("tau", [0.1j, 0.12 + 0.1j, 0.3 + 0.2j, 2j])
     def test_a_minus_1_keeps_its_digits(self, tau):

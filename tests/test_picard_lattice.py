@@ -21,7 +21,7 @@ from surface_lab.picard_lattice import (
     twisted_cotangent_chern,
     verify_configuration,
 )
-from surface_lab.product_threefold import adjunction_chain, ks_squared
+from surface_lab.product_threefold import adjunction_chain
 
 from oracles import (
     branch_component_names,
@@ -235,7 +235,8 @@ class TestThetaReport:
         # h2 - h1 = chi(Theta) = 2 K^2 - 10 chi(O) of the quotient surface
         # meets the bound on h2 exactly, which pins h1 = 4 and h2 = 8
         report = theta_cohomology_report(catalog())
-        chi_theta = 2 * ks_squared() - 10 * adjunction_chain().chi_quotient
+        chain = adjunction_chain()
+        chi_theta = 2 * chain.k2_quotient - 10 * chain.chi_quotient
         assert chi_theta == 4
         assert report.h1 + chi_theta == report.h2_bound
 

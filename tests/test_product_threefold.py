@@ -1,22 +1,19 @@
 """Fiber-class intersection numbers and Kuenneth cohomology."""
 
-from operator import add
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surface_lab import product_threefold
 from surface_lab.product_threefold import (
+    ADJOINT,
+    CANONICAL,
+    HYPERSURFACE,
     STANDARD_GENERA,
     AmbiguousCase,
     NonIntegral,
-    adjoint_cube,
     adjunction_chain,
-    canonical_class,
     curve_h,
-    hypersurface_class,
-    ks_squared,
     kunneth_h,
     triple_product,
 )
@@ -50,8 +47,7 @@ class TestTripleProduct:
         assert triple_product(ones, ones, ones) == 6
 
     def test_class_arithmetic(self):
-        assert product_threefold._adjoint_class() == (2, 2, 12)
-        assert tuple(map(add, canonical_class(), hypersurface_class())) == (2, 2, 12)
+        assert (CANONICAL, HYPERSURFACE, ADJOINT) == ((0, 0, 8), (2, 2, 4), (2, 2, 12))
 
     @given(x=vec3, y=vec3, z=vec3)
     @settings(max_examples=100, deadline=None)
@@ -70,15 +66,16 @@ class TestTripleProduct:
 
 class TestKsSquared:
     def test_quotient_value(self):
-        assert ks_squared() == 7
+        assert adjunction_chain().k2_quotient == 7
 
     def test_cover_value(self):
-        assert adjoint_cube() == 224
+        assert adjunction_chain().k2_cover == 224
 
     def test_non_integral_rejected(self, monkeypatch):
+        # 3 divides neither 224 nor 32; K^2 is judged first
         monkeypatch.setattr(product_threefold, "GROUP_ORDER", 3)
-        with pytest.raises(NonIntegral, match="224 is not divisible by 3"):
-            ks_squared()
+        with pytest.raises(NonIntegral, match=r"K\^2 224 not divisible by 3"):
+            adjunction_chain()
 
 
 class TestCurveH:
@@ -183,6 +180,7 @@ class TestAdjunctionChain:
         assert chi(report.h_adjoint) - chi(report.h_canonical) == report.chi_cover
 
     def test_non_integral_group_order(self, monkeypatch):
-        monkeypatch.setattr(product_threefold, "GROUP_ORDER", 5)
-        with pytest.raises(NonIntegral, match="chi 32 not divisible by 5"):
+        # 7 divides 224 = 32 * 7 but not 32
+        monkeypatch.setattr(product_threefold, "GROUP_ORDER", 7)
+        with pytest.raises(NonIntegral, match="chi 32 not divisible by 7"):
             adjunction_chain()
