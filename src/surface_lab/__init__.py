@@ -24,12 +24,12 @@ _EXPORTS = {
     "Tolerance": "legendre_numerics",
     "abelianize_extension": "affine_groups",
     "adjunction_chain": "product_threefold",
+    "configuration_report": "picard_lattice",
     "legendre_params": "legendre_numerics",
     "run": "checks",
     "smith_normal_form": "integer_algebra",
     "standard_generators": "affine_groups",
     "theta_cohomology_report": "picard_lattice",
-    "verify_configuration": "picard_lattice",
     "verify_identities": "legendre_numerics",
 }
 

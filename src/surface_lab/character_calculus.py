@@ -191,10 +191,10 @@ def one_forms_space(cover: BranchedCoverData, gens: Sequence[AffineElement]) -> 
     return space
 
 
-def one_forms_invariants(cover: BranchedCoverData, gens: Sequence[AffineElement]) -> int:
-    """One-forms invariant under the whole acting group: those on which
-    every generator acts as +1, the zero character."""
-    return sum(m for chi, m in one_forms_space(cover, gens).items() if not any(chi))
+def one_forms_invariants(space: Counter) -> int:
+    """One-forms of a one_forms_space invariant under the whole acting
+    group: those on which every generator acts as +1, the zero character."""
+    return sum(m for chi, m in space.items() if not any(chi))
 
 
 def pencil_fixed_parameters(A: complex) -> tuple[complex, complex]:

@@ -3,13 +3,13 @@
 Every check is one row of the claims table CHECKS: the paper claim it
 verifies, the frozen expected value, and a function that recomputes the
 value from the run's Facts.  The engine compares the two, and only it:
-the builders in the other modules compute and report numbers but do not
-judge them, so each expected value is written once, here.  Facts builds
-each shared intermediate (the generators, the theta report, ...)
-on first use and lives for one run only, so every run recomputes from
-scratch and checks that read the same report read the same object.  The
-engine runs whatever subset is requested and reports results in a fixed
-canonical order (sorted by check name), so identical configurations
+builders compute and report numbers, never judge them, so each expected
+value is written once, here; a failing table names its first wrong entry.
+Facts builds each shared intermediate (the generators, the theta report,
+...) on first use and lives for one run only, so every run recomputes
+from scratch and checks that read the same report read the same object.
+The engine runs whatever subset is requested and reports results in a
+fixed canonical order (sorted by check name), so identical configurations
 produce byte-identical machine output.  A check that raises is reported
 with status "error" and does not stop the others.
 
@@ -43,6 +43,7 @@ from .character_calculus import (
     invariant_dim,
     legendre_pair_space,
     one_forms_invariants,
+    one_forms_space,
     pencil_invariant_count,
     pencil_spaces,
     tensor,
@@ -70,8 +71,8 @@ from .picard_lattice import (
     ConfigReport,
     ThetaReport,
     catalog,
+    configuration_report,
     theta_cohomology_report,
-    verify_configuration,
 )
 from .product_threefold import AdjunctionReport, adjunction_chain
 
@@ -168,10 +169,6 @@ class Facts:
         return catalog()
 
     @cached_property
-    def audit(self) -> ConfigReport:
-        return verify_configuration(self.catalog)
-
-    @cached_property
     def theta(self) -> ThetaReport:
         return theta_cohomology_report(self.catalog)
 
@@ -221,35 +218,36 @@ class Claim:
         return status, self.expected_text(facts.config), self.show(got)
 
 
-_COMMUTATOR_TABLE: dict[tuple[int, int], tuple[int, ...]] = {
-    (0, 1): (0, 1, 0, 0, 0, 0, 0, 0),
-    (0, 2): (-1, 0, 0, 0, 0, 0, 0, 0),
-    (0, 3): (0, 0, 0, 0, 0, 0, 0, 0),
-    (0, 4): (0, 0, 0, 0, -1, 0, 0, 0),
-    (1, 2): (0, 0, 1, 0, 0, 0, 0, 0),
-    (1, 3): (0, 0, 1, 1, 0, 0, 0, 0),
-    (1, 4): (0, 0, 0, 0, 0, -1, 0, -1),
-    (2, 3): (0, 0, 1, 1, 0, 0, 0, 0),
-    (2, 4): (0, 0, 0, 0, 0, 0, -1, -1),
-    (3, 4): (0, 0, 0, 0, 0, 0, -1, -1),
+_COMMUTATOR_TABLE: dict[str, tuple[int, ...]] = {
+    "[g1, g2]": (0, 1, 0, 0, 0, 0, 0, 0),
+    "[g1, g3]": (-1, 0, 0, 0, 0, 0, 0, 0),
+    "[g1, g4]": (0, 0, 0, 0, 0, 0, 0, 0),
+    "[g1, g5]": (0, 0, 0, 0, -1, 0, 0, 0),
+    "[g2, g3]": (0, 0, 1, 0, 0, 0, 0, 0),
+    "[g2, g4]": (0, 0, 1, 1, 0, 0, 0, 0),
+    "[g2, g5]": (0, 0, 0, 0, 0, -1, 0, -1),
+    "[g3, g4]": (0, 0, 1, 1, 0, 0, 0, 0),
+    "[g3, g5]": (0, 0, 0, 0, 0, 0, -1, -1),
+    "[g4, g5]": (0, 0, 0, 0, 0, 0, -1, -1),
 }
 
 
-def _commutators(f: Facts) -> dict[tuple[int, int], tuple[int, ...]]:
+def _commutators(f: Facts) -> dict[str, tuple[int, ...]]:
     gens = f.generators
     return {
-        (i, j): commutator(gens[i], gens[j])
+        f"[g{i + 1}, g{j + 1}]": commutator(gens[i], gens[j])
         for i, j in combinations(range(len(gens)), 2)
     }
 
 
-def _show_commutators(got: dict[tuple[int, int], tuple[int, ...]]) -> str:
-    bad = [
-        f"[g{i + 1}, g{j + 1}] = {coords}"
-        for (i, j), coords in got.items()
-        if _COMMUTATOR_TABLE.get((i, j)) != coords
-    ]
-    return "; ".join(bad) or "10/10 pairs exact"
+def _first_difference(have: dict, want: dict, passed: str) -> str:
+    """The first name whose values differ, want's names first, as "name =
+    value, want value" (never the pass text); passed if none does."""
+    if have != want:
+        for name in {**want, **have}:
+            if have.get(name, 0) != want.get(name, 0):
+                return f"{name} = {have.get(name, 0)}, want {want.get(name, 0)}"
+    return passed
 
 
 def _fixed_point_histogram(f: Facts) -> dict[int, int]:
@@ -275,12 +273,36 @@ def _kunneth_list(f: Facts) -> tuple[int, int, int, int]:
     return c.h_canonical[0], c.h_adjoint[0], c.h_canonical[1], c.h_canonical[2]
 
 
-def _configuration_audit(f: Facts) -> Problems:
-    report = f.audit
-    text = f"{report.checks_run} identities checked, {len(report.failures)} failures"
-    if report.failures:
-        text += ": " + "; ".join(report.failures[:3])
-    return Problems(report.failures, text)
+# the upper triangle of the intersection matrix of picard_lattice.CURVES
+# (K, S1..S4, Delta1..3, f1..3) row by row, ten zero classes, six degrees
+_CONFIGURATION = ConfigReport(
+    (
+        (3, 0, 0, 0, 0, -1, -1, -1, -2, -2, -2),
+        (-2, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        (-2, 0, 0, 0, 0, 0, 0, 0, 0),
+        (-2, 0, 0, 0, 0, 0, 0, 0),
+        (-2, 0, 0, 0, 0, 0, 0),
+        (-1, 1, 1, 2, 0, 0),
+        (-1, 1, 0, 2, 0),
+        (-1, 0, 0, 2),
+        (0, 2, 2),
+        (0, 2),
+        (0,),
+    ),
+    ((0,) * 7,) * 10,
+    {"Delta2": -2, "Delta3": -2, "f1": 3, "E1": 2, "E3": 2, "E2": 3},
+)
+_NAMED_CONFIGURATION = _CONFIGURATION.named()
+
+# the seven one-form characters, each of multiplicity 1: those of the two
+# torus coordinates, then one per line of the genus-5 curve
+_CHARACTERS = ("10000", "01000", "00100", "00101", "00110", "01001", "01110")
+_ONE_FORMS = (0, sorted((tuple(map(int, bits)), 1) for bits in _CHARACTERS))
+
+
+def _one_forms(f: Facts) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    space = one_forms_space(f.cover, f.generators)
+    return one_forms_invariants(space), sorted(space.items())
 
 
 def _h1_h2(f: Facts) -> tuple[int, int, int]:
@@ -358,7 +380,7 @@ CHECKS: dict[str, Claim] = {
             _COMMUTATOR_TABLE,
             _commutators,
             text="all 10 commutators match the frozen table",
-            show=_show_commutators,
+            show=lambda v: _first_difference(v, _COMMUTATOR_TABLE, "10/10 pairs exact"),
         ),
         Claim(
             "sign_condition",
@@ -432,16 +454,21 @@ CHECKS: dict[str, Claim] = {
         Claim(
             "q_S_zero",
             "no one-form on the product is invariant, so the quotient has irregularity 0",
-            0,
-            lambda f: one_forms_invariants(f.cover, f.generators),
+            _ONE_FORMS,
+            _one_forms,
             text="0 invariant one-forms",
+            # the invariant count alone while the inventory is the frozen one
+            show=lambda v: _first_difference(dict(v[1]), dict(_ONE_FORMS[1]), str(v[0])),
         ),
         Claim(
             "picard_config",
             "all linear equivalences and intersection numbers of the branch configuration hold",
-            (),
-            _configuration_audit,
-            text="all configuration identities hold",
+            _CONFIGURATION,
+            lambda f: configuration_report(f.catalog),
+            text="the frozen 66 intersections, 10 zero relations and 6 degrees",
+            show=lambda v: _first_difference(
+                v.named(), _NAMED_CONFIGURATION, "82/82 numbers exact"
+            ),
         ),
         Claim(
             "independence_ranks",

@@ -22,15 +22,15 @@ components' classes; every component is a line or a conic, so of genus
 Euler characteristics use chi(O_Y) = 1 and e(Y) = 9 (each of the six
 blow-ups adds one to e(P^2) = 3).
 
-verify_configuration audits the relations the configuration must satisfy.
-theta_cohomology_report only computes the lattice numbers of the
-tangent-sheaf bounds; the values they must take are written once, in the
-claims table of surface_lab.checks, which judges them.
+configuration_report (intersections, relations and degrees of the
+configuration) and theta_cohomology_report (the tangent-sheaf bounds) only
+compute; the values they must take are written once, in the claims table
+of surface_lab.checks, which judges them.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, mul, neg, sub
 
 from ._record import record
@@ -103,9 +103,9 @@ def catalog() -> ConfigCatalog:
     f1 = 2 * L - E[1] - E[3] - E[4] - E[5]
     f2 = 2 * L - E[0] - E[2] - E[4] - E[5]
     f3 = 2 * L - E[0] - E[1] - E[2] - E[3]
-    l1 = -1 * K + f1 - E[3]
+    l1 = -K + f1 - E[3]
     l2 = -2 * K - E[4] - E[5]
-    l3 = -1 * K + L - E[0] - E[1] - E[2]
+    l3 = -K + L - E[0] - E[1] - E[2]
     # the components of D_1, D_2, D_3, by curve: D_3 holds two members
     # of the pencil f1, whose class appears twice
     branch1 = (d1, f2, s1, s2)  # Delta1, f2, S1, S2
@@ -135,93 +135,56 @@ def restriction_degrees(c: ConfigCatalog) -> dict[str, int]:
     }
 
 
+# the rows and columns of ConfigReport.intersections, the names of its
+# entries, and the names of its relations, each the left side minus the
+# right side of an equivalence
+CURVES = ("K", "S1", "S2", "S3", "S4", "Delta1", "Delta2", "Delta3", "f1", "f2", "f3")
+_MATRIX_NAMES = tuple(f"{a}.{b}" for i, a in enumerate(CURVES) for b in CURVES[i:])
+RELATIONS = (
+    "Delta1 + f1 + K", "Delta2 + f2 + K", "Delta3 + f3 + K", "S1 + S4 - S2 - S3 + 2E1 - 2E3",
+    "K + L1 - f1 + E4", "K + L2 + Delta2 - S1 - S2 - S3 - S4 - E1 - E3",
+    "K + L3 + Delta3 - S1 - S2 - E2", "2L1 - D2 - D3", "2L2 - D1 - D3", "2L3 - D1 - D2",
+)
+
+
 @record
 class ConfigReport:
-    checks_run: int
-    failures: tuple[str, ...]
+    intersections: tuple[tuple[int, ...], ...]  # upper triangle, row by row
+    relations: tuple[DivisorClass, ...]
+    degrees: dict[str, int]  # keyed by the curve each is taken on
+
+    def named(self) -> dict[str, object]:
+        """Each number under its name: "K.S1", a RELATIONS entry, "degree on f1"."""
+        named = dict(zip(_MATRIX_NAMES, chain.from_iterable(self.intersections)))
+        named.update(zip(RELATIONS, self.relations))
+        named.update((f"degree on {k}", d) for k, d in self.degrees.items())
+        return named
 
 
-def verify_configuration(c: ConfigCatalog) -> ConfigReport:
-    """Exact arithmetic audit of the configuration relations."""
-    checks_run = 0
-    failures: list[str] = []
-
-    def expect(label: str, got, want) -> None:
-        nonlocal checks_run
-        checks_run += 1
-        if got != want:
-            failures.append(f"{label}: got {got}, want {want}")
-
-    minus_k = -c.K
-
-    for i in range(3):
-        expect(f"Delta{i+1} + f{i+1} = -K", c.Delta[i] + c.f[i], minus_k)
-
-    for i in range(4):
-        for j in range(i + 1, 4):
-            expect(f"S{i+1}.S{j+1} = 0", intersect(c.S[i], c.S[j]), 0)
-        for j in range(3):
-            expect(f"S{i+1}.Delta{j+1} = 0", intersect(c.S[i], c.Delta[j]), 0)
-            expect(f"S{i+1}.f{j+1} = 0", intersect(c.S[i], c.f[j]), 0)
-        expect(f"S{i+1}^2 = -2", selfint(c.S[i]), -2)
-        expect(f"K.S{i+1} = 0", intersect(c.K, c.S[i]), 0)
-
-    for i in range(3):
-        for j in range(3):
-            want = 2 if i == j else 0
-            expect(f"Delta{i+1}.f{j+1} = {want}", intersect(c.Delta[i], c.f[j]), want)
-        expect(f"f{i+1}^2 = 0", selfint(c.f[i]), 0)
-        expect(f"-K.Delta{i+1} = 1", intersect(minus_k, c.Delta[i]), 1)
-        expect(f"-K.f{i+1} = 2", intersect(minus_k, c.f[i]), 2)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            expect(f"f{i+1}.f{j+1} = 2", intersect(c.f[i], c.f[j]), 2)
-
-    expect(
-        "S1 + S4 - S2 - S3 = -2E1 + 2E3",
-        c.S[0] + c.S[3] - c.S[1] - c.S[2],
-        -2 * E[0] + 2 * E[2],
+def configuration_report(c: ConfigCatalog) -> ConfigReport:
+    """The intersection matrix of CURVES, the RELATIONS classes, and the
+    degrees on Delta2, Delta3 (the negativity inputs), then restriction_degrees."""
+    curves = (c.K, *c.S, *c.Delta, *c.f)
+    S, Delta, f, chern = c.S, c.Delta, c.f, c.chern
+    D = [c.branch_divisor(i) for i in range(3)]
+    return ConfigReport(
+        # rows from lists: a generator per row raised a warm process's RSS
+        tuple(tuple([intersect(a, b) for b in curves[i:]]) for i, a in enumerate(curves)),
+        (
+            *(Delta[i] + f[i] + c.K for i in range(3)),
+            S[0] + S[3] - S[1] - S[2] + 2 * E[0] - 2 * E[2],
+            c.K + chern[0] - f[0] + E[3],
+            c.K + chern[1] + Delta[1] - S[0] - S[1] - S[2] - S[3] - E[0] - E[2],
+            c.K + chern[2] + Delta[2] - S[0] - S[1] - E[1],
+            # bidouble consistency: 2 L_i = D_j + D_k for {i, j, k} = {1, 2, 3}
+            *(2 * chern[i] - D[j] - D[k] for i, (j, k) in enumerate([(1, 2), (0, 2), (0, 1)])),
+        ),
+        {
+            "Delta2": intersect(2 * Delta[1] - E[4] - E[5], Delta[1]),
+            "Delta3": intersect(c.K + 2 * Delta[2] + L - E[0] - E[1] - E[2], Delta[2]),
+            **restriction_degrees(c),
+        },
     )
-    expect(
-        "K + L2 + Delta2 = S1+S2+S3+S4+E1+E3",
-        c.K + c.chern[1] + c.Delta[1],
-        c.S[0] + c.S[1] + c.S[2] + c.S[3] + E[0] + E[2],
-    )
-    expect(
-        "K + L3 + Delta3 = S1+S2+E2",
-        c.K + c.chern[2] + c.Delta[2],
-        c.S[0] + c.S[1] + E[1],
-    )
-    expect("K + L1 = f1 - E4", c.K + c.chern[0], c.f[0] - E[3])
-
-    # bidouble consistency: 2 L_i = D_j + D_k for {i, j, k} = {1, 2, 3}
-    for i, (j, k) in enumerate([(1, 2), (0, 2), (0, 1)]):
-        expect(
-            f"2L{i+1} = D{j+1} + D{k+1}",
-            2 * c.chern[i],
-            c.branch_divisor(j) + c.branch_divisor(k),
-        )
-
-    # negativity inputs for the two exceptional-case reductions
-    expect(
-        "(2Delta2 - E5 - E6).Delta2 = -2",
-        intersect(2 * c.Delta[1] - E[4] - E[5], c.Delta[1]),
-        -2,
-    )
-    expect(
-        "(K + 2Delta3 + L - E1 - E2 - E3).Delta3 = -2",
-        intersect(c.K + 2 * c.Delta[2] + L - E[0] - E[1] - E[2], c.Delta[2]),
-        -2,
-    )
-
-    # restriction degrees feeding the character-wise bounds
-    degrees = restriction_degrees(c)
-    expect("(D1 + f1 - E4).f1 = 3", degrees["f1"], 3)
-    expect("E1-degree = 2", degrees["E1"], 2)
-    expect("E3-degree = 2", degrees["E3"], 2)
-    expect("E2-degree = 3", degrees["E2"], 3)
-
-    return ConfigReport(checks_run, tuple(failures))
 
 
 def chi_bundle_hrr(rk: int, c1: DivisorClass, c2: int) -> int:

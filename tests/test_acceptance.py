@@ -23,6 +23,7 @@ from surface_lab.character_calculus import (
     pencil_spaces,
     tensor,
 )
+from surface_lab.checks import CHECKS
 from surface_lab.integer_algebra import (
     FinAbGroup,
     smith_normal_form,
@@ -42,9 +43,9 @@ from surface_lab.orbifold_covers import (
 )
 from surface_lab.picard_lattice import (
     catalog,
+    configuration_report,
     intersect,
     theta_cohomology_report,
-    verify_configuration,
 )
 from surface_lab.product_threefold import (
     STANDARD_GENERA,
@@ -128,15 +129,17 @@ def test_criterion_5_numerical_invariants():
         chain.h_canonical[2],
     )
     assert kunneth == (5, 32, 11, 7)
-    from surface_lab.character_calculus import one_forms_invariants
+    from surface_lab.character_calculus import one_forms_invariants, one_forms_space
 
     gens = standard_generators()
-    assert one_forms_invariants(d_factor_branch_elements(gens), gens) == 0  # q(S) = 0, exact
+    space = one_forms_space(d_factor_branch_elements(gens), gens)
+    assert one_forms_invariants(space) == 0  # q(S) = 0, exact
 
 
 def test_criterion_6_picard_and_tangent_sheaf():
-    audit = verify_configuration(catalog())
-    assert not audit.failures, audit.failures  # every configuration identity, exact
+    config = configuration_report(catalog())
+    assert config == CHECKS["picard_config"].expected  # every configuration number, exact
+    assert not any(map(any, config.relations))  # every linear equivalence holds
     report = theta_cohomology_report(catalog())
     assert report.span_ranks == (5, 6, 6)
     assert report.chi_cotangent_twisted == -4

@@ -12,11 +12,15 @@ import pytest
 from surface_lab import cli
 from surface_lab import legendre_numerics as ln
 from surface_lab.affine_groups import abelianization_relations, standard_generators
+from surface_lab.checks import CHECKS, canonical_names
 from surface_lab.integer_algebra import smith_normal_form
 
-LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
-# moved to tests/oracles.py; its per-layer metric reads 0 until the bench drops it
-GONE = {"orbifold_covers.homology_bound"}
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+LAYERS = BENCH / "layers.py"
+# gone from the package: homology_bound moved to tests/oracles.py, and
+# verify_configuration became configuration_report; each per-layer metric
+# reads 0 until the bench drops or re-points it
+GONE = {"orbifold_covers.homology_bound", "picard_lattice.verify_configuration"}
 
 TAU = 0.1 + 0.3j  # bench/layers.py's im_low probe
 
@@ -93,6 +97,27 @@ def test_traced_algebra_names_are_public_functions():
         fn = getattr(mod, name, None)
         assert inspect.isfunction(fn), label
         assert fn.__module__ == mod.__name__, label
+
+
+def bench_numeric_checks() -> set[str]:
+    """The names in NUMERIC_CHECKS of bench/workloads.py."""
+    for node in ast.parse((BENCH / "workloads.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "NUMERIC_CHECKS" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("bench/workloads.py defines no NUMERIC_CHECKS")
+
+
+def test_claim_set_as_the_bench_counts_it():
+    # cli_cold requires 22 passes, and algebra_warm 20 passes with exactly
+    # NUMERIC_CHECKS skipped: a claim added, removed or renamed reads
+    # pass_rate 0 on both until the bench reads the set from the package
+    # (ROADMAP item 7)
+    message = "the bench hard-codes the claim set; change it with ROADMAP item 7"
+    assert len(canonical_names()) == 22, message
+    numeric = {name for name, claim in CHECKS.items() if claim.moduli > 0}
+    assert numeric == bench_numeric_checks(), message
 
 
 def test_smith_normal_form_as_the_bench_calls_it():

@@ -212,7 +212,7 @@ class TestOneForms:
         assert C("+++++") not in space
 
     def test_full_group_has_no_invariants(self):
-        assert one_forms_invariants(d_factor_branch_elements(GENS), GENS) == 0
+        assert one_forms_invariants(one_forms_space(d_factor_branch_elements(GENS), GENS)) == 0
 
     def test_index_two_subgroups_with_one_invariant(self):
         e = [tuple(1 if i == j else 0 for i in range(5)) for j in range(5)]

@@ -20,6 +20,8 @@ from surface_lab import affine_groups as affine_groups_mod
 from surface_lab import checks as checks_mod
 from surface_lab import legendre_numerics as numerics_mod
 from surface_lab import product_threefold as product_mod
+from surface_lab.affine_groups import commutator
+from surface_lab.character_calculus import _branch_dual_characters
 from surface_lab.checks import (
     CHECKS,
     DEFAULT_TAUS,
@@ -75,7 +77,7 @@ ALGEBRAIC_SUBSET = (
 
 SHARED_BUILDERS = (
     "theta_cohomology_report",
-    "verify_configuration",
+    "configuration_report",
     "adjunction_chain",
     "abelianize_extension",
     "d_factor_branch_elements",
@@ -297,6 +299,35 @@ class TestRun:
             "violated",
         )
 
+    def test_wrong_commutator_names_the_first_pair(self, monkeypatch):
+        def shifted(a, b):
+            return tuple(x + 1 for x in commutator(a, b))
+
+        monkeypatch.setattr(checks_mod, "commutator", shifted)
+        [result] = run(RunConfig(checks=("commutator_table",), taus=()))
+        assert (result.status, result.actual) == (
+            "fail",
+            "[g1, g2] = (1, 2, 1, 1, 1, 1, 1, 1), want (0, 1, 0, 0, 0, 0, 0, 0)",
+        )
+
+    def test_complemented_torus_characters_fail_q_s_zero(self, monkeypatch):
+        # the mutant `(1 - sign) // 2` -> `(1 + sign) // 2` in one_forms_space
+        # keeps the zero character out, so the invariant count alone missed it
+        def complemented(cover, gens):
+            space = Counter(
+                tuple((1 + g.sign_at(coord)) // 2 for g in gens) for coord in (0, 1)
+            )
+            space.update((0, *phi) for phi in _branch_dual_characters(cover))
+            return space
+
+        monkeypatch.setattr(checks_mod, "one_forms_space", complemented)
+        [result] = run(RunConfig(checks=("q_S_zero",), taus=()))
+        assert (result.status, result.expected, result.actual) == (
+            "fail",
+            "0 invariant one-forms",
+            "(0, 1, 0, 0, 0) = 0, want 1",
+        )
+
     def test_six_point_cover_fails_the_four_cover_claims(self, monkeypatch):
         # valid branch data (it sums to zero and spans F_2^4), but with six
         # branch points: every claim that reads the cover must see it
@@ -346,6 +377,7 @@ class TestRun:
         assert [r.name for r in failed] == ["picard_config"]
         assert {r.status for r in results} == {"pass", "fail", "skipped"}
         assert all(r.expected != r.actual for r in failed)
+        assert failed[0].actual == "K.S1 = -1, want 0"
 
     def test_broken_identity_fails_pencil_two_invariants(self, monkeypatch):
         # a false identity is a fail (exit 1), as in legendre_identities;
@@ -421,8 +453,8 @@ class TestSharedFacts:
         good = catalog()
         broken = replace(good, S=(L - E[0] - E[1], *good.S[1:]))
         monkeypatch.setattr(checks_mod, "catalog", lambda: broken)
-        # the audit judges the catalog; the theta report's lattice numbers
-        # do not depend on S1 being a (-2)-curve
+        # the claims table judges the catalog's numbers; the theta report's
+        # lattice numbers do not depend on S1 being a (-2)-curve
         assert [r.status for r in run(config)] == ["fail", "pass"]
 
     def test_one_run_builds_each_modulus_once(self, monkeypatch):
@@ -607,13 +639,17 @@ class TestMain:
 
     def test_no_default_taus_text_matches_golden_file(self, capsys):
         # the file is this command's output at the commit before checks
-        # could report "error"; no status other than pass/skipped appears
+        # could report "error"; no status other than pass/skipped appears.
+        # Only picard_config's text has changed since, when the configuration
+        # audit became a frozen report
         assert main(["verify", "all", "--no-default-taus"]) == 0
         assert capsys.readouterr().out.encode() == GOLDEN_NO_TAUS_TEXT.read_bytes()
 
     def test_no_default_taus_json_matches_golden_file(self):
         # the file is this command's output at the commit before the claims
-        # table; it holds no floating-point residual, so no platform drift
+        # table; it holds no floating-point residual, so no platform drift.
+        # Only picard_config's two texts have changed since, when the
+        # configuration audit became a frozen report
         args = ("verify", "all", "--no-default-taus", "--format", "json")
         out = run_python("-m", "surface_lab.cli", *args)
         assert out.returncode == 0, out.stderr
@@ -623,8 +659,9 @@ class TestMain:
         # the file is this command's output with the theta-form L; its
         # legendre_identities residual text pins the numerics on the four
         # default moduli, which the --no-default-taus files cannot.  Only
-        # that text has changed since the file was first written
-        # (2.383e-11 -> 2.641e-11 -> 2.866e-15)
+        # that text (2.383e-11 -> 2.641e-11 -> 2.866e-15) and picard_config's
+        # two texts, when the configuration audit became a frozen report,
+        # have changed since the file was first written
         assert main(["verify", "all", "--format", "json"]) == 0
         assert capsys.readouterr().out.encode() == GOLDEN_DEFAULT.read_bytes()
 

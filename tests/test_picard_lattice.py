@@ -6,20 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surface_lab import checks as checks_mod
+from surface_lab.checks import CHECKS, RunConfig, run
 from surface_lab.integer_algebra import rank
 from surface_lab.picard_lattice import (
+    CURVES,
+    RELATIONS,
     E,
     L,
     catalog,
     chi_bundle_hrr,
     chi_restricted_twist,
     cls,
+    configuration_report,
     intersect,
     restriction_degrees,
     selfint,
     theta_cohomology_report,
     twisted_cotangent_chern,
-    verify_configuration,
 )
 from surface_lab.product_threefold import adjunction_chain
 
@@ -102,19 +106,72 @@ class TestIntersect:
         assert [list(row) for row in g] == expected
 
 
-class TestVerifyConfiguration:
-    def test_full_catalog_passes(self):
-        report = verify_configuration(catalog())
-        assert report.failures == ()
-        assert report.checks_run > 40
+def picard_config_on(monkeypatch, c):
+    """The picard_config result of a run on catalog c."""
+    monkeypatch.setattr(checks_mod, "catalog", lambda: c)
+    [result] = run(RunConfig(checks=("picard_config",), taus=()))
+    return result
 
-    def test_mutated_side_fails_disjointness(self):
+
+class TestConfigurationReport:
+    def test_full_catalog_matches_the_frozen_claim(self):
+        report = configuration_report(catalog())
+        assert report == CHECKS["picard_config"].expected
+        assert [len(row) for row in report.intersections] == list(range(len(CURVES), 0, -1))
+        assert sum(map(len, report.intersections)) == 66
+        assert len(report.relations) == len(RELATIONS) == 10
+        assert not any(map(any, report.relations))
+
+    def test_matrix_entries_are_the_named_intersections(self):
         c = catalog()
-        bad_s1 = L - E[0] - E[1]  # drop E5 from S1
-        mutated = replace(c, S=(bad_s1, c.S[1], c.S[2], c.S[3]))
-        report = verify_configuration(mutated)
-        assert report.failures
-        assert any("S1.S" in f and "= 0" in f for f in report.failures)
+        curves = dict(zip(CURVES, (c.K, *c.S, *c.Delta, *c.f)))
+        rows = configuration_report(c).intersections
+        for i, a in enumerate(CURVES):
+            for b, x in zip(CURVES[i:], rows[i]):
+                assert x == intersect(curves[a], curves[b]), (a, b)
+
+    def test_side_without_e5_fails_picard_config(self, monkeypatch):
+        # S1 through P1 P2 alone: S1^2 = -1, and the first entry that
+        # differs in CURVES order is K.S1
+        c = catalog()
+        bad = replace(c, S=(L - E[0] - E[1], *c.S[1:]))
+        assert configuration_report(bad).intersections[1][0] == -1  # S1.S1
+        result = picard_config_on(monkeypatch, bad)
+        assert (result.status, result.actual) == ("fail", "K.S1 = -1, want 0")
+        assert result.expected != result.actual
+
+    def test_conic_through_p1_fails_picard_config(self, monkeypatch):
+        # a conic f1 through P1 in place of P4 moves the degree of
+        # D1 + f1 - E4 on f1 from 3 to 1
+        c = catalog()
+        bad = replace(c, f=(c.f[0] - E[0] + E[3], *c.f[1:]))
+        assert configuration_report(bad).degrees["f1"] == 1
+        result = picard_config_on(monkeypatch, bad)
+        assert (result.status, result.actual) == ("fail", "S1.f1 = -1, want 0")
+
+    def test_wrong_l2_fails_a_relation(self, monkeypatch):
+        c = catalog()
+        bad = replace(c, chern=(c.chern[0], c.chern[1] + E[0], c.chern[2]))
+        relations = configuration_report(bad).relations
+        assert [name for name, r in zip(RELATIONS, relations) if any(r)] == [
+            "K + L2 + Delta2 - S1 - S2 - S3 - S4 - E1 - E3",
+            "2L2 - D1 - D3",
+        ]
+        result = picard_config_on(monkeypatch, bad)
+        assert result.status == "fail"
+        assert result.actual == (
+            "K + L2 + Delta2 - S1 - S2 - S3 - S4 - E1 - E3 = (0, 1, 0, 0, 0, 0, 0), "
+            "want (0, 0, 0, 0, 0, 0, 0)"
+        )
+
+    def test_failing_text_names_the_degree(self):
+        claim = CHECKS["picard_config"]
+        frozen = claim.expected
+        moved = replace(frozen, degrees={**frozen.degrees, "f1": 1})
+        assert claim.show(moved) == "degree on f1 = 1, want 3"
+        steeper = replace(frozen, degrees={**frozen.degrees, "Delta3": -3})
+        assert claim.show(steeper) == "degree on Delta3 = -3, want -2"
+        assert claim.show(frozen) == "82/82 numbers exact"
 
     def test_branch_degree_on_e2(self):
         c = catalog()
@@ -242,12 +299,13 @@ class TestThetaReport:
 
     def test_reports_are_frozen(self):
         theta = theta_cohomology_report(catalog())
-        audit = verify_configuration(catalog())
+        config = configuration_report(catalog())
         with pytest.raises(AttributeError):
             theta.h1 = 5
         with pytest.raises(AttributeError):
-            audit.checks_run = 0
-        assert isinstance(audit.failures, tuple)
+            config.intersections = ()
+        assert isinstance(config.intersections, tuple)
+        assert isinstance(config.relations, tuple)
 
     def test_given_catalog_is_used(self):
         # the report computes from the catalog it is given and judges
@@ -256,15 +314,6 @@ class TestThetaReport:
         moved = replace(c, S=(L - E[0] - E[2] - E[4], *c.S[1:]))
         assert theta_cohomology_report(moved).span_ranks != (5, 6, 6)
         assert theta_cohomology_report(c) == theta_cohomology_report(catalog())
-
-    def test_audit_keeps_the_restriction_degree_labels(self):
-        c = catalog()
-        assert verify_configuration(c).checks_run == 75
-        # a conic f1 through P1 in place of P4 moves the degree of
-        # D1 + f1 - E4 on f1 from 3 to 1
-        bad_f1 = replace(c, f=(c.f[0] - E[0] + E[3], *c.f[1:]))
-        failures = verify_configuration(bad_f1).failures
-        assert any(f.startswith("(D1 + f1 - E4).f1 = 3: got") for f in failures)
 
 
 class TestLatticeInvariants:
