@@ -142,7 +142,8 @@ class Facts:
     use by the builder this module imports, looked up at call time (so a
     replaced builder is seen by the next run), and kept until the run
     ends; nothing outlives the Facts object.  Whatever reads the group
-    action (the cover, the one-forms, the pencil) is given the generators.
+    action (the cover, the one-forms, the pencil) is given the generators,
+    and the adjunction chain the cover's genus and their group's order.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -174,15 +175,11 @@ class Facts:
 
     @cached_property
     def chain(self) -> AdjunctionReport:
-        return adjunction_chain()
+        return adjunction_chain(cover_genus(self.cover), 1 << len(self.generators))
 
     @cached_property
     def h1(self) -> FinAbGroup:
         return abelianize_extension(self.generators)
-
-    @cached_property
-    def orbifold5(self) -> FinAbGroup:
-        return orbifold_abelianization(len(self.cover.branch_images))
 
 
 @record
@@ -263,9 +260,10 @@ def _orbifold_bound(f: Facts) -> tuple[int, int, FinAbGroup, int]:
     # the surface group maps onto the five-point orbifold group extended by
     # a central involution, and abelianizing adds at most one more factor
     # of 2: the homology order is at most 2 * (|orbifold| * 2)
-    bound = 2 * ((f.orbifold5.order() or 0) * 2)
+    orbifold = orbifold_abelianization(len(f.cover.branch_images))
+    bound = 2 * ((orbifold.order() or 0) * 2)
     order = f.h1.order() or 0
-    return bound, order, f.orbifold5, commutator_subspan_rank(f.generators)
+    return bound, order, orbifold, commutator_subspan_rank(f.generators)
 
 
 def _kunneth_list(f: Facts) -> tuple[int, int, int, int]:

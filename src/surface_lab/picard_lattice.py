@@ -25,7 +25,8 @@ blow-ups adds one to e(P^2) = 3).
 configuration_report (intersections, relations and degrees of the
 configuration) and theta_cohomology_report (the tangent-sheaf bounds) only
 compute; the values they must take are written once, in the claims table
-of surface_lab.checks, which judges them.
+of surface_lab.checks, which judges them.  Both read the components of the
+three log divisors of the bounds from one list, built from the catalog.
 """
 
 from __future__ import annotations
@@ -121,14 +122,22 @@ def catalog() -> ConfigCatalog:
     )
 
 
+def _log_components(c: ConfigCatalog) -> tuple[tuple[DivisorClass, ...], ...]:
+    """Components of D1 + f1, f3 + S + E1 + E3 and 2 f1 + S + E2, S = S1 + ... + S4."""
+    return (
+        (*c.branch_components[0], c.f[0]),
+        (c.f[2], *c.S, E[0], E[2]),
+        (c.f[0], c.f[0], *c.S, E[1]),
+    )
+
+
 def restriction_degrees(c: ConfigCatalog) -> dict[str, int]:
     """Degrees of the log-twisted restrictions behind the character-wise
-    bounds, keyed by the curve restricted to: D1 + f1 - E4 on f1, and the
-    second and third log divisors on E1, E3 and E2."""
-    log2 = c.f[2] + c.S[0] + c.S[1] + c.S[2] + c.S[3] + E[0] + E[2]
-    log3 = 2 * c.f[0] + c.S[0] + c.S[1] + c.S[2] + c.S[3] + E[1]
+    bounds, keyed by the curve restricted to: the first log divisor minus
+    E4 on f1, the second on E1 and E3, the third on E2."""
+    log1, log2, log3 = [sum(comps, cls(0, 0, 0, 0, 0, 0, 0)) for comps in _log_components(c)]
     return {
-        "f1": intersect(c.branch_divisor(0) + c.f[0] - E[3], c.f[0]),
+        "f1": intersect(log1 - E[3], c.f[0]),
         "E1": intersect(E[0], log2),
         "E3": intersect(E[2], log2),
         "E2": intersect(E[1], log3),
@@ -241,22 +250,15 @@ def theta_cohomology_report(c: ConfigCatalog) -> ThetaReport:
         for comp in c.branch_components[i]
     )
 
-    span1 = [c.Delta[0], c.f[1], c.S[0], c.S[1], c.f[0]]
-    span2 = [c.f[2], c.S[0], c.S[1], c.S[2], c.S[3], E[0], E[2]]
-    span3 = [c.f[0], c.f[0], c.S[2], c.S[3], c.S[0], c.S[1], E[1]]
-    ranks = (rank(span1), rank(span2), rank(span3))
+    logs = _log_components(c)
+    ranks = tuple([rank(comps) for comps in logs])
     degrees = restriction_degrees(c)
-
-    def sections_on_line(degree: int) -> int:
-        # h0 of the cotangent sheaf of a rational curve twisted up to degree
-        return max(degree - 1, 0)
-
-    bound1 = (len(span1) - ranks[0]) + sections_on_line(degrees["f1"])
-    bound2 = (len(span2) - ranks[1]) + sections_on_line(degrees["E1"]) + sections_on_line(
-        degrees["E3"]
-    )
-    bound3 = (len(span3) - ranks[2]) + sections_on_line(degrees["E2"])
-    bounds = (bound1, bound2, bound3)
+    # each log divisor's dependent components, plus h0 of the cotangent
+    # sheaf of each rational curve it restricts to, twisted up to its degree
+    bounds = tuple([
+        len(comps) - r + sum([max(degrees[curve] - 1, 0) for curve in curves])
+        for comps, r, curves in zip(logs, ranks, (("f1",), ("E1", "E3"), ("E2",)))
+    ])
 
     return ThetaReport(
         chi_cotangent_twisted=chi_tw,

@@ -1,5 +1,5 @@
 """Intersection numbers and Kuenneth cohomology on a product threefold
-C_1 x C_2 x C_3 with factor genera (1, 1, 5).
+C_1 x C_2 x C_3 of two elliptic curves and a curve D of genus g.
 
 Divisor classes are integer combinations of the three fiber classes
 F_1, F_2, F_3 of the projections.  The calculus needs only the relations
@@ -8,16 +8,16 @@ repeats, so a class is just its coefficient 3-tuple (a_1, a_2, a_3),
 which is also its multidegree (degree on each factor curve).
 
 Degree bookkeeping for the hypersurface class HYPERSURFACE = (2, 2, 4)
-and the canonical class CANONICAL = (0, 0, 8) of the product:
+and the canonical class (0, 0, 2g - 2) of the product:
 
 * a double point bundle on an elliptic factor has degree 2;
-* a (2, 0) class on the elliptic square restricts to the genus-5 curve
-  with degree 4 (the curve is a bidegree (2, 2) divisor, so it meets
-  each fiber twice);
-* the canonical bundle of the genus-5 factor has degree 2*5 - 2 = 8.
+* a (2, 0) class on the elliptic square restricts to D with degree 4
+  (D is a bidegree (2, 2) divisor, so it meets each fiber twice);
+* the canonical bundle of D has degree 2g - 2.
 
 adjunction_chain reports every number of the product that the checks read,
-K^2 and chi of the cover and of the quotient included.
+K^2 and chi of the cover and of the quotient included, from the genus of D
+and the group order, both of which the checks take from the run.
 """
 
 from __future__ import annotations
@@ -36,15 +36,9 @@ class AmbiguousCase(Exception):
     """Cohomology of a special line bundle cannot be read off the degree."""
 
 
-STANDARD_GENERA = (1, 1, 5)
-GROUP_ORDER = 32
-
-
 FiberClass = tuple[int, int, int]
 
-CANONICAL: FiberClass = (0, 0, 8)
 HYPERSURFACE: FiberClass = (2, 2, 4)
-ADJOINT: FiberClass = tuple(map(add, CANONICAL, HYPERSURFACE))  # fiber by fiber
 
 
 def triple_product(x: FiberClass, y: FiberClass, z: FiberClass) -> int:
@@ -107,32 +101,36 @@ class AdjunctionReport:
     k2_quotient: int
 
 
-def adjunction_chain() -> AdjunctionReport:
-    """p_g, q, chi and K^2 of the invariant hypersurface and its free quotient.
+def adjunction_chain(genus: int, order: int) -> AdjunctionReport:
+    """p_g, q, chi and K^2 of the invariant hypersurface in E x E x D, D of
+    the given genus, and of its free quotient by a group of the given order.
 
     The twisted restriction sequence relating the threefold's canonical
     bundle, its adjoint and the hypersurface's dualizing sheaf gives
     p_g = h0(adjoint) + h1(canonical) - h0(canonical) and
     q = h1 of the structure sheaf, i.e. h2 of the canonical bundle.  K^2
-    is ADJOINT^2 HYPERSURFACE; the quotient's chi and K^2 divide by the
+    is adjoint^2 HYPERSURFACE; the quotient's chi and K^2 divide by the
     group order.
     """
-    h_can = kunneth_h(STANDARD_GENERA, CANONICAL)
-    h_adj = kunneth_h(STANDARD_GENERA, ADJOINT)
+    genera = (1, 1, genus)
+    canonical = (0, 0, 2 * genus - 2)
+    adjoint = tuple(map(add, canonical, HYPERSURFACE))  # fiber by fiber
+    h_can = kunneth_h(genera, canonical)
+    h_adj = kunneth_h(genera, adjoint)
     pg = h_adj[0] + h_can[1] - h_can[0]
     q = h_can[2]
     chi_cover = 1 - q + pg
-    k2_cover = triple_product(ADJOINT, ADJOINT, HYPERSURFACE)
+    k2_cover = triple_product(adjoint, adjoint, HYPERSURFACE)
     for name, total in (("K^2", k2_cover), ("chi", chi_cover)):
-        if total % GROUP_ORDER:
-            raise NonIntegral(f"{name} {total} not divisible by {GROUP_ORDER}")
+        if total % order:
+            raise NonIntegral(f"{name} {total} not divisible by {order}")
     return AdjunctionReport(
         h_canonical=h_can,
         h_adjoint=h_adj,
         pg_cover=pg,
         q_cover=q,
         chi_cover=chi_cover,
-        chi_quotient=chi_cover // GROUP_ORDER,
+        chi_quotient=chi_cover // order,
         k2_cover=k2_cover,
-        k2_quotient=k2_cover // GROUP_ORDER,
+        k2_quotient=k2_cover // order,
     )

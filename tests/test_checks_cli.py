@@ -335,12 +335,23 @@ class TestRun:
         six = BranchedCoverData(4, (*basis, (1, 1, 0, 0), (0, 0, 1, 1)))
         monkeypatch.setattr(checks_mod, "d_factor_branch_elements", lambda gens: six)
         names = ("hurwitz_genus5", "fixed_points_8", "subgroup_classification", "orbifold_bound_64")
-        results = {r.name: r for r in run(RunConfig(checks=names, taus=()))}
-        assert {r.status for r in results.values()} == {"fail"}
+        results = {r.name: r for r in run(RunConfig(taus=()))}
+        assert {results[name].status for name in names} == {"fail"}
         assert results["hurwitz_genus5"].actual == "genus 9"
         assert results["fixed_points_8"].actual == "{0: 9, 8: 6}"
         assert results["subgroup_classification"].actual == "{(2, 1): 9, (4, 0): 6}"
         assert results["orbifold_bound_64"].actual.startswith("bound 128, order 64, ")
+        # the chain reads the cover's genus too: at genus 9, chi = 4 * 9 + 12
+        # = 48 upstairs, which 32 does not divide
+        chain_error = "NonIntegral: chi 48 not divisible by 32"
+        assert {n for n, r in results.items() if r.actual == chain_error} == {
+            "chi_32",
+            "k2_hat_224",
+            "ks2_7",
+            "kunneth_list",
+            "pg_38",
+            "theta_h1_4_h2_8",
+        }
 
     def test_nan_values_fail_legendre_identities(self, monkeypatch):
         # the NaN mutant: with every L value NaN the check passed, because
@@ -357,7 +368,7 @@ class TestRun:
         # h2 - h1 = 2 K^2 - 10 chi is read from the run's own K^2
         chain = product_mod.adjunction_chain
         monkeypatch.setattr(
-            checks_mod, "adjunction_chain", lambda: replace(chain(), k2_quotient=6)
+            checks_mod, "adjunction_chain", lambda *args: replace(chain(*args), k2_quotient=6)
         )
         results = {r.name: r for r in run(RunConfig(taus=()))}
         assert {n for n, r in results.items() if r.status == "fail"} == {
@@ -396,7 +407,7 @@ class TestRun:
         assert exit_code(results) == 1
 
     def test_raising_shared_builder_errors_only_its_readers(self, monkeypatch):
-        def boom():
+        def boom(genus, order):
             raise RuntimeError("no chain")
 
         monkeypatch.setattr(checks_mod, "adjunction_chain", boom)
@@ -440,6 +451,20 @@ class TestSharedFacts:
         # adjunction_chain, which takes the one triple product
         calls = calls_in_one_run(product_mod.adjunction_chain, product_mod.triple_product)
         assert calls == {"adjunction_chain": 1, "triple_product": 1}
+
+    def test_one_run_reads_the_chain_at_the_runs_genus_and_order(self, monkeypatch):
+        # genus 5 from the cover, 32 = 2^5 from the five generators
+        seen = []
+        chain = product_mod.adjunction_chain
+
+        def spy(genus, order):
+            seen.append((genus, order))
+            return chain(genus, order)
+
+        monkeypatch.setattr(checks_mod, "adjunction_chain", spy)
+        results = run(RunConfig(taus=()))
+        assert {r.status for r in results} == {"pass", "skipped"}
+        assert seen == [(5, 32)]
 
     def test_every_run_recomputes(self, monkeypatch):
         calls = count_calls(monkeypatch, SHARED_BUILDERS)
@@ -488,7 +513,8 @@ class TestSharedFacts:
         names = (*SHARED_BUILDERS, "catalog")
         calls = count_calls(monkeypatch, names)
         assert run(RunConfig(checks=("ks2_7",)))[0].status == "pass"
-        assert calls == {"adjunction_chain": 1}
+        # the chain reads the cover's genus
+        assert calls == {"adjunction_chain": 1, "d_factor_branch_elements": 1}
 
 
 class TestTauParsing:

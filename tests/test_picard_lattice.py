@@ -292,7 +292,7 @@ class TestThetaReport:
         # h2 - h1 = chi(Theta) = 2 K^2 - 10 chi(O) of the quotient surface
         # meets the bound on h2 exactly, which pins h1 = 4 and h2 = 8
         report = theta_cohomology_report(catalog())
-        chain = adjunction_chain()
+        chain = adjunction_chain(5, 32)
         chi_theta = 2 * chain.k2_quotient - 10 * chain.chi_quotient
         assert chi_theta == 4
         assert report.h1 + chi_theta == report.h2_bound

@@ -4,12 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surface_lab import product_threefold
 from surface_lab.product_threefold import (
-    ADJOINT,
-    CANONICAL,
     HYPERSURFACE,
-    STANDARD_GENERA,
     AmbiguousCase,
     NonIntegral,
     adjunction_chain,
@@ -17,6 +13,8 @@ from surface_lab.product_threefold import (
     kunneth_h,
     triple_product,
 )
+
+STANDARD_GENERA = (1, 1, 5)
 
 vec3 = st.tuples(
     st.integers(min_value=-9, max_value=9),
@@ -47,7 +45,12 @@ class TestTripleProduct:
         assert triple_product(ones, ones, ones) == 6
 
     def test_class_arithmetic(self):
-        assert (CANONICAL, HYPERSURFACE, ADJOINT) == ((0, 0, 8), (2, 2, 4), (2, 2, 12))
+        # at genus 5 the canonical class is (0, 0, 8) and the adjoint (2, 2, 12)
+        assert HYPERSURFACE == (2, 2, 4)
+        report = adjunction_chain(5, 32)
+        assert report.h_canonical == kunneth_h(STANDARD_GENERA, (0, 0, 8))
+        assert report.h_adjoint == kunneth_h(STANDARD_GENERA, (2, 2, 12))
+        assert report.k2_cover == triple_product((2, 2, 12), (2, 2, 12), HYPERSURFACE)
 
     @given(x=vec3, y=vec3, z=vec3)
     @settings(max_examples=100, deadline=None)
@@ -66,16 +69,18 @@ class TestTripleProduct:
 
 class TestKsSquared:
     def test_quotient_value(self):
-        assert adjunction_chain().k2_quotient == 7
+        assert adjunction_chain(5, 32).k2_quotient == 7
 
     def test_cover_value(self):
-        assert adjunction_chain().k2_cover == 224
+        assert adjunction_chain(5, 32).k2_cover == 224
 
-    def test_non_integral_rejected(self, monkeypatch):
+    def test_non_integral_rejected(self):
         # 3 divides neither 224 nor 32; K^2 is judged first
-        monkeypatch.setattr(product_threefold, "GROUP_ORDER", 3)
         with pytest.raises(NonIntegral, match=r"K\^2 224 not divisible by 3"):
-            adjunction_chain()
+            adjunction_chain(5, 3)
+        # a sixth generator doubles the group order, and 64 does not divide 224
+        with pytest.raises(NonIntegral, match=r"K\^2 224 not divisible by 64"):
+            adjunction_chain(5, 64)
 
 
 class TestCurveH:
@@ -165,7 +170,7 @@ class TestKunneth:
 
 class TestAdjunctionChain:
     def test_headline_numbers(self):
-        report = adjunction_chain()
+        report = adjunction_chain(5, 32)
         assert report.h_canonical == (5, 11, 7, 1)
         assert report.h_adjoint == (32, 0, 0, 0)
         assert report.pg_cover == 38
@@ -175,12 +180,18 @@ class TestAdjunctionChain:
 
     def test_euler_additivity_across_adjunction(self):
         # chi of the hypersurface's dualizing sheaf = chi(adjoint) - chi(canonical)
-        report = adjunction_chain()
+        report = adjunction_chain(5, 32)
         chi = lambda h: h[0] - h[1] + h[2] - h[3]
         assert chi(report.h_adjoint) - chi(report.h_canonical) == report.chi_cover
 
-    def test_non_integral_group_order(self, monkeypatch):
+    def test_non_integral_group_order(self):
         # 7 divides 224 = 32 * 7 but not 32
-        monkeypatch.setattr(product_threefold, "GROUP_ORDER", 7)
         with pytest.raises(NonIntegral, match="chi 32 not divisible by 7"):
-            adjunction_chain()
+            adjunction_chain(5, 7)
+
+    def test_genus_moves_the_chain(self):
+        # K^2 = 32 g + 64 and chi = 4 g + 12: at genus 3, K^2 = 160 = 32 * 5
+        # divides, chi = 24 does not
+        with pytest.raises(NonIntegral, match="chi 24 not divisible by 32"):
+            adjunction_chain(3, 32)
+        assert adjunction_chain(3, 8).k2_cover == 160
