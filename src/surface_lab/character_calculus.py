@@ -178,7 +178,7 @@ def _branch_dual_characters(cover: BranchedCoverData) -> list[tuple[int, ...]]:
         want = tuple(0 if i == j else 1 for i in range(len(branches)))
         matches = [phi for phi, value in values.items() if value == want]
         if len(matches) != 1:
-            raise AssertionError("branch data does not determine the character")
+            raise ValueError(f"branch {j} has {len(matches)} dual functionals, not 1")
         functionals.append(matches[0])
     return functionals
 

@@ -3,19 +3,29 @@
 A matrix is a sequence of integer rows (lists or tuples, all of one
 length), and its width is the length of its first row, 0 for no rows.
 Everything here runs on Python integers, so there is no overflow and no
-floating point anywhere.  The Smith reduction uses a smallest-pivot
-strategy to keep intermediate entries from exploding on the small dense
-matrices this package produces (group presentations, divisor spans).
-The pivot search stops at the first entry of absolute value 1: a full
-scan keeps the first entry of minimal absolute value, and no nonzero
-integer is smaller, so that is the pivot the full scan picks and the
-transforms do not change.  A unit pivot divides every entry, so its
-divisibility pass is skipped.
+floating point anywhere.
+
+The invariant factors come from sparse elimination: rows are
+{column: value} dicts without zeros, as the package's matrices (group
+presentations, divisor spans) are mostly zero.  Each step takes an entry
+of least absolute value as pivot, stopping at the first unit, and clears
+its column with row operations; a smaller remainder becomes the pivot.
+Then the pivot row is reduced modulo the pivot.  With the column clear,
+those column operations touch no other row, and a smaller remainder
+becomes the pivot again.  Each |pivot| emitted is a diagonal entry, and
+replacing pairs of entries by their gcd and lcm makes the diagonal a
+divisibility chain without changing the group it presents.
+
+With transforms=True a dense reduction carries U and V as well.  Its
+pivot is the first entry of minimal absolute value, again stopping at a
+unit, and a divisibility pass pulls any row the pivot does not divide
+into the pivot row; a unit pivot divides everything, so it skips that.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import gcd
 
 from ._record import record
 
@@ -27,8 +37,9 @@ class SmithForm:
     """Result of a Smith reduction U @ M @ V = diag(diagonal).
 
     diagonal is the tuple of nonzero invariant factors d_1 | d_2 | ... | d_k,
-    all positive.  U and V are unimodular tuples of row tuples when
-    transforms were requested, otherwise None.
+    all positive; every construction checks the chain.  U and V are
+    unimodular tuples of row tuples when transforms were requested (the
+    dense reduction), otherwise None.
     """
 
     diagonal: tuple[int, ...]
@@ -94,36 +105,91 @@ class FinAbGroup:
 def smith_normal_form(m: Rows, *, transforms: bool = False) -> SmithForm:
     """Smith normal form over Z.
 
-    Returns the nonzero invariant factors as a divisibility chain.  With
-    transforms=True also returns unimodular U (rows x rows) and
-    V (cols x cols) with U @ m @ V equal to the padded diagonal matrix.
-
-    Pivots are chosen with minimal absolute value over the remaining
-    submatrix, which keeps coefficient growth tame.
+    Returns the nonzero invariant factors as a divisibility chain, by
+    sparse elimination.  With transforms=True the dense reduction runs
+    instead and also returns unimodular U (rows x rows) and V (cols x
+    cols) with U @ m @ V equal to the padded diagonal matrix.
     """
+    if transforms:
+        return _dense_smith(m)
+    rows = [r for r in ({j: x for j, x in enumerate(row) if x} for row in m) if r]
+    units, factors = 0, []
+    while rows:
+        # an entry of least absolute value, stopping at the first unit
+        best = 0
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                if not best or abs(x) < best:
+                    best, pi, pj = abs(x), i, j
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        pivot = rows.pop(pi)
+        while True:
+            p = pivot[pj]
+            # clear column pj; a nonzero remainder is smaller than the
+            # pivot, so its row becomes the pivot row
+            for i, row in enumerate(rows):
+                x = row.get(pj)
+                if x is None:
+                    continue
+                q = x // p
+                if q:
+                    for k, y in pivot.items():
+                        z = row.get(k, 0) - q * y
+                        if z:
+                            row[k] = z
+                        else:
+                            del row[k]
+                if pj in row:
+                    rows[i], pivot = pivot, row
+                    break
+            else:
+                # with the column clear, column operations reduce only the
+                # pivot row; the least nonzero remainder becomes the pivot
+                rest = {k: y % p for k, y in pivot.items() if y % p}
+                if not rest:
+                    break
+                pivot = {pj: p, **rest}
+                pj = min(rest, key=lambda k: abs(rest[k]))
+        if abs(p) == 1:
+            units += 1
+        else:
+            factors.append(abs(p))
+        rows = [row for row in rows if row]
+    # a diagonal is a chain once each pair is replaced by its gcd and lcm
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] // g * factors[j]
+    return SmithForm((1,) * units + tuple(factors))
+
+
+def _dense_smith(m: Rows) -> SmithForm:
+    """smith_normal_form(m, transforms=True): dense unit-pivot reduction
+    that carries U and V."""
     r, c = len(m), len(m[0]) if m else 0
     a = [list(row) for row in m]
-    u = [[int(i == j) for j in range(r)] for i in range(r)] if transforms else None
-    v = [[int(i == j) for j in range(c)] for i in range(c)] if transforms else None
-    # row operations act on a and U, column operations on a and V
-    row_mats = [a] if u is None else [a, u]
-    col_mats = [a] if v is None else [a, v]
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    v = [[int(i == j) for j in range(c)] for i in range(c)]
 
+    # row operations act on a and U, column operations on a and V
     def row_op(dst: int, src: int, k: int) -> None:
-        for x in row_mats:
+        for x in (a, u):
             x[dst] = [p + k * q for p, q in zip(x[dst], x[src])]
 
     def col_op(dst: int, src: int, k: int) -> None:
-        for x in col_mats:
+        for x in (a, v):
             for row in x:
                 row[dst] += k * row[src]
 
     def swap_rows(i: int, j: int) -> None:
-        for x in row_mats:
+        for x in (a, u):
             x[i], x[j] = x[j], x[i]
 
     def swap_cols(i: int, j: int) -> None:
-        for x in col_mats:
+        for x in (a, v):
             for row in x:
                 row[i], row[j] = row[j], row[i]
 
@@ -147,10 +213,8 @@ def smith_normal_form(m: Rows, *, transforms: bool = False) -> SmithForm:
                 break
         if pivot is None:
             break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
 
         while True:
             # leave remainders mod the pivot along column t and row t
@@ -163,49 +227,30 @@ def smith_normal_form(m: Rows, *, transforms: bool = False) -> SmithForm:
                 q = a[t][j] // p
                 if q:
                     col_op(j, t, -q)
-            # promote the smallest surviving remainder; each promotion
-            # strictly shrinks |pivot|, so this loop terminates
-            best = None
-            promote = None
-            for i in range(t + 1, r):
-                if a[i][t] and (best is None or abs(a[i][t]) < best):
-                    best = abs(a[i][t])
-                    promote = ("row", i)
-            for j in range(t + 1, c):
-                if a[t][j] and (best is None or abs(a[t][j]) < best):
-                    best = abs(a[t][j])
-                    promote = ("col", j)
-            if promote is not None:
-                if promote[0] == "row":
-                    swap_rows(t, promote[1])
-                else:
-                    swap_cols(t, promote[1])
+            # promote the smallest surviving remainder, rows first; each
+            # promotion strictly shrinks |pivot|, so this loop terminates
+            left = [(abs(a[i][t]), 0, i) for i in range(t + 1, r) if a[i][t]]
+            left += [(abs(a[t][j]), 1, j) for j in range(t + 1, c) if a[t][j]]
+            if left:
+                _, is_col, k = min(left)
+                (swap_cols if is_col else swap_rows)(t, k)
                 continue
             # pivot must divide every remaining entry; pulling an offending
             # row into the cleared row t forces another strict shrink.  A
             # unit divides everything.
-            if abs(a[t][t]) == 1:
+            if abs(p) == 1:
                 break
-            offender = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(t + 1, r) if any(x % p for x in a[i][t + 1:])), None)
             if offender is None:
                 break
             row_op(t, offender, 1)
 
         if a[t][t] < 0:
-            for x in row_mats:
+            for x in (a, u):
                 x[t] = [-q for q in x[t]]
         diag.append(a[t][t])
         t += 1
 
-    if u is None:
-        return SmithForm(tuple(diag))
     return SmithForm(tuple(diag), tuple(map(tuple, u)), tuple(map(tuple, v)))
 
 

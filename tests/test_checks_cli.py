@@ -341,6 +341,8 @@ class TestRun:
         assert results["fixed_points_8"].actual == "{0: 9, 8: 6}"
         assert results["subgroup_classification"].actual == "{(2, 1): 9, (4, 0): 6}"
         assert results["orbifold_bound_64"].actual.startswith("bound 128, order 64, ")
+        # no functional is nontrivial on exactly the five other branch images
+        assert results["q_S_zero"].actual == "ValueError: branch 0 has 0 dual functionals, not 1"
         # the chain reads the cover's genus too: at genus 9, chi = 4 * 9 + 12
         # = 48 upstairs, which 32 does not divide
         chain_error = "NonIntegral: chi 48 not divisible by 32"

@@ -41,6 +41,9 @@ def test_snf_frozen_examples():
 def test_snf_empty_and_zero():
     assert smith_normal_form([]).diagonal == ()
     assert smith_normal_form([], transforms=True) == SmithForm((), (), ())
+    assert smith_normal_form([[]]) == SmithForm(())
+    assert smith_normal_form([[]], transforms=True) == SmithForm((), ((1,),), ())
+    assert smith_normal_form([[0, 0], [0, 4], [0, 0]]).diagonal == (4,)
     assert smith_normal_form([[0, 0], [0, 0]]).diagonal == ()
     f = smith_normal_form([[0, 0], [0, 0]], transforms=True)
     assert f.left == ((1, 0), (0, 1))
@@ -54,6 +57,19 @@ def test_snf_transforms_certify_frozen_example():
     assert matmul(f.left, m, f.right) == padded_diagonal(f.diagonal, 2, 2)
     assert abs(determinant(f.left)) == 1
     assert abs(determinant(f.right)) == 1
+
+
+def test_snf_diagonal_not_yet_a_chain():
+    # elimination stops at a diagonal that is no divisibility chain; the
+    # gcd/lcm pass turns it into one
+    assert smith_normal_form([[2, 0], [0, 3]]).diagonal == (1, 6)
+    assert smith_normal_form([[4, 0, 0], [0, 6, 0], [0, 0, 10]]).diagonal == (2, 2, 60)
+
+
+def test_snf_promotes_a_remainder():
+    # 3 mod 2 leaves 1 in the pivot row, then in the pivot column
+    assert smith_normal_form([[2, 3]]).diagonal == (1,)
+    assert smith_normal_form([[2], [3]]).diagonal == (1,)
 
 
 def test_divisibility_chain_validation():
@@ -134,6 +150,7 @@ small_matrices = st.integers(1, 5).flatmap(
 @given(small_matrices)
 def test_snf_certified_by_transforms(rows):
     f = smith_normal_form(rows, transforms=True)
+    assert smith_normal_form(rows).diagonal == f.diagonal
     assert matmul(f.left, rows, f.right) == padded_diagonal(f.diagonal, len(rows), len(rows[0]))
     assert abs(determinant(f.left)) == 1
     assert abs(determinant(f.right)) == 1
@@ -195,6 +212,20 @@ def test_snf_bulk_random_certification():
         c = rng.randint(1, 6)
         m = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
         f = smith_normal_form(m, transforms=True)
+        assert smith_normal_form(m).diagonal == f.diagonal
         assert matmul(f.left, m, f.right) == padded_diagonal(f.diagonal, r, c)
         assert abs(determinant(f.left)) == 1
         assert abs(determinant(f.right)) == 1
+
+
+def test_snf_sparse_matrices_of_bench_shape():
+    # the abelianization relations are 29x13 with 40 nonzero entries in
+    # -2..2; the sparse path must match the certified dense diagonal there
+    rng = random.Random(20261019)
+    entries = (0,) * 16 + (-2, -1, 1, 2)
+    for _ in range(60):
+        r = rng.randint(26, 32)
+        m = [[rng.choice(entries) for _ in range(13)] for _ in range(r)]
+        f = smith_normal_form(m, transforms=True)
+        assert smith_normal_form(m).diagonal == f.diagonal
+        assert matmul(f.left, m, f.right) == padded_diagonal(f.diagonal, r, 13)
