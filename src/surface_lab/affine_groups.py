@@ -57,9 +57,9 @@ class AffineElement:
 
 
 def _halves_to_lattice(halves: tuple[int, ...]) -> tuple[int, ...]:
-    if any(h % 2 for h in halves):
+    if any([h % 2 for h in halves]):
         raise NotInLattice(f"odd half-coordinates in {halves}")
-    return tuple(h // 2 for h in halves)
+    return tuple([h // 2 for h in halves])
 
 
 def commutator(g: AffineElement, h: AffineElement) -> tuple[int, ...]:
@@ -70,10 +70,10 @@ def commutator(g: AffineElement, h: AffineElement) -> tuple[int, ...]:
     """
     if len(g.signs) != len(h.signs):
         raise ValueError("dimension mismatch")
-    halves = tuple(
+    halves = tuple([
         (s - 1) * b - (r - 1) * a
         for s, r, a, b in zip(g.signs * 2, h.signs * 2, g.trans, h.trans)
-    )
+    ])
     return _halves_to_lattice(halves)
 
 

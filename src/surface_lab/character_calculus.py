@@ -31,11 +31,9 @@ from __future__ import annotations
 import cmath
 from collections import Counter
 from collections.abc import Sequence
-from itertools import product
-from math import prod
-from operator import mul
 
 from .affine_groups import AffineElement
+from .integer_algebra import _mask
 from .orbifold_covers import BranchedCoverData
 
 
@@ -118,19 +116,18 @@ def _mod2_actions(
     half-translations add.  A word's action is thus the product of its
     letters' signs and the xor of their half-translations; the order of
     the letters does not matter, as commutators translate by full lattice
-    vectors.
+    vectors.  So the table grows one letter at a time, in product order.
     """
-    actions = {}
-    for word in product((0, 1), repeat=len(gens) - 1):
-        letters = [g for g, e in zip(gens[1:], word) if e]
-        actions[word] = tuple(
-            (
-                prod(g.sign_at(c) for g in letters),
-                sum(g.trans[c] for g in letters) % 2,
-                sum(g.trans[g.n + c] for g in letters) % 2,
-            )
-            for c in (2, 3)
-        )
+    actions = {(): ((1, 0, 0), (1, 0, 0))}
+    for g in gens[1:]:
+        r2, x2, y2 = g.sign_at(2), g.trans[2] & 1, g.trans[g.n + 2] & 1
+        r3, x3, y3 = g.sign_at(3), g.trans[3] & 1, g.trans[g.n + 3] & 1
+        grown = {}
+        for word, action in actions.items():
+            (s2, u2, v2), (s3, u3, v3) = action
+            grown[word + (0,)] = action
+            grown[word + (1,)] = ((s2 * r2, u2 ^ x2, v2 ^ y2), (s3 * r3, u3 ^ x3, v3 ^ y3))
+        actions = grown
     return actions
 
 
@@ -152,11 +149,11 @@ def d_factor_branch_elements(gens: Sequence[AffineElement]) -> BranchedCoverData
       vanishes, and then the fixed fibers meet the curve.
     """
     chosen = []
-    for word, action in _mod2_actions(gens).items():
+    for word, ((s2, u2, v2), (s3, u3, v3)) in _mod2_actions(gens).items():
         if not any(word):
             continue
-        free_translation = any(sign == 1 and (u or v) for sign, u, v in action)
-        double_involution = all(sign == -1 and not (u or v) for sign, u, v in action)
+        free_translation = (s2 == 1 and (u2 or v2)) or (s3 == 1 and (u3 or v3))
+        double_involution = s2 == s3 == -1 and not (u2 or v2 or u3 or v3)
         if not (free_translation or double_involution):
             chosen.append(word)
     return BranchedCoverData(len(gens) - 1, tuple(chosen))
@@ -168,18 +165,24 @@ def _branch_dual_characters(cover: BranchedCoverData) -> list[tuple[int, ...]]:
     These index the 5-dim space of one-forms of the genus-5 cover, one
     line per intermediate elliptic quotient.
     """
-    branches = cover.branch_images
-    values = {
-        phi: tuple(sum(map(mul, phi, v)) % 2 for v in branches)
-        for phi in product((0, 1), repeat=cover.n)
-    }
+    images = [_mask(v) for v in cover.branch_images]
+    m = len(images)
+    # each functional's parities on the images, as a mask in image order
+    parities = []
+    for phi in range(1 << cover.n):
+        p = 0
+        for v in images:
+            p = 2 * p + ((phi & v).bit_count() & 1)
+        parities.append(p)
     functionals = []
-    for j in range(len(branches)):
-        want = tuple(0 if i == j else 1 for i in range(len(branches)))
-        matches = [phi for phi, value in values.items() if value == want]
-        if len(matches) != 1:
-            raise ValueError(f"branch {j} has {len(matches)} dual functionals, not 1")
-        functionals.append(matches[0])
+    for j in range(m):
+        # nontrivial on every image but the j-th
+        want = (1 << m) - 1 - (1 << (m - 1 - j))
+        count = parities.count(want)
+        if count != 1:
+            raise ValueError(f"branch {j} has {count} dual functionals, not 1")
+        phi = parities.index(want)
+        functionals.append(tuple([(phi >> k) & 1 for k in range(cover.n - 1, -1, -1)]))
     return functionals
 
 

@@ -170,8 +170,12 @@ class Facts:
         return catalog()
 
     @cached_property
+    def config_report(self) -> ConfigReport:
+        return configuration_report(self.catalog)
+
+    @cached_property
     def theta(self) -> ThetaReport:
-        return theta_cohomology_report(self.catalog)
+        return theta_cohomology_report(self.catalog, self.config_report.degrees)
 
     @cached_property
     def chain(self) -> AdjunctionReport:
@@ -462,7 +466,7 @@ CHECKS: dict[str, Claim] = {
             "picard_config",
             "all linear equivalences and intersection numbers of the branch configuration hold",
             _CONFIGURATION,
-            lambda f: configuration_report(f.catalog),
+            attrgetter("config_report"),
             text="the frozen 66 intersections, 10 zero relations and 6 degrees",
             show=lambda v: _first_difference(
                 v.named(), _NAMED_CONFIGURATION, "82/82 numbers exact"

@@ -276,22 +276,22 @@ def rank_mod2(m: Rows) -> int:
 
     Rows are packed into bit masks and eliminated greedily.
     """
-    masks: list[int] = []
-    for row in m:
-        bits = 0
-        for j, val in enumerate(row):
-            if val & 1:
-                bits |= 1 << j
-        masks.append(bits)
-    rk = 0
     basis: list[int] = []
-    for bits in masks:
+    for bits in map(_mask, m):
         for b in basis:
-            low = b & -b
-            if bits & low:
+            if bits & b & -b:
                 bits ^= b
         if bits:
             basis.append(bits)
-            rk += 1
-    return rk
+    return len(basis)
+
+
+def _mask(row: Sequence[int]) -> int:
+    """The parities of row as an int, first entry the most significant bit,
+    so that k is the mask of the k-th tuple of product((0, 1), repeat=n);
+    over F_2, a . b is then (a & b).bit_count() & 1."""
+    bits = 0
+    for x in row:
+        bits = 2 * bits + (x & 1)
+    return bits
 

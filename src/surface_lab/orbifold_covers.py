@@ -16,11 +16,8 @@ character_calculus.d_factor_branch_elements derives from the generators.
 
 from __future__ import annotations
 
-from itertools import product
-from operator import mul
-
 from ._record import record
-from .integer_algebra import FinAbGroup, cokernel, rank_mod2
+from .integer_algebra import FinAbGroup, _mask, cokernel, rank_mod2
 
 
 class NonIntegralGenus(Exception):
@@ -53,10 +50,7 @@ class BranchedCoverData:
         for v in imgs:
             if not any(v):
                 raise IdentityElement(f"zero branch image in {imgs}")
-        total = [0] * self.n
-        for v in imgs:
-            total = [a ^ b for a, b in zip(total, v)]
-        if any(total):
+        if any(sum(column) % 2 for column in zip(*imgs)):
             raise ValueError("branch images must sum to zero")
         if rank_mod2(imgs) != self.n:
             raise ValueError("branch images must generate the full group")
@@ -98,7 +92,7 @@ def fixed_point_count(cover: BranchedCoverData, g: Vec) -> int:
     if not any(v):
         raise IdentityElement("fixed points of the identity are the whole curve")
     per_point = (1 << cover.n) // 2
-    return per_point * sum(1 for e in cover.branch_images if e == v)
+    return per_point * cover.branch_images.count(v)
 
 
 def classify_corank1_subgroups(
@@ -108,15 +102,15 @@ def classify_corank1_subgroups(
     of the quotient curve).
 
     The index-2 subgroups are the kernels of the nonzero functionals on
-    F_2^n, and a branch image lies inside exactly when the functional
-    pairs it to 0; the others survive in G/H = Z/2.
+    F_2^n, taken as masks in product order, and a branch image lies inside
+    exactly when the functional pairs it to 0; the others survive in
+    G/H = Z/2.
     """
+    images = [_mask(v) for v in cover.branch_images]
     histogram: dict[tuple[int, int], int] = {}
-    for functional in product((0, 1), repeat=cover.n):
-        if not any(functional):
-            continue
-        surviving = sum(sum(map(mul, functional, v)) % 2 for v in cover.branch_images)
-        key = (len(cover.branch_images) - surviving, _quotient_genus(2, surviving))
+    for functional in range(1, 1 << cover.n):
+        surviving = sum([(functional & v).bit_count() & 1 for v in images])
+        key = (len(images) - surviving, _quotient_genus(2, surviving))
         histogram[key] = histogram.get(key, 0) + 1
     return histogram
 

@@ -90,7 +90,7 @@ class ConfigCatalog:
     branch_components: tuple[tuple[DivisorClass, ...], ...]  # D_1, D_2, D_3
 
     def branch_divisor(self, i: int) -> DivisorClass:
-        return sum(self.branch_components[i], cls(0, 0, 0, 0, 0, 0, 0))
+        return sum(self.branch_components[i][1:], self.branch_components[i][0])
 
 
 def catalog() -> ConfigCatalog:
@@ -135,7 +135,7 @@ def restriction_degrees(c: ConfigCatalog) -> dict[str, int]:
     """Degrees of the log-twisted restrictions behind the character-wise
     bounds, keyed by the curve restricted to: the first log divisor minus
     E4 on f1, the second on E1 and E3, the third on E2."""
-    log1, log2, log3 = [sum(comps, cls(0, 0, 0, 0, 0, 0, 0)) for comps in _log_components(c)]
+    log1, log2, log3 = [sum(comps[1:], comps[0]) for comps in _log_components(c)]
     return {
         "f1": intersect(log1 - E[3], c.f[0]),
         "E1": intersect(E[0], log2),
@@ -231,9 +231,9 @@ class ThetaReport:
     h1: int
 
 
-def theta_cohomology_report(c: ConfigCatalog) -> ThetaReport:
+def theta_cohomology_report(c: ConfigCatalog, degrees: dict[str, int]) -> ThetaReport:
     """The lattice side of the h1/h2 computation for the tangent sheaf
-    downstairs.
+    downstairs; degrees are restriction_degrees(c), as configuration_report's.
 
     chi of the twisted cotangent bundle plus chi of the branch restrictions
     give h1, the dimension of the invariant part; span ranks and
@@ -252,7 +252,6 @@ def theta_cohomology_report(c: ConfigCatalog) -> ThetaReport:
 
     logs = _log_components(c)
     ranks = tuple([rank(comps) for comps in logs])
-    degrees = restriction_degrees(c)
     # each log divisor's dependent components, plus h0 of the cotangent
     # sheaf of each rational curve it restricts to, twisted up to its degree
     bounds = tuple([

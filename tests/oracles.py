@@ -226,6 +226,52 @@ def compose(g: AffineElement, h: AffineElement) -> AffineElement:
     return AffineElement(signs, trans)
 
 
+def mod2_actions_by_composition(
+    gens: Sequence[AffineElement],
+) -> dict[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """The composition route to character_calculus._mod2_actions: each 0/1
+    word in gens[1:], in product order, is composed letter by letter with
+    compose, and its sign and half-translations are read mod 2 on the
+    curve coordinates 2 and 3."""
+    n = gens[0].n
+    actions = {}
+    for word in product((0, 1), repeat=len(gens) - 1):
+        element = AffineElement((1,) * n, (0,) * (2 * n))
+        for g, e in zip(gens[1:], word):
+            if e:
+                element = compose(element, g)
+        actions[word] = tuple(
+            (element.sign_at(c), element.trans[c] % 2, element.trans[n + c] % 2) for c in (2, 3)
+        )
+    return actions
+
+
+def branch_words_by_composition(gens: Sequence[AffineElement]) -> tuple[tuple[int, ...], ...]:
+    """The any/all route to the words d_factor_branch_elements chooses: the
+    nonzero words whose composed action neither translates a +1 curve
+    coordinate nor is the free double involution (both signs -1, no
+    translation), in product order."""
+    chosen = []
+    for word, action in mod2_actions_by_composition(gens).items():
+        free_translation = any(s == 1 and (u or v) for s, u, v in action)
+        double_involution = all(s == -1 and not (u or v) for s, u, v in action)
+        if any(word) and not (free_translation or double_involution):
+            chosen.append(word)
+    return tuple(chosen)
+
+
+def random_generators(rng: random.Random, count: int, n: int = 4) -> tuple[AffineElement, ...]:
+    """count affine maps of C^n with random signs and half-translations in
+    [-3, 3], negative ones included so that parities of negatives are read."""
+    return tuple(
+        AffineElement(
+            tuple(rng.choice((-1, 1)) for _ in range(n)),
+            tuple(rng.randint(-3, 3) for _ in range(2 * n)),
+        )
+        for _ in range(count)
+    )
+
+
 def branch_count(cover: BranchedCoverData) -> int:
     """m, the number of branch points."""
     return len(cover.branch_images)
@@ -287,6 +333,38 @@ def corank1_histogram(cover: BranchedCoverData) -> dict[tuple[int, int], int]:
             key = (inside, quotient_genus(cover, sub))
             histogram[key] = histogram.get(key, 0) + 1
     return histogram
+
+
+def branch_dual_candidates(cover: BranchedCoverData) -> list[list[Vec]]:
+    """The tuple route to character_calculus._branch_dual_characters: per
+    branch image, every functional of product((0, 1), repeat=n), in that
+    order, that pairs it to 0 and each other image to 1."""
+    images = cover.branch_images
+    return [
+        [
+            phi
+            for phi in product((0, 1), repeat=cover.n)
+            if all(sum(map(mul, phi, v)) % 2 == (i != j) for i, v in enumerate(images))
+        ]
+        for j in range(len(images))
+    ]
+
+
+def random_cover_data(rng: random.Random, n: int) -> BranchedCoverData:
+    """Valid branch data over F_2^n: n to n + 3 random nonzero images, then
+    their sum when it is nonzero, redrawn until they span F_2^n."""
+    while True:
+        images = [
+            tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(n, n + 3))
+        ]
+        images = [v for v in images if any(v)]
+        total = tuple(sum(column) % 2 for column in zip(*images))
+        if any(total):
+            images.append(total)
+        try:
+            return BranchedCoverData(n, tuple(images))
+        except ValueError:
+            continue
 
 
 def contains(sub: Subgroup, v: Vec) -> bool:

@@ -136,7 +136,7 @@ def test_criterion_6_picard_and_tangent_sheaf():
     config = configuration_report(catalog())
     assert config == CHECKS["picard_config"].expected  # every configuration number, exact
     assert not any(map(any, config.relations))  # every linear equivalence holds
-    report = theta_cohomology_report(catalog())
+    report = theta_cohomology_report(catalog(), config.degrees)
     assert report.span_ranks == (5, 6, 6)
     assert report.chi_cotangent_twisted == -4
     assert report.chi_restricted_total == 0

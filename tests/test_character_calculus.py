@@ -1,16 +1,18 @@
 """Sign characters of the section spaces and the one-form count."""
 
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surface_lab import checks
+from surface_lab import character_calculus, checks
 from surface_lab.affine_groups import AffineElement, standard_generators
 from surface_lab.character_calculus import (
     UnsupportedTranslation,
     ZeroParameter,
+    _branch_dual_characters,
     _mod2_actions,
     character_of_basis,
     coordinate_action,
@@ -26,7 +28,15 @@ from surface_lab.character_calculus import (
 )
 from surface_lab.orbifold_covers import cover_genus, fixed_point_count
 
-from oracles import compose
+from oracles import (
+    branch_dual_candidates,
+    branch_words_by_composition,
+    compose,
+    mod2_actions_by_composition,
+    random_cover_data,
+    random_generators,
+    standard_cover_data,
+)
 
 
 def C(pattern: str) -> tuple[int, ...]:
@@ -181,18 +191,57 @@ class TestBranchElements:
     def test_mod2_actions_match_composed_elements(self):
         # each word's element composed left to right with the oracle
         # compose, its action read off on the curve coordinates 2 and 3
-        gens = GENS[1:]
         actions = _mod2_actions(GENS)
         assert len(actions) == 16
-        for word, action in actions.items():
-            element = AffineElement((1, 1, 1, 1), (0,) * 8)
-            for g, e in zip(gens, word):
-                if e:
-                    element = compose(element, g)
-            assert action == tuple(
-                (element.sign_at(c), element.trans[c] % 2, element.trans[4 + c] % 2)
-                for c in (2, 3)
-            ), word
+        assert list(actions.items()) == list(mod2_actions_by_composition(GENS).items())
+
+    def test_mod2_actions_with_a_redundant_generator(self):
+        # g1 g2 adds a letter whose words repeat the others' actions
+        gens = (*GENS, compose(GENS[0], GENS[1]))
+        actions = _mod2_actions(gens)
+        assert len(actions) == 32
+        assert list(actions.items()) == list(mod2_actions_by_composition(gens).items())
+        assert actions[(1, 0, 0, 0, 1)] == actions[(0, 0, 0, 0, 0)]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mod2_actions_on_random_generators(self, seed):
+        rng = random.Random(seed)
+        gens = random_generators(rng, rng.randint(1, 6))
+        actions = _mod2_actions(gens)
+        assert list(actions.items()) == list(mod2_actions_by_composition(gens).items())
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_branch_words_on_random_generators(self, seed, monkeypatch):
+        # the words alone: random generators rarely give valid branch data
+        rng = random.Random(seed)
+        gens = random_generators(rng, rng.randint(2, 6))
+        monkeypatch.setattr(character_calculus, "BranchedCoverData", lambda n, words: words)
+        assert d_factor_branch_elements(gens) == branch_words_by_composition(gens)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_branch_duals_match_the_tuple_oracle(self, seed):
+        rng = random.Random(seed)
+        cover = random_cover_data(rng, seed % 5 + 1)
+        candidates = branch_dual_candidates(cover)
+        wrong = [(j, len(c)) for j, c in enumerate(candidates) if len(c) != 1]
+        if wrong:
+            j, count = wrong[0]
+            with pytest.raises(ValueError, match=f"^branch {j} has {count} dual functionals"):
+                _branch_dual_characters(cover)
+        else:
+            assert _branch_dual_characters(cover) == [c[0] for c in candidates]
+
+    def test_branch_duals_of_the_standard_covers(self):
+        # the parities of a functional on the images sum to its value on
+        # their sum, 0, so duals need an odd number of images: the generic
+        # cover has them for even n, and the run's cover (5 images) too
+        for n in (2, 4, 6):
+            cover = standard_cover_data(n)
+            assert _branch_dual_characters(cover) == [
+                c for [c] in branch_dual_candidates(cover)
+            ]
+        cover = d_factor_branch_elements(GENS)
+        assert _branch_dual_characters(cover) == [c for [c] in branch_dual_candidates(cover)]
 
     def test_wrong_genus_fails_hurwitz_genus5(self, monkeypatch):
         # the builder does not judge the genus; the claims table does

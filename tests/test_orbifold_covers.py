@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -23,6 +24,7 @@ from oracles import (
     homology_bound,
     homology_bound_check,
     quotient_genus,
+    random_cover_data,
     standard_cover_data,
 )
 
@@ -137,6 +139,12 @@ def test_classification_matches_the_span_oracle(n):
 @given(branch_data())
 def test_classification_matches_the_span_oracle_on_drawn_data(data):
     assert classify_corank1_subgroups(data) == corank1_histogram(data)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_classification_matches_the_span_oracle_on_seeded_data(seed):
+    data = random_cover_data(random.Random(seed), seed % 5 + 1)
+    assert list(classify_corank1_subgroups(data).items()) == list(corank1_histogram(data).items())
 
 
 @pytest.mark.parametrize("n", [3, 5])

@@ -277,7 +277,7 @@ class TestChiRestricted:
 
 class TestThetaReport:
     def test_headline_numbers(self):
-        report = theta_cohomology_report(catalog())
+        report = theta_cohomology_report(catalog(), restriction_degrees(catalog()))
         assert report.chi_cotangent_twisted == -4
         assert report.chi_restricted_total == 0
         assert report.span_ranks == (5, 6, 6)
@@ -291,14 +291,14 @@ class TestThetaReport:
     def test_chi_consistency(self):
         # h2 - h1 = chi(Theta) = 2 K^2 - 10 chi(O) of the quotient surface
         # meets the bound on h2 exactly, which pins h1 = 4 and h2 = 8
-        report = theta_cohomology_report(catalog())
+        report = theta_cohomology_report(catalog(), restriction_degrees(catalog()))
         chain = adjunction_chain(5, 32)
         chi_theta = 2 * chain.k2_quotient - 10 * chain.chi_quotient
         assert chi_theta == 4
         assert report.h1 + chi_theta == report.h2_bound
 
     def test_reports_are_frozen(self):
-        theta = theta_cohomology_report(catalog())
+        theta = theta_cohomology_report(catalog(), restriction_degrees(catalog()))
         config = configuration_report(catalog())
         with pytest.raises(AttributeError):
             theta.h1 = 5
@@ -312,8 +312,9 @@ class TestThetaReport:
         # nothing: a moved side changes the rank of the first span
         c = catalog()
         moved = replace(c, S=(L - E[0] - E[2] - E[4], *c.S[1:]))
-        assert theta_cohomology_report(moved).span_ranks != (5, 6, 6)
-        assert theta_cohomology_report(c) == theta_cohomology_report(catalog())
+        assert theta_cohomology_report(moved, restriction_degrees(moved)).span_ranks != (5, 6, 6)
+        theta = theta_cohomology_report(c, restriction_degrees(c))
+        assert theta == theta_cohomology_report(catalog(), restriction_degrees(catalog()))
 
 
 class TestLatticeInvariants:
