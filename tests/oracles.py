@@ -260,13 +260,13 @@ def branch_words_by_composition(gens: Sequence[AffineElement]) -> tuple[tuple[in
     return tuple(chosen)
 
 
-def random_generators(rng: random.Random, count: int, n: int = 4) -> tuple[AffineElement, ...]:
-    """count affine maps of C^n with random signs and half-translations in
+def random_generators(rng: random.Random, count: int) -> tuple[AffineElement, ...]:
+    """count affine maps of C^4 with random signs and half-translations in
     [-3, 3], negative ones included so that parities of negatives are read."""
     return tuple(
         AffineElement(
-            tuple(rng.choice((-1, 1)) for _ in range(n)),
-            tuple(rng.randint(-3, 3) for _ in range(2 * n)),
+            tuple(rng.choice((-1, 1)) for _ in range(4)),
+            tuple(rng.randint(-3, 3) for _ in range(8)),
         )
         for _ in range(count)
     )

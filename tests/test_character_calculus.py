@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surface_lab import character_calculus, checks
-from surface_lab.affine_groups import AffineElement, standard_generators
+from surface_lab.affine_groups import standard_generators
 from surface_lab.character_calculus import (
     UnsupportedTranslation,
     ZeroParameter,
@@ -235,13 +235,8 @@ class TestBranchElements:
         # the parities of a functional on the images sum to its value on
         # their sum, 0, so duals need an odd number of images: the generic
         # cover has them for even n, and the run's cover (5 images) too
-        for n in (2, 4, 6):
-            cover = standard_cover_data(n)
-            assert _branch_dual_characters(cover) == [
-                c for [c] in branch_dual_candidates(cover)
-            ]
-        cover = d_factor_branch_elements(GENS)
-        assert _branch_dual_characters(cover) == [c for [c] in branch_dual_candidates(cover)]
+        for cover in (*map(standard_cover_data, (2, 4, 6)), d_factor_branch_elements(GENS)):
+            assert _branch_dual_characters(cover) == [c for [c] in branch_dual_candidates(cover)]
 
     def test_wrong_genus_fails_hurwitz_genus5(self, monkeypatch):
         # the builder does not judge the genus; the claims table does
