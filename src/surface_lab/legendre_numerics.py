@@ -9,11 +9,13 @@ Q = exp(2 pi i tau) and Q^(1/4) = exp(i pi tau / 2):
     L(z) = b theta2(2 pi z | 2 tau) / theta3(2 pi z | 2 tau),
     b = theta3(0 | 2 tau) / theta2(0 | 2 tau),  a = b^2.
 
-One loop returns L and its termwise derivative L' at a point
-(_LegendreFrame.value_slope).  Beside it, a value-only pass over a list of
-points (_LegendreFrame.values) runs the L half of that loop with the same
-float operations in the same order, so its values are value_slope's bit
-for bit; every caller that needs no L' uses it.  Theta settles the
+One pass over a list of points returns L and its termwise derivative L'
+at each (_LegendreFrame.value_slopes).  Beside it, a value-only pass
+(_LegendreFrame.values) runs the L half of that loop with the same float
+operations in the same order, so its values are value_slopes' bit for bit;
+every caller that needs no L' uses it.  Both add the last row of the
+series outside the loop, without the power updates nothing reads (a
+per-point loop in tests/oracles.py is their reference).  Theta settles the
 a <-> 1/a ambiguity of the value table: at 0.3+0.2i it gives the a that
 the earlier Moebius root selection reported as 1/a.  L runs on
 the translated modulus tau - k, k = round(Re tau), exactly (1 is a period):
@@ -227,19 +229,21 @@ class _NomeFrame:
         j, j2, tau_r = self.j, self.j2, self.tau_r
         tr, ti = tau_r.real, tau_r.imag
         tol = eps * self.abs_j2
-        exp, sin = cmath.exp, cmath.sin
+        exp, sin, rnd = cmath.exp, cmath.sin, round
+        two_pi_i, pi, pi2, pi2_3, m4pi2 = _TWO_PI_I, PI, _PI2, _PI2 / 3, _M4PI2
         out = []
+        append = out.append
         for z in points:
             w = z / j
             y = w.imag / ti
             x = w.real - y * tr
-            x, y = x - round(x), y - round(y)
+            x, y = x - rnd(x), y - rnd(y)
             if max(abs(x), abs(y)) < 1e-12:
                 raise PoleAtLatticePoint(f"{z} reduces to a lattice point")
             zr = x + y * tau_r
-            t = exp(_TWO_PI_I * zr)
-            s = sin(PI * zr)
-            total = _PI2 / (s * s) - _PI2 / 3
+            t = exp(two_pi_i * zr)
+            s = sin(pi * zr)
+            total = pi2 / (s * s) - pi2_3
             it = 1 / t
             # pending empties once a row is below tol; past the stored
             # rows, each further row is made and kept one at a time
@@ -248,7 +252,7 @@ class _NomeFrame:
                 for qn, const in pending:
                     u, v = qn * t, qn * it
                     mu, mv = 1 - u, 1 - v
-                    term = _M4PI2 * (v / (mv * mv) + u / (mu * mu) - const)
+                    term = m4pi2 * (v / (mv * mv) + u / (mu * mu) - const)
                     total += term
                     if abs(term) < tol:
                         pending = ()
@@ -258,7 +262,7 @@ class _NomeFrame:
                         raise DegenerateModulus("row series did not converge")
                     rows = self._more_rows(rows)
                     pending = rows[-1:]
-            out.append(total / j2)
+            append(total / j2)
         return out
 
     def wp_prime(self, z: complex, eps: float) -> complex:
@@ -397,7 +401,9 @@ class _LegendreFrame:
     2 pi i k w^k gives L'.  terms holds (c_n, (2n+1) c_n, d_n, (2n+2) d_n).
     For z = x + y tau, |y| <= 1/2, |w|^(+-1) <= exp(pi Im tau), so row n is
     at most exp(-2 pi Im tau n^2) times the largest term: the table keeps
-    the rows above exp(-_TAIL) of it at every point of the cell.
+    the rows above exp(-_TAIL) of it at every point of the cell, from one
+    row above Im tau = _TAIL / (2 pi) to eight at Im tau = 0.1.  value_slopes
+    and values each take a whole point list in one call.
 
     sample_table is the sample table of the last verify_identities on
     this frame: ((seed, samples), points, L at the points, L at the points +
@@ -431,54 +437,71 @@ class _LegendreFrame:
         self.a_minus_1 = (theta4 / (2 * sum(row[0] for row in terms))) ** 2
         self.sample_table = None
 
-    def value_slope(self, z: complex) -> tuple[complex, complex]:
-        """(L(z), L'(z)) from one pass over the rows."""
-        tau = self.tau
-        # _reduce, inlined: this is the innermost call of the identity checks
-        y = z.imag / tau.imag
-        x = z.real - y * tau.real
-        w = cmath.exp(_TWO_PI_I * (x - round(x) + (y - round(y)) * tau))
-        iw = 1 / w
-        w2, iw2 = w * w, iw * iw
-        p, m, pp, mm = w, iw, w2, iw2  # w^(2n+1), w^-(2n+1), w^(2n+2), w^-(2n+2)
-        t2 = d2 = d3 = 0j
-        t3 = 1 + 0j
-        for c, ck, d, dk in self.terms:
-            t2 += c * (p + m)
-            d2 += ck * (p - m)
-            t3 += d * (pp + mm)
-            d3 += dk * (pp - mm)
-            p *= w2
-            m *= iw2
-            pp *= w2
-            mm *= iw2
-        return t2 / t3 / self.null, (d2 * t3 - t2 * d3) * self.slope / (t3 * t3)
+    def value_slopes(self, points: list[complex]) -> tuple[list[complex], list[complex]]:
+        """([L(z) for z in points], [L'(z) for z in points]), one pass over
+        the rows per point.  The last row is added after the loop: the
+        powers it would update are never read."""
+        tau, null, slope = self.tau, self.null, self.slope
+        tr, ti = tau.real, tau.imag
+        *head, (cl, ckl, dl, dkl) = self.terms
+        exp, rnd, two_pi_i = cmath.exp, round, _TWO_PI_I
+        values, slopes = [], []
+        add_value, add_slope = values.append, slopes.append
+        for z in points:
+            # _reduce, inlined: this is the innermost loop of the identity checks
+            y = z.imag / ti
+            x = z.real - y * tr
+            w = exp(two_pi_i * (x - rnd(x) + (y - rnd(y)) * tau))
+            iw = 1 / w
+            w2, iw2 = w * w, iw * iw
+            p, m, pp, mm = w, iw, w2, iw2  # w^(2n+1), w^-(2n+1), w^(2n+2), w^-(2n+2)
+            t2 = d2 = d3 = 0j
+            t3 = 1 + 0j
+            for c, ck, d, dk in head:
+                t2 += c * (p + m)
+                d2 += ck * (p - m)
+                t3 += d * (pp + mm)
+                d3 += dk * (pp - mm)
+                p *= w2
+                m *= iw2
+                pp *= w2
+                mm *= iw2
+            t2 += cl * (p + m)
+            d2 += ckl * (p - m)
+            t3 += dl * (pp + mm)
+            d3 += dkl * (pp - mm)
+            add_value(t2 / t3 / null)
+            add_slope((d2 * t3 - t2 * d3) * slope / (t3 * t3))
+        return values, slopes
 
     def values(self, points: list[complex]) -> list[complex]:
-        """[L(z) for z in points]: the t2 and t3 half of value_slope's loop,
+        """[L(z) for z in points]: the t2 and t3 half of value_slopes' loop,
         the same float operations in the same order, so each value equals
-        value_slope(z)[0] bit for bit.  One call serves a whole list."""
-        tau, terms, null = self.tau, self.terms, self.null
+        value_slopes' bit for bit."""
+        tau, null = self.tau, self.null
         tr, ti = tau.real, tau.imag
-        exp = cmath.exp
+        *head, (cl, _, dl, _) = self.terms
+        head = [(c, d) for c, _, d, _ in head]
+        exp, rnd, two_pi_i = cmath.exp, round, _TWO_PI_I
         out = []
+        append = out.append
         for z in points:
             y = z.imag / ti
             x = z.real - y * tr
-            w = exp(_TWO_PI_I * (x - round(x) + (y - round(y)) * tau))
+            w = exp(two_pi_i * (x - rnd(x) + (y - rnd(y)) * tau))
             iw = 1 / w
             w2, iw2 = w * w, iw * iw
             p, m, pp, mm = w, iw, w2, iw2
             t2 = 0j
             t3 = 1 + 0j
-            for c, _, d, _ in terms:
+            for c, d in head:
                 t2 += c * (p + m)
                 t3 += d * (pp + mm)
                 p *= w2
                 m *= iw2
                 pp *= w2
                 mm *= iw2
-            out.append(t2 / t3 / null)
+            append((t2 + cl * (p + m)) / (t3 + dl * (pp + mm)) / null)
         return out
 
     def sampled(self, tol: Tolerance) -> tuple[tuple, tuple, tuple] | None:
@@ -581,41 +604,37 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
     """
     frame = params.frame
     tau, a = frame.tau, frame.a
-    half, lv, values = tau / 2, frame.value_slope, frame.values
+    half, values = tau / 2, frame.values
     points = sample_points(tau, tol)
+    base, slopes = frame.value_slopes(points)
     at_half_taus = values([z + half for z in points])
-    shifted = zip(
-        values([-z for z in points]),
-        values([z + 1 for z in points]),
-        values([z + tau for z in points]),
-        values([z + 0.5 for z in points]),
-        at_half_taus,
-    )
+    sizes = [abs(value) for value in base]
     abs_a = abs(a)
-    base, worst, ratios = [], [], []
     # each residual is _residual(lhs, rhs) written out: this is the hot loop
-    for z, (at_neg, at_one, at_tau, at_half, at_half_tau) in zip(points, shifted):
-        value, slope = lv(z)
-        base.append(value)
-        size = abs(value)
-        product = at_half_tau * value
-        worst.append((
-            abs(at_neg - value) / max(1.0, abs(at_neg), size),
-            abs(at_one - value) / max(1.0, abs(at_one), size),
-            abs(at_tau - value) / max(1.0, abs(at_tau), size),
-            abs(at_half + value) / max(1.0, abs(at_half), size),
-            abs(product - a) / max(1.0, abs(product), abs_a),
-        ))
-        ratios.append(slope / ((value - 1) * (value + 1)) * slope / ((value - a) * (value + a)))
+    worst = [
+        [abs(at - value) / max(1.0, abs(at), size) for at, value, size in zip(column, base, sizes)]
+        for column in (values([-z for z in points]), values([z + 1 for z in points]),
+                       values([z + tau for z in points]))
+    ]
+    worst.append([
+        abs(at + value) / max(1.0, abs(at), size)
+        for at, value, size in zip(values([z + 0.5 for z in points]), base, sizes)
+    ])
+    products = [at * value for at, value in zip(at_half_taus, base)]
+    worst.append([abs(product - a) / max(1.0, abs(product), abs_a) for product in products])
+    ratios = [
+        slope / ((value - 1) * (value + 1)) * slope / ((value - a) * (value + a))
+        for value, slope in zip(base, slopes)
+    ]
     frame.sample_table = ((tol.seed, tol.samples), tuple(points), tuple(base), tuple(at_half_taus))
-    residuals = dict(zip(_SAMPLED_IDENTITIES, map(_nan_max, zip(*worst))))
+    residuals = dict(zip(_SAMPLED_IDENTITIES, map(_nan_max, worst)))
     residuals["half_period_derivative"] = _nan_max([
         abs(slope) / max(1.0, abs(value))
-        for value, slope in map(lv, (0j, 0.5 + 0j, half, 0.5 + half))
+        for value, slope in zip(*frame.value_slopes([0j, 0.5 + 0j, half, 0.5 + half]))
     ])
 
     mean = sum(ratios) / len(ratios)
-    spread = math.sqrt(sum(abs(r - mean) ** 2 for r in ratios) / len(ratios))
+    spread = math.sqrt(sum([abs(r - mean) ** 2 for r in ratios]) / len(ratios))
     residuals["quadratic_ratio_constancy"] = spread / abs(mean)
     # the constant judges the scale of L'; |C| falls like exp(-2 pi Im tau),
     # so this residual is relative to |C|, not to max(1, |C|) as _residual
@@ -656,12 +675,16 @@ def evaluator_agreement(tau: complex | EllipticParams, tol: Tolerance) -> float:
     # |dwp/dL| = |q - s| / |L - 1|^2
     spread = abs(q - s)
     gaps = []
+    append = gaps.append
+    # each gap is _residual(lhs, rhs) written out, as in verify_identities
     for value, wp in zip(values, params.rows.wps(points, tol.series_eps)):
-        if spread * max(1.0, abs(value)) <= abs(value - 1) ** 2 * max(1.0, abs(wp)):
-            gap = _residual(wp, (q - value * s) / (value - 1))
+        size, wp_size = abs(value), abs(wp)
+        if spread * max(1.0, size) <= abs(value - 1) ** 2 * max(1.0, wp_size):
+            other = (q - value * s) / (value - 1)
+            append(abs(wp - other) / max(1.0, wp_size, abs(other)))
         else:
-            gap = _residual(value, (wp + q) / (wp + s))
-        gaps.append(gap)
+            other = (wp + q) / (wp + s)
+            append(abs(value - other) / max(1.0, size, abs(other)))
     return _nan_max(gaps)
 
 

@@ -9,12 +9,13 @@ replaced, the json.dumps call its JSON writer replaced, ...).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 from collections import deque
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, pi
 from operator import mul, xor
 import random
 
@@ -484,6 +485,32 @@ def sample_points_rejection(tau: complex, tol) -> list[complex]:
         ):
             points.append(u + v * tau)
     return points
+
+
+def value_slope(frame, z: complex) -> tuple[complex, complex]:
+    """(L(z), L'(z)) from one pass over every row of the frame's table, one
+    point at a time, updating the powers after every row, the last
+    included; the batched passes of the package must return its values and
+    slopes bit for bit."""
+    tau = frame.tau
+    y = z.imag / tau.imag
+    x = z.real - y * tau.real
+    w = cmath.exp(2j * pi * (x - round(x) + (y - round(y)) * tau))
+    iw = 1 / w
+    w2, iw2 = w * w, iw * iw
+    p, m, pp, mm = w, iw, w2, iw2  # w^(2n+1), w^-(2n+1), w^(2n+2), w^-(2n+2)
+    t2 = d2 = d3 = 0j
+    t3 = 1 + 0j
+    for c, ck, d, dk in frame.terms:
+        t2 += c * (p + m)
+        d2 += ck * (p - m)
+        t3 += d * (pp + mm)
+        d3 += dk * (pp - mm)
+        p *= w2
+        m *= iw2
+        pp *= w2
+        mm *= iw2
+    return t2 / t3 / frame.null, (d2 * t3 - t2 * d3) * frame.slope / (t3 * t3)
 
 
 def legendre_value(params, z: complex) -> complex:

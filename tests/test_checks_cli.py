@@ -189,17 +189,17 @@ class TestRun:
         # and the samples per modulus
         counts = Counter()
         frame, nome = numerics_mod._LegendreFrame, numerics_mod._NomeFrame
-        draw, value_slope, values, wps = (
-            numerics_mod.sample_points, frame.value_slope, frame.values, nome.wps
+        draw, value_slopes, values, wps = (
+            numerics_mod.sample_points, frame.value_slopes, frame.values, nome.wps
         )
 
         def counted_draw(tau, tol):
             counts["sample_points"] += 1
             return draw(tau, tol)
 
-        def counted_value_slope(self, z):
-            counts["L"] += 1
-            return value_slope(self, z)
+        def counted_value_slopes(self, zs):
+            counts["L"] += len(zs)
+            return value_slopes(self, zs)
 
         def counted_values(self, zs):
             counts["L"] += len(zs)
@@ -210,7 +210,7 @@ class TestRun:
             return wps(self, zs, eps)
 
         monkeypatch.setattr(numerics_mod, "sample_points", counted_draw)
-        monkeypatch.setattr(frame, "value_slope", counted_value_slope)
+        monkeypatch.setattr(frame, "value_slopes", counted_value_slopes)
         monkeypatch.setattr(frame, "values", counted_values)
         monkeypatch.setattr(nome, "wps", counted_wps)
         config = RunConfig()

@@ -52,6 +52,7 @@ from oracles import (
     legendre_derivative,
     legendre_value,
     sample_points_rejection,
+    value_slope,
     weierstrass_p_lattice_sum,
 )
 from reference import legendre_reference, theta, wp_prime_reference, wp_reference
@@ -165,12 +166,19 @@ class TestModularReduction:
         u=st.floats(min_value=0.12, max_value=0.38),
         v=st.floats(min_value=0.12, max_value=0.38),
     )
-    @settings(max_examples=60, deadline=None)
+    # the theta quotient is off the reference by 1.3e-11 here
+    @example(re=0.0, im=0.052734375, u=0.125, v=0.25)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_inverted_moduli_agree_with_theta(self, re, im, u, v):
         tau = complex(re, im)
         assume(abs(tau) < 1)
         z = u + v * tau
-        assert rel(weierstrass_p(z, tau), weierstrass_p_theta(z, tau)) < 1e-11
+        p = weierstrass_p(z, tau)
+        assert rel(p, wp_reference(tau, z)) < WP_ERROR
+        # below the floor of the stated domain the theta quotient's own
+        # error grows past 1e-11, so it is an oracle only on the domain
+        if im >= IM_TAU_DOMAIN[0]:
+            assert rel(p, weierstrass_p_theta(z, tau)) < 1e-11
         h = 1e-5 * im  # wp varies on the scale of the short period
         numeric = (weierstrass_p(z + h, tau) - weierstrass_p(z - h, tau)) / (2 * h)
         assert rel(weierstrass_p_prime(z, tau), numeric) < 1e-6
@@ -408,7 +416,8 @@ class TestSamplePoints:
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 2**31 - 1])
     def test_same_points_as_the_rejection_oracle(self, seed):
-        for tau, samples in ((2j, 50), (0.3 + 0.2j, 200)):
+        # 2 and 3 points stop after a few draws, 2000 read a long stream
+        for tau, samples in ((2j, 2), (1j, 3), (2j, 50), (0.3 + 0.2j, 200), (1.2 + 1j, 2000)):
             tol = Tolerance(samples=samples, seed=seed)
             assert sample_points(tau, tol) == sample_points_rejection(tau, tol)
 
@@ -530,8 +539,8 @@ class TestThetaForm:
     @pytest.mark.parametrize("tau", DEFAULT_TAUS + [0.3 + 0.2j, 6j])
     def test_slope_matches_row_series_chain_rule(self, tau):
         params = legendre_params(tau)
-        for z in sample_points(tau, Tolerance(samples=10)):
-            value, slope = params.frame.value_slope(z)
+        points = sample_points(tau, Tolerance(samples=10))
+        for z, value, slope in zip(points, *params.frame.value_slopes(points)):
             assert rel(slope, legendre_derivative(params, z)) < 1e-9 * max(1.0, abs(value))
 
     def test_mobius_sends_e3_to_minus_a(self):
@@ -596,9 +605,9 @@ class TestThetaForm:
         # times exp(2 pi i k d), the same as evaluating at z + d) moves the
         # zeros of L' off the half periods
         shift = 1e-7
-        original = _LegendreFrame.value_slope
+        original = _LegendreFrame.value_slopes
         monkeypatch.setattr(
-            _LegendreFrame, "value_slope", lambda self, z: original(self, z + shift)
+            _LegendreFrame, "value_slopes", lambda self, zs: original(self, [z + shift for z in zs])
         )
         tol = Tolerance()
         report = verify_identities(legendre_params(1j, tol), tol)
@@ -606,7 +615,7 @@ class TestThetaForm:
         assert report.residuals["half_period_derivative"] > 1e-7
 
     def test_shifted_values_fail_the_sampled_identities(self, monkeypatch):
-        # the value-only pass evaluating at z + d while value_slope keeps z:
+        # the value-only pass evaluating at z + d while value_slopes keeps z:
         # every sampled identity compares a value of that pass with L(z) or a
         shift = 1e-7
         original = _LegendreFrame.values
@@ -653,12 +662,19 @@ class TestThetaForm:
     @example(re=0.0, shift=0, im=IM_TAU_DOMAIN[0], coords=[(0.5, 0.5), (-0.5, 1.25), (1.5, -0.5)])
     @example(re=0.5, shift=3, im=IM_TAU_DOMAIN[1], coords=[(0.5, -0.5), (0.7, 0.499), (-1.0, 1.5)])
     @example(re=-0.5, shift=-3, im=IM_TAU_DOMAIN[1], coords=[(-0.5, 0.5), (0.3, -1.5)])
+    # one row (7i and 100i) and eight (0.1i): the last row is added apart
+    @example(re=0.0, shift=0, im=7.0, coords=[(0.3, 0.2), (-0.45, 0.5), (0.0, 0.0)])
+    @example(re=0.25, shift=1, im=100.0, coords=[(0.3, 0.2), (0.5, -0.45)])
+    @example(re=0.0, shift=0, im=0.1, coords=[(0.3, 0.2), (-0.45, 0.5), (0.0, 0.0)])
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_values_equal_value_slope_bit_for_bit(self, re, shift, im, coords):
+        # the batched passes against the per-point loop over every row
         tau = complex(re + shift, im)
         frame = legendre_params(tau).frame
         points = [u + v * tau for u, v in coords]
-        assert frame.values(points) == [frame.value_slope(z)[0] for z in points]
+        want = [value_slope(frame, z) for z in points]
+        assert frame.value_slopes(points) == tuple(map(list, zip(*want)))
+        assert frame.values(points) == [value for value, _ in want]
 
     def test_every_value_is_a_fresh_evaluation(self, monkeypatch):
         # no identity is evaluated through its own shift rule: per sample
@@ -666,20 +682,20 @@ class TestThetaForm:
         tol = Tolerance(samples=37)
         params = legendre_params(0.3 + 1.2j, tol)
         points: Counter = Counter()
-        value_slope, values = _LegendreFrame.value_slope, _LegendreFrame.values
+        value_slopes, values = _LegendreFrame.value_slopes, _LegendreFrame.values
 
-        def counted_value_slope(self, z):
-            points["value_slope"] += 1
-            return value_slope(self, z)
+        def counted_value_slopes(self, zs):
+            points["value_slopes"] += len(zs)
+            return value_slopes(self, zs)
 
         def counted_values(self, zs):
             points["values"] += len(zs)
             return values(self, zs)
 
-        monkeypatch.setattr(_LegendreFrame, "value_slope", counted_value_slope)
+        monkeypatch.setattr(_LegendreFrame, "value_slopes", counted_value_slopes)
         monkeypatch.setattr(_LegendreFrame, "values", counted_values)
         verify_identities(params, tol)
-        assert points == {"value_slope": tol.samples + 4, "values": 5 * tol.samples}
+        assert points == {"value_slopes": tol.samples + 4, "values": 5 * tol.samples}
         assert sum(points.values()) == 6 * tol.samples + 4
         # the cross-check reads the values verify_identities left in the
         # sample table; on fresh parameters it evaluates the points itself
@@ -809,7 +825,7 @@ class TestReference:
         z = u + v * tau
         params = legendre_params(tau)
         ref = legendre_reference(tau, z)
-        value, slope = params.frame.value_slope(z)
+        [value], [slope] = params.frame.value_slopes([z])
         assert abs(params.a - ref["a"]) / abs(ref["a"]) < A_ERROR
         assert abs(params.b - ref["b"]) / abs(ref["b"]) < A_ERROR
         assert abs(value - ref["L"]) / max(1.0, abs(ref["L"])) < L_ERROR
