@@ -606,9 +606,11 @@ class TestThetaForm:
         # zeros of L' off the half periods
         shift = 1e-7
         original = _LegendreFrame.value_slopes
-        monkeypatch.setattr(
-            _LegendreFrame, "value_slopes", lambda self, zs: original(self, [z + shift for z in zs])
-        )
+
+        def shifted(self, zs):
+            return original(self, [z + shift for z in zs])
+
+        monkeypatch.setattr(_LegendreFrame, "value_slopes", shifted)
         tol = Tolerance()
         report = verify_identities(legendre_params(1j, tol), tol)
         assert any(f.startswith("half_period_derivative") for f in report.failures)
@@ -682,10 +684,12 @@ class TestThetaForm:
         tol = Tolerance(samples=37)
         params = legendre_params(0.3 + 1.2j, tol)
         points: Counter = Counter()
+        batches = []
         value_slopes, values = _LegendreFrame.value_slopes, _LegendreFrame.values
 
         def counted_value_slopes(self, zs):
             points["value_slopes"] += len(zs)
+            batches.append(len(zs))
             return value_slopes(self, zs)
 
         def counted_values(self, zs):
@@ -697,6 +701,8 @@ class TestThetaForm:
         verify_identities(params, tol)
         assert points == {"value_slopes": tol.samples + 4, "values": 5 * tol.samples}
         assert sum(points.values()) == 6 * tol.samples + 4
+        # one value-and-slope pass for the samples, one for the half periods
+        assert batches == [tol.samples, 4]
         # the cross-check reads the values verify_identities left in the
         # sample table; on fresh parameters it evaluates the points itself
         points.clear()
