@@ -387,12 +387,11 @@ CHECKS: dict[str, Claim] = {
         Claim(
             "sign_condition",
             "every coordinate is negated by some generator, and g1 alone negates the first",
-            True,
+            (True, False),
             # g1 alone negates the first coordinate, so without it the condition must fail
-            lambda f: check_sign_condition(f.generators)
-            and not check_sign_condition(f.generators[1:]),
+            lambda f: (check_sign_condition(f.generators), check_sign_condition(f.generators[1:])),
             text="sign condition holds",
-            show=lambda ok: "holds" if ok else "violated",
+            show=lambda pair: "holds" if pair == (True, False) else "violated",
         ),
         Claim(
             "hurwitz_genus5",

@@ -25,7 +25,9 @@ exp(2 pi i z) overflow, and legendre_params raises the typed OutsideDomain.
 
 L is cross-checked against wp by a row series in nome form (DLMF 23.8) on
 the SL2(Z)-reduced lattice (_NomeFrame), through the Moebius M with
-M(inf) = 1, M(e1) = -1, M(e2) = a, solved linearly (evaluator_agreement).
+M(inf) = 1, M(e1) = -1, M(e2) = a (evaluator_agreement).  M and the
+half-period values are closed forms in a and C = (2 pi)^2 theta2(0 | 2 tau)^4
+(DLMF 23.6(i) through Landen, DLMF 20.7(vi)): nothing is fitted to the rows.
 The row series evaluates wherever the reduced Im tau' is at most 700/pi
 (about 223) and raises DegenerateModulus beyond (0.001i reduces to 1000i);
 _NomeFrame.wps takes a whole point list in one call.  A theta quotient for
@@ -99,10 +101,9 @@ class EllipticParams:
     of the modulus as given.  The frames evaluate on the translated modulus
     frame.tau = tau - k, k = round(Re tau), with parameter frame.a = (-1)^k a
     and e2, e3 swapped at odd k; they live and die with these parameters.
-    mobius = (q, s) gives M(w) = (w + q)/(w + s), solved on frame.tau with
-    M(inf) = 1, M(e1) = -1, M(e2) = frame.a.  It is the same map for the
-    modulus as given, M(e2) = a and M(e3) = -a, which verify_identities
-    checks without reference to k.
+    e1, e2, e3 come from the row series.  mobius = (q, s) gives M(w) =
+    (w + q)/(w + s) from theta's a and C alone; it sends inf, e1, e2, e3 to
+    1, -1, a, -a at the closed-form half periods, for tau at any k.
     """
 
     tau: complex
@@ -411,7 +412,7 @@ class _LegendreFrame:
     alone, so (seed, samples) is its key; it lives and dies with the frame.
     """
 
-    __slots__ = ("tau", "terms", "null", "slope", "a", "b", "a_minus_1", "sample_table")
+    __slots__ = ("tau", "terms", "null", "slope", "a", "b", "a_minus_1", "C", "sample_table")
 
     def __init__(self, tau: complex) -> None:
         terms = []
@@ -426,6 +427,8 @@ class _LegendreFrame:
         self.slope = _TWO_PI_I / self.null
         self.b = 1 / self.null
         self.a = self.b * self.b
+        theta2 = 2 * sum(row[0] for row in terms)  # theta2(0 | 2 tau)
+        self.C = 4 * PI * PI * theta2**4  # unchanged by tau -> tau + 1
         # a - 1 = theta4(0 | tau)^2 / theta2(0 | 2 tau)^2 by Landen's
         # transformation (DLMF 20.7(vi)); it keeps its digits where a tends
         # to 1 (small Im tau), which b^2 - 1 does not
@@ -434,7 +437,7 @@ class _LegendreFrame:
             theta4 -= 2 * (-1) ** n * full
             if abs(full) < 1e-18:
                 break
-        self.a_minus_1 = (theta4 / (2 * sum(row[0] for row in terms))) ** 2
+        self.a_minus_1 = (theta4 / theta2) ** 2
         self.sample_table = None
 
     def value_slopes(self, points: list[complex]) -> tuple[list[complex], list[complex]]:
@@ -517,9 +520,10 @@ def legendre_params(tau: complex, tol: Tolerance = Tolerance()) -> EllipticParam
     """The theta-form L of tau, the half-period values of the row series and
     the Moebius map M with M(inf) = 1, M(e1) = -1, M(e2) = a.
 
-    Writing M(w) = (w + q)/(w + s), the constraints are q + s = -2 e1 and
-    q - a s = (a - 1) e2, linear in (q, s).  Both evaluators run on the
-    translated modulus; a and b are reported for tau as given.
+    M(w) = (w + q)/(w + s), s = C (a^2 - 5) / 12, q = s - C (a - 1)(a + 1) / 2
+    with a - 1 from frame.a_minus_1, which keeps its digits as a tends to 1.
+    Both evaluators run on the translated modulus; a and b are reported for
+    tau as given.
     """
     _check_tau(tau)
     lo, hi = IM_TAU_DOMAIN
@@ -529,13 +533,10 @@ def legendre_params(tau: complex, tol: Tolerance = Tolerance()) -> EllipticParam
     frame = _LegendreFrame(tau - k)
     rows = _NomeFrame(frame.tau)
     e1, e2, e3 = rows.wps([0.5 + 0j, frame.tau / 2, (1 + frame.tau) / 2], tol.series_eps)
-    # M is solved on the translated modulus, where e2 stays apart from e1
-    # as a tends to 1; q - s = 2 (a - 1)(e2 - e1) / (1 + a) is formed from
-    # a - 1 directly, not by cancellation
-    am1 = frame.a_minus_1
-    s = (-2 * e1 - am1 * e2) / (2 + am1)
-    mobius = (s + 2 * am1 * (e2 - e1) / (2 + am1), s)
-    a, b = frame.a, frame.b * (1, -1j, -1, 1j)[k % 4]
+    C, a = frame.C, frame.a
+    s = C * (a * a - 5) / 12
+    mobius = (s - C * frame.a_minus_1 * (a + 1) / 2, s)
+    b = frame.b * (1, -1j, -1, 1j)[k % 4]
     if k % 2:
         # tau/2 is (1 + frame.tau)/2 modulo the lattice, and exp(i pi tau/2)
         # gains i^k, so b gains (-i)^k
@@ -597,8 +598,9 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
     is a fresh evaluation of the theta series.  half_period_derivative is
     |L'(p)| / max(1, |L(p)|) at the four half periods, where L' vanishes.
     The ratio L'^2 / ((L^2 - 1)(L^2 - a^2)) is constant (its spread is
-    quadratic_ratio_constancy) and equals (2 pi)^2 theta2(0 | 2 tau)^4
-    (quadratic_constant); mobius_e3 ties theta's a to the row series.  The
+    quadratic_ratio_constancy) and equals C = (2 pi)^2 theta2(0 | 2 tau)^4
+    (quadratic_constant).  half_period_values judges the row series' e1, e2,
+    e3 against C (a^2 + 1) / 6 and -C (a^2 +- 6a + 1) / 12, true at any k.  The
     points with L at them and at them + tau/2 are left in the frame's
     sample table for evaluator_agreement and invariant_pencil_constant.
     """
@@ -638,14 +640,13 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
     residuals["quadratic_ratio_constancy"] = spread / abs(mean)
     # the constant judges the scale of L'; |C| falls like exp(-2 pi Im tau),
     # so this residual is relative to |C|, not to max(1, |C|) as _residual
-    constant = 4 * PI * PI * (2 * sum(row[0] for row in frame.terms)) ** 4
-    residuals["quadratic_constant"] = abs(mean - constant) / abs(constant)
-    # M(e2) = a and M(e3) = -a give, with q + s = -2 e1, the relation
-    # qs = e1 (e2 + e3) - e2 e3, symmetric in e2 and e3 and so free of k;
-    # one of the two is M's own solve, so it ties theta's a to the rows
-    q, s = params.mobius
-    e1, e2, e3 = params.e1, params.e2, params.e3
-    residuals["mobius_e3"] = _residual(q * s, e1 * (e2 + e3) - e2 * e3)
+    C, a = frame.C, params.a
+    residuals["quadratic_constant"] = abs(mean - C) / abs(C)
+    residuals["half_period_values"] = _nan_max([
+        _residual(params.e1, C * (a * a + 1) / 6),
+        _residual(params.e2, -C * (a * a + 6 * a + 1) / 12),
+        _residual(params.e3, -C * (a * a - 6 * a + 1) / 12),
+    ])
 
     failures = [
         f"{name}: worst residual {worst:.3e} > {tol.eps:.3e}"

@@ -283,7 +283,22 @@ class TestRun:
         monkeypatch.setattr(checks_mod, "legendre_params", shifted)
         [result] = run(RunConfig(checks=("legendre_identities",), taus=(1j,)))
         assert result.status == "fail"
-        assert "mobius_e3: worst residual" in result.actual
+        assert "half_period_values: worst residual" in result.actual
+
+    def test_offset_wp_fails_legendre_identities(self, monkeypatch):
+        # every row-series value shifted by a constant (pi^2 / 3 -> 3 pi^2
+        # in _NomeFrame.wps): a Moebius map fitted to the shifted half
+        # periods absorbed it, the closed forms do not
+        original = numerics_mod._NomeFrame.wps
+
+        def shifted(self, points, eps):
+            return [w - 8 * math.pi**2 / 3 for w in original(self, points, eps)]
+
+        monkeypatch.setattr(numerics_mod._NomeFrame, "wps", shifted)
+        for tau in DEFAULT_TAUS:
+            [result] = run(RunConfig(checks=("legendre_identities",), taus=(tau,)))
+            assert result.status == "fail"
+            assert f"tau={tau}: half_period_values: worst residual" in result.actual
 
     def test_sign_test_that_ignores_the_sign_fails_sign_condition(self, monkeypatch):
         # the mutant `g.signs[i] == -1` -> `!= -1` holds on the five

@@ -553,10 +553,11 @@ class TestThetaForm:
     @pytest.mark.parametrize(
         "tau", [1.2 + 1j, 1.3 + 0.2j, 1.3 + 0.9j, -0.7 + 8j, 3.1 + 2j, 2.2 + 1j]
     )
-    def test_wrong_e3_fails_mobius_e3(self, monkeypatch, tau):
+    def test_wrong_e3_fails_half_period_values(self, monkeypatch, tau):
         # wp((1 + frame.tau)/2), the third value of legendre_params'
         # row-series call, off by 1e-4.  At odd round(Re tau) it is reported
-        # as e2; the check is symmetric in e2 and e3, so it sees it at any k
+        # as e2; the closed forms hold for the modulus as given at any k, so
+        # the check sees it under either name
         original = _NomeFrame.wps
 
         def wps(self, points, eps):
@@ -568,8 +569,8 @@ class TestThetaForm:
         monkeypatch.setattr(_NomeFrame, "wps", wps)
         tol = Tolerance()
         report = verify_identities(legendre_params(tau, tol), tol)
-        assert report.residuals["mobius_e3"] > 1e-5
-        assert any(f.startswith("mobius_e3:") for f in report.failures)
+        assert report.residuals["half_period_values"] > 1e-5
+        assert any(f.startswith("half_period_values:") for f in report.failures)
 
     @pytest.mark.parametrize("tau", [*DEFAULT_TAUS, 8j, 20j])
     def test_wrong_slope_scale_fails_quadratic_constant(self, monkeypatch, tau):
@@ -593,7 +594,7 @@ class TestThetaForm:
     @pytest.mark.parametrize("tau", [0.1j, 0.12 + 0.1j, 0.3 + 0.2j, 2j])
     def test_a_minus_1_keeps_its_digits(self, tau):
         # at 0.1i, a = 1 + 1.2e-6: b^2 - 1 keeps only 9 digits of a - 1,
-        # and the cross-check at eps 1e-12 read 1.2e-12 when M was solved
+        # and the cross-check at eps 1e-12 read 1.2e-12 when M was built
         # from it
         frame = legendre_params(tau).frame
         want = legendre_reference(tau)["a_minus_1"]
@@ -760,8 +761,8 @@ class TestThetaForm:
         assert calls == {(4, 20): 1, (3, 21): 1}
 
     def test_wrong_a_fails_the_cross_check(self, monkeypatch):
-        # M solved from a slightly wrong a no longer carries the row-series
-        # wp onto theta L
+        # M built from a slightly wrong a - 1 no longer carries the
+        # row-series wp onto theta L
         original = _LegendreFrame.__init__
 
         def init(self, tau):
@@ -771,6 +772,24 @@ class TestThetaForm:
         monkeypatch.setattr(_LegendreFrame, "__init__", init)
         for tau in (2j, 0.1j, 0.3 + 0.2j):
             assert evaluator_agreement(tau, Tolerance()) > 1e-9
+
+    @pytest.mark.parametrize("tau", [6j, 12j, 20j, 100j, 0.45 + 0.12j])
+    def test_scaled_a_fails_half_period_values(self, monkeypatch, tau):
+        # a scaled by 1 + 1e-5 moves the closed-form half periods by 2e-5 to
+        # 3e-5 relative from Im tau = 1 up.  At 0.45+0.12i, where |a| = 0.015,
+        # they move by only 9.7e-7; quadratic_ratio_constancy (1.2e-5) and
+        # quadratic_constant (4.4e-6) read it more strongly there
+        original = _LegendreFrame.__init__
+
+        def init(self, tau):
+            original(self, tau)
+            self.a *= 1 + 1e-5
+
+        monkeypatch.setattr(_LegendreFrame, "__init__", init)
+        tol = Tolerance()
+        report = verify_identities(legendre_params(tau, tol), tol)
+        assert report.residuals["half_period_values"] > 5e-7
+        assert "half_period_values" in [f.split(":")[0] for f in report.failures]
 
 
 # worst errors against tests/reference.py, measured over ~2700 random
@@ -836,6 +855,26 @@ class TestReference:
         assert abs(params.b - ref["b"]) / abs(ref["b"]) < A_ERROR
         assert abs(value - ref["L"]) / max(1.0, abs(ref["L"])) < L_ERROR
         assert abs(slope - ref["dL"]) / max(1.0, abs(ref["dL"]), abs(ref["L"])) < L_ERROR
+
+    @pytest.mark.parametrize(
+        "tau",
+        [*DEFAULT_TAUS, 0.3 + 0.2j, 1.3 + 0.9j, 0.1j, 0.45 + 0.12j, 6j, 12j, 20j, 100j, -2.6 + 0.7j],
+    )
+    def test_error_of_the_closed_forms(self, tau):
+        # C = (2 pi)^2 theta2(0 | 2 tau)^4 carries a's error, the rounding
+        # in the exponent of exp(i pi tau / 2): worst 6.9e-14 relative at
+        # Im tau = 88.6 over 300 random moduli of the domain (Im tau
+        # log-uniform, Re tau in [-3.5, 3.5]), hence A_ERROR.  In the half
+        # periods C a^2 cancels that error: worst 2.5e-15 over the same
+        # moduli and 1.4e-15 here (at 0.1i), relative to max(1, |e|); the
+        # bound leaves a factor of 4
+        params = legendre_params(tau)
+        C, a = params.frame.C, params.a
+        want = legendre_reference(tau)["C"]
+        assert abs(C - want) / abs(want) < A_ERROR
+        forms = (C * (a * a + 1) / 6, -C * (a * a + 6 * a + 1) / 12, -C * (a * a - 6 * a + 1) / 12)
+        for form, z in zip(forms, (0.5, tau / 2, (1 + tau) / 2)):
+            assert rel(form, wp_reference(tau, z)) < 1e-14
 
     @pytest.mark.parametrize("tau", [1j, 0.3 + 0.2j, 2.2 + 5j])
     def test_wp_prime_reference_is_the_derivative(self, tau):
