@@ -102,7 +102,7 @@ class EllipticParams:
     frame.tau = tau - k, k = round(Re tau), with parameter frame.a = (-1)^k a
     and e2, e3 swapped at odd k; they live and die with these parameters.
     e1, e2, e3 come from the row series.  mobius = (q, s) gives M(w) =
-    (w + q)/(w + s) from theta's a and C alone; it sends inf, e1, e2, e3 to
+    (w + q)/(w + s) from theta's a, a - 1 and C; it sends inf, e1, e2, e3 to
     1, -1, a, -a at the closed-form half periods, for tau at any k.
     """
 
