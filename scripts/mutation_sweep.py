@@ -17,7 +17,9 @@ mutant of `cli`, which `run` never reaches, is judged by
 `main(["verify", "all", "--format", "json"])`: it survives only if that
 exits 0 and prints the bytes of tests/data/verify_all.json.  A mutant of
 any other module is judged by one default `run(RunConfig())`: it survives
-only if every check passes.  A crash or a timeout kills it.  Mutants run
+only if every result's name, status, expected and actual text equal the
+rows of that file, so a mutant that changes only what a passing claim
+prints is killed too.  A crash or a timeout kills it.  Mutants run
 one at a time.  The script prints, per module, the killed and survived
 counts and the line of each survivor.  It uses the standard library only.
 
@@ -39,9 +41,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = SRC.parent / "tests" / "data" / "verify_all.json"
 TIMEOUT_S = 20
 JUDGE = (
-    "import sys\n"
+    "import json, sys\n"
     "from surface_lab.checks import RunConfig, run\n"
-    "sys.exit(any(r.status != 'pass' for r in run(RunConfig())))\n"
+    f"rows = json.load(open({str(GOLDEN)!r}))['results']\n"
+    "want = [(r['name'], r['status'], r['expected'], r['actual']) for r in rows]\n"
+    "sys.exit([(r.name, r.status, r.expected, r.actual) for r in run(RunConfig())] != want)\n"
 )
 CLI_JUDGE = (
     "import io, sys\n"

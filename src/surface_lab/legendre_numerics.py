@@ -19,9 +19,20 @@ per-point loop in tests/oracles.py is their reference).  Theta settles the
 a <-> 1/a ambiguity of the value table: at 0.3+0.2i it gives the a that
 the earlier Moebius root selection reported as 1/a.  L runs on
 the translated modulus tau - k, k = round(Re tau), exactly (1 is a period):
-L is unchanged and a(tau) = (-1)^k a(tau - k).  Domain: 0.1 <= Im tau <= 100
-(IM_TAU_DOMAIN); below it the 2 tau series cancels, above it the powers of
-exp(2 pi i z) overflow, and legendre_params raises the typed OutsideDomain.
+L is unchanged and a(tau) = (-1)^k a(tau - k).  A small translated modulus
+evaluates L through Jacobi's imaginary transformation (DLMF 20.7(viii)):
+theta2/theta3 (v | 2 tau) = theta4/theta3 (v/2tau | -1/2tau), and the even
+and odd terms of theta3 and theta4 (DLMF 20.2.3-4) turn the right side into
+the L of tau^ = -1/tau again,
+
+    L(z) = b (b^ - L^(z/tau)) / (b^ + L^(z/tau)),  b^ = b(tau^),
+
+so the points run through the short table of tau^ (at most three rows)
+in place of up to eight rows of tau's own.  Domain: 0.1 <= Im tau <= 100
+(IM_TAU_DOMAIN).  Below it a - 1, which comes from theta4(0 | tau) as a
+tends to 1, cancels (10 digits left at 0.05i) and the direct series that
+gives a, b and C grows; above it the powers of exp(2 pi i z) overflow.
+Outside it legendre_params raises the typed OutsideDomain.
 
 L is cross-checked against wp by a row series in nome form (DLMF 23.8) on
 the SL2(Z)-reduced lattice (_NomeFrame), through the Moebius M with
@@ -391,6 +402,15 @@ IM_TAU_DOMAIN = (0.1, 100.0)
 _TAIL = 40.0
 
 
+def _table_rows(im: float) -> int:
+    """The rows of the L table at Im tau = im: row n is the last one kept
+    once 2 pi im (n + 1)^2 > _TAIL."""
+    n = 1
+    while not 2 * PI * im * n ** 2 > _TAIL:
+        n += 1
+    return n
+
+
 class _LegendreFrame:
     """L and L' of one modulus in theta form, the point-free parts built
     once.  tau is the translated modulus.  With w = exp(2 pi i z),
@@ -402,9 +422,19 @@ class _LegendreFrame:
     2 pi i k w^k gives L'.  terms holds (c_n, (2n+1) c_n, d_n, (2n+2) d_n).
     For z = x + y tau, |y| <= 1/2, |w|^(+-1) <= exp(pi Im tau), so row n is
     at most exp(-2 pi Im tau n^2) times the largest term: the table keeps
-    the rows above exp(-_TAIL) of it at every point of the cell, from one
-    row above Im tau = _TAIL / (2 pi) to eight at Im tau = 0.1.  value_slopes
+    the rows above exp(-_TAIL) of it at every point of the cell, one row
+    above Im tau = _TAIL / (2 pi) and eight at Im tau = 0.1.  value_slopes
     and values each take a whole point list in one call.
+
+    The table gives null, b, a and C.  When |tau| < 1 and the table of
+    tau^ = -1/tau is shorter, the frame inverts: inner is the frame of
+    tau^ - k^, k^ = round(Re tau^), b_hat = b(tau^) = inner.b (-i)^k^, and
+    both passes map the inner frame's pass over z / tau by
+    L = b (b_hat - L^) / (b_hat + L^), L' = -2 b b_hat L^' / ((b_hat + L^)^2 tau).
+    The inner frame applies the same rule, so every pass reads at most
+    three rows per point, at most two inversions deep.  L must use the
+    frame's own b, not (b_hat + 1)/(b_hat - 1), which would make L(0)
+    exactly 1: quadratic_ratio_constancy measures L^2 against a^2 = b^4.
 
     sample_table is the sample table of the last verify_identities on
     this frame: ((seed, samples), points, L at the points, L at the points +
@@ -412,15 +442,14 @@ class _LegendreFrame:
     alone, so (seed, samples) is its key; it lives and dies with the frame.
     """
 
-    __slots__ = ("tau", "terms", "null", "slope", "a", "b", "a_minus_1", "C", "sample_table")
+    __slots__ = ("tau", "terms", "null", "slope", "a", "b", "a_minus_1", "C", "inner", "b_hat",
+                 "sample_table")
 
     def __init__(self, tau: complex) -> None:
-        terms = []
-        for n, (c, d) in enumerate(_theta_powers(2 * tau)):
-            terms.append((c, (2 * n + 1) * c, d, (2 * n + 2) * d))
-            if 2 * PI * tau.imag * (n + 1) ** 2 > _TAIL:
-                break
-        self.tau, self.terms = tau, tuple(terms)
+        rows = zip(range(_table_rows(tau.imag)), _theta_powers(2 * tau))
+        self.tau = tau
+        self.terms = terms = tuple((c, (2 * n + 1) * c, d, (2 * n + 2) * d) for n, (c, d) in rows)
+        self.inner = None
         self.null = 1.0
         # theta2(0) / theta3(0) by the same loop, so that L(0) is exactly 1
         self.null = self.values([0j])[0]
@@ -439,12 +468,29 @@ class _LegendreFrame:
                 break
         self.a_minus_1 = (theta4 / theta2) ** 2
         self.sample_table = None
+        if abs(tau) < 1:
+            # L through Jacobi's imaginary transformation; see the docstring
+            hat = -1 / tau
+            if _table_rows(hat.imag) < len(terms):
+                k = round(hat.real)
+                self.inner = inner = _LegendreFrame(hat - k)
+                self.b_hat = inner.b * (1, -1j, -1, 1j)[k % 4]
 
     def value_slopes(self, points: list[complex]) -> tuple[list[complex], list[complex]]:
         """([L(z) for z in points], [L'(z) for z in points]), one pass over
         the rows per point.  The last row is added after the loop: the
-        powers it would update are never read."""
-        tau, null, slope = self.tau, self.null, self.slope
+        powers it would update are never read.  An inverted frame maps the
+        inner frame's pass over z / tau through the Moebius map of L^."""
+        tau, inner = self.tau, self.inner
+        if inner is not None:
+            b, b_hat = self.b, self.b_hat
+            scale = -2 * b * b_hat / tau
+            inner_values, inner_slopes = inner.value_slopes([z / tau for z in points])
+            return (
+                [b * (b_hat - w) / (b_hat + w) for w in inner_values],
+                [scale * s / ((b_hat + w) * (b_hat + w)) for w, s in zip(inner_values, inner_slopes)],
+            )
+        null, slope = self.null, self.slope
         tr, ti = tau.real, tau.imag
         *head, (cl, ckl, dl, dkl) = self.terms
         exp, rnd, two_pi_i = cmath.exp, round, _TWO_PI_I
@@ -481,7 +527,11 @@ class _LegendreFrame:
         """[L(z) for z in points]: the t2 and t3 half of value_slopes' loop,
         the same float operations in the same order, so each value equals
         value_slopes' bit for bit."""
-        tau, null = self.tau, self.null
+        tau, inner = self.tau, self.inner
+        if inner is not None:
+            b, b_hat = self.b, self.b_hat
+            return [b * (b_hat - w) / (b_hat + w) for w in inner.values([z / tau for z in points])]
+        null = self.null
         tr, ti = tau.real, tau.imag
         *head, (cl, _, dl, _) = self.terms
         head = [(c, d) for c, _, d, _ in head]
@@ -600,7 +650,8 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
     The ratio L'^2 / ((L^2 - 1)(L^2 - a^2)) is constant (its spread is
     quadratic_ratio_constancy) and equals C = (2 pi)^2 theta2(0 | 2 tau)^4
     (quadratic_constant).  half_period_values judges the row series' e1, e2,
-    e3 against C (a^2 + 1) / 6 and -C (a^2 +- 6a + 1) / 12, true at any k.  The
+    e3 against C (a^2 + 1) / 6 and -C (a^2 +- 6a + 1) / 12, true at any k,
+    and the frame's a - 1, which only M reads, against a - 1.  The
     points with L at them and at them + tau/2 are left in the frame's
     sample table for evaluator_agreement and invariant_pencil_constant.
     """
@@ -646,6 +697,7 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
         _residual(params.e1, C * (a * a + 1) / 6),
         _residual(params.e2, -C * (a * a + 6 * a + 1) / 12),
         _residual(params.e3, -C * (a * a - 6 * a + 1) / 12),
+        _residual(frame.a_minus_1, frame.a - 1),
     ])
 
     failures = [

@@ -491,8 +491,13 @@ def value_slope(frame, z: complex) -> tuple[complex, complex]:
     """(L(z), L'(z)) from one pass over every row of the frame's table, one
     point at a time, updating the powers after every row, the last
     included; the batched passes of the package must return its values and
-    slopes bit for bit."""
-    tau = frame.tau
+    slopes bit for bit.  An inverted frame takes the inner frame's pair at
+    z / tau through the same Moebius map, with the same float operations."""
+    tau, inner = frame.tau, frame.inner
+    if inner is not None:
+        b, b_hat = frame.b, frame.b_hat
+        w, s = value_slope(inner, z / tau)
+        return b * (b_hat - w) / (b_hat + w), -2 * b * b_hat / tau * s / ((b_hat + w) * (b_hat + w))
     y = z.imag / tau.imag
     x = z.real - y * tau.real
     w = cmath.exp(2j * pi * (x - round(x) + (y - round(y)) * tau))

@@ -791,6 +791,23 @@ class TestThetaForm:
         assert report.residuals["half_period_values"] > 5e-7
         assert "half_period_values" in [f.split(":")[0] for f in report.failures]
 
+    @pytest.mark.parametrize("tau", [2j, 6j, 12j, 20j, 50j])
+    def test_scaled_a_minus_1_fails_half_period_values(self, monkeypatch, tau):
+        # a - 1 feeds only the closed-form M, and the evaluator gap reads a
+        # scale of 1 + 1e-5 only as 3.9e-10 at 20i and 2.9e-16 at 50i;
+        # half_period_values judges it against a - 1 at every modulus
+        original = _LegendreFrame.__init__
+
+        def init(self, tau):
+            original(self, tau)
+            self.a_minus_1 *= 1 + 1e-5
+
+        monkeypatch.setattr(_LegendreFrame, "__init__", init)
+        tol = Tolerance()
+        report = verify_identities(legendre_params(tau, tol), tol)
+        assert report.residuals["half_period_values"] > 5e-6
+        assert [f.split(":")[0] for f in report.failures] == ["half_period_values"]
+
 
 # worst errors against tests/reference.py, measured over ~2700 random
 # moduli of the domain (Im tau log-uniform in [0.1, 100] and at both
@@ -916,3 +933,73 @@ class TestReference:
         z = 0.918 + 0.316 * tau
         assert rel(weierstrass_p_prime(z, tau), wp_prime_reference(tau, z)) < 1e-13
         assert rel(weierstrass_p(z, tau), wp_reference(tau, z)) < 1e-13
+
+
+# moduli of |tau| < 1 near the lower edge, where the frame inverts
+INVERTED_TAUS = [
+    0.1j, 0.02 + 0.1j, 0.1 + 0.1j, 0.25 + 0.1j, 0.45 + 0.1j,
+    -0.35 + 0.15j, 0.3 + 0.2j, 0.1 + 0.3j, 0.2 + 0.4j, 0.45 + 0.6j,
+]
+
+
+def innermost(frame: _LegendreFrame) -> tuple[int, _LegendreFrame]:
+    """(number of inversions, the frame whose table evaluates L)."""
+    depth = 0
+    while frame.inner is not None:
+        depth, frame = depth + 1, frame.inner
+    return depth, frame
+
+
+class TestInvertedFrame:
+    """L of a small modulus through Jacobi's imaginary transformation:
+    L(z) = b (b^ - L^(z/tau)) / (b^ + L^(z/tau)) with L^ and b^ of -1/tau."""
+
+    @pytest.mark.parametrize("tau", INVERTED_TAUS)
+    def test_l_and_slope_match_the_reference(self, tau):
+        frame = legendre_params(tau).frame
+        assert frame.inner is not None
+        points = sample_points(tau, Tolerance(samples=6)) + [0j, 0.5 + 0j, tau / 2]
+        for z, value, slope in zip(points, *frame.value_slopes(points)):
+            ref = legendre_reference(tau, z)
+            assert abs(value - ref["L"]) / max(1.0, abs(ref["L"])) < L_ERROR
+            assert abs(slope - ref["dL"]) / max(1.0, abs(ref["dL"]), abs(ref["L"])) < L_ERROR
+
+    @pytest.mark.parametrize("tau", INVERTED_TAUS)
+    def test_values_equal_value_slopes_bit_for_bit(self, tau):
+        frame = legendre_params(tau).frame
+        points = sample_points(tau, Tolerance(samples=20)) + [0j, 0.5 + 0j, tau / 2, -tau]
+        values, slopes = frame.value_slopes(points)
+        assert frame.values(points) == values
+        assert (values, slopes) == tuple(map(list, zip(*[value_slope(frame, z) for z in points])))
+
+    @given(
+        re=st.floats(min_value=-0.5, max_value=0.5),
+        im=st.floats(min_value=IM_TAU_DOMAIN[0], max_value=1.0),
+    )
+    @example(re=0.45, im=0.1)  # inverts twice
+    @example(re=0.5, im=0.1)
+    @example(re=-0.5, im=0.1)
+    @example(re=0.0, im=0.1)
+    @example(re=0.5, im=math.sqrt(3) / 2)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_innermost_table_is_short(self, re, im):
+        # from |tau| = 1 up no frame inverts, and Im tau >= sqrt(3)/2 there
+        # on |Re tau| <= 1/2 keeps the table at three rows or fewer
+        depth, inner = innermost(_LegendreFrame(complex(re, im)))
+        assert depth <= 2
+        assert len(inner.terms) <= 3
+
+    def test_default_moduli_do_not_invert(self):
+        for tau in DEFAULT_TAUS:
+            assert legendre_params(tau).frame.inner is None
+
+    @pytest.mark.parametrize("tau", [0.1j, 0.01 + 0.1j])
+    def test_lower_edge_has_no_false_fails(self, tau):
+        # the direct 8-row table read quadratic_ratio_constancy up to
+        # 1.211e-12 here, 5 false fails over these 40 runs
+        for seed in range(20):
+            tol = Tolerance(eps=1e-12, samples=200, seed=seed)
+            params = legendre_params(tau, tol)
+            report = verify_identities(params, tol)
+            assert report.ok, (seed, report.failures)
+            assert evaluator_agreement(params, tol) <= tol.eps, seed
