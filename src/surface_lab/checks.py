@@ -21,7 +21,6 @@ fewer moduli than they need.
 
 from __future__ import annotations
 
-import cmath
 import time
 from collections import Counter
 from collections.abc import Callable
@@ -53,6 +52,7 @@ from .legendre_numerics import (
     EllipticParams,
     IdentityFailure,
     Tolerance,
+    _check_tau,
     _nan_max,
     evaluator_agreement,
     invariant_pencil_constant,
@@ -104,10 +104,7 @@ class RunConfig:
             raise ValueError("checks must be nonempty")
         object.__setattr__(self, "tolerance", Tolerance(self.eps, self.samples, self.seed))
         for tau in self.taus:
-            if not cmath.isfinite(tau):
-                raise ValueError(f"modulus {tau!r} is not finite")
-            if not tau.imag > 0:
-                raise ValueError(f"modulus {tau!r} must have positive imaginary part")
+            _check_tau(tau)
         if self.output_format not in ("text", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 

@@ -29,10 +29,9 @@ the L of tau^ = -1/tau again,
 
 so the points run through the short table of tau^ (at most three rows)
 in place of up to eight rows of tau's own.  Domain: 0.1 <= Im tau <= 100
-(IM_TAU_DOMAIN).  Below it a - 1, which comes from theta4(0 | tau) as a
-tends to 1, cancels (10 digits left at 0.05i) and the direct series that
-gives a, b and C grows; above it the powers of exp(2 pi i z) overflow.
-Outside it legendre_params raises the typed OutsideDomain.
+(IM_TAU_DOMAIN).  Below it the direct 2 tau series of b, a and C grows
+(12 rows at 0.05i; a - 1, from b^, keeps its digits); above it the powers
+of exp(2 pi i z) overflow.  Outside it legendre_params raises OutsideDomain.
 
 L is cross-checked against wp by a row series in nome form (DLMF 23.8) on
 the SL2(Z)-reduced lattice (_NomeFrame), through the Moebius M with
@@ -113,8 +112,9 @@ class EllipticParams:
     frame.tau = tau - k, k = round(Re tau), with parameter frame.a = (-1)^k a
     and e2, e3 swapped at odd k; they live and die with these parameters.
     e1, e2, e3 come from the row series.  mobius = (q, s) gives M(w) =
-    (w + q)/(w + s) from theta's a, a - 1 and C; it sends inf, e1, e2, e3 to
-    1, -1, a, -a at the closed-form half periods, for tau at any k.
+    (w + q)/(w + s) from theta's a, C and a - 1 (the frame's, from b^ if it
+    inverts); it sends inf, e1, e2, e3 to 1, -1, a, -a at the closed-form
+    half periods, for tau at any k.
     """
 
     tau: complex
@@ -129,10 +129,10 @@ class EllipticParams:
 
 
 def _check_tau(tau: complex) -> None:
-    if not tau.imag > 0:
-        raise ValueError("modulus must have positive imaginary part")
     if not cmath.isfinite(tau):
-        raise ValueError(f"modulus must be finite, got {tau!r}")
+        raise ValueError(f"modulus {tau!r} is not finite")
+    if not tau.imag > 0:
+        raise ValueError(f"modulus {tau!r} must have positive imaginary part")
 
 
 def _reduce(z: complex, tau: complex) -> tuple[float, float]:
@@ -147,9 +147,8 @@ def _modular_reduction(tau: complex) -> tuple[complex, tuple[int, int, int, int]
     and tau' in the fundamental domain |Re tau'| <= 1/2, |tau'| >= 1.
 
     Translations and inversions are applied until the modulus stops moving;
-    the lattice <1, tau> equals (c tau + d) <1, tau'>.
+    the lattice <1, tau> equals (c tau + d) <1, tau'>.  The caller checks tau.
     """
-    _check_tau(tau)
     a, b, c, d = 1, 0, 0, 1
     w = tau
     while True:
@@ -402,6 +401,11 @@ IM_TAU_DOMAIN = (0.1, 100.0)
 _TAIL = 40.0
 
 
+def _b_shift(k: int) -> complex:
+    """(-i)^k, the factor b = theta3/theta2 (0 | 2 tau) gains under tau -> tau + k."""
+    return (1, -1j, -1, 1j)[k % 4]
+
+
 def _table_rows(im: float) -> int:
     """The rows of the L table at Im tau = im: row n is the last one kept
     once 2 pi im (n + 1)^2 > _TAIL."""
@@ -432,9 +436,14 @@ class _LegendreFrame:
     both passes map the inner frame's pass over z / tau by
     L = b (b_hat - L^) / (b_hat + L^), L' = -2 b b_hat L^' / ((b_hat + L^)^2 tau).
     The inner frame applies the same rule, so every pass reads at most
-    three rows per point, at most two inversions deep.  L must use the
-    frame's own b, not (b_hat + 1)/(b_hat - 1), which would make L(0)
+    three rows per point, at most two inversions deep.  a - 1 is b^2 - 1,
+    or 4 b_hat / (b_hat - 1)^2 when inverted, as b = (b_hat + 1)/(b_hat - 1):
+    it keeps its digits as a tends to 1.  b, a and C stay on the frame's own
+    table.  L must use that b, not (b_hat + 1)/(b_hat - 1), which makes L(0)
     exactly 1: quadratic_ratio_constancy measures L^2 against a^2 = b^4.
+    And b_hat -> -b_hat turns (b_hat + 1)/(b_hat - 1) into its inverse (a
+    into 1/a), so only the table's b lets half_period_values' a - 1
+    residual see a b_hat of the wrong sign.
 
     sample_table is the sample table of the last verify_identities on
     this frame: ((seed, samples), points, L at the points, L at the points +
@@ -458,15 +467,7 @@ class _LegendreFrame:
         self.a = self.b * self.b
         theta2 = 2 * sum(row[0] for row in terms)  # theta2(0 | 2 tau)
         self.C = 4 * PI * PI * theta2**4  # unchanged by tau -> tau + 1
-        # a - 1 = theta4(0 | tau)^2 / theta2(0 | 2 tau)^2 by Landen's
-        # transformation (DLMF 20.7(vi)); it keeps its digits where a tends
-        # to 1 (small Im tau), which b^2 - 1 does not
-        theta4 = 1 + 0j
-        for n, (_, full) in enumerate(_theta_powers(tau)):
-            theta4 -= 2 * (-1) ** n * full
-            if abs(full) < 1e-18:
-                break
-        self.a_minus_1 = (theta4 / theta2) ** 2
+        self.a_minus_1 = self.a - 1
         self.sample_table = None
         if abs(tau) < 1:
             # L through Jacobi's imaginary transformation; see the docstring
@@ -474,7 +475,9 @@ class _LegendreFrame:
             if _table_rows(hat.imag) < len(terms):
                 k = round(hat.real)
                 self.inner = inner = _LegendreFrame(hat - k)
-                self.b_hat = inner.b * (1, -1j, -1, 1j)[k % 4]
+                self.b_hat = b_hat = inner.b * _b_shift(k)
+                w = b_hat - 1
+                self.a_minus_1 = 4 * b_hat / (w * w)
 
     def value_slopes(self, points: list[complex]) -> tuple[list[complex], list[complex]]:
         """([L(z) for z in points], [L'(z) for z in points]), one pass over
@@ -571,7 +574,7 @@ def legendre_params(tau: complex, tol: Tolerance = Tolerance()) -> EllipticParam
     the Moebius map M with M(inf) = 1, M(e1) = -1, M(e2) = a.
 
     M(w) = (w + q)/(w + s), s = C (a^2 - 5) / 12, q = s - C (a - 1)(a + 1) / 2
-    with a - 1 from frame.a_minus_1, which keeps its digits as a tends to 1.
+    with frame.a_minus_1, which an inverted frame takes from b^, for a - 1.
     Both evaluators run on the translated modulus; a and b are reported for
     tau as given.
     """
@@ -586,10 +589,9 @@ def legendre_params(tau: complex, tol: Tolerance = Tolerance()) -> EllipticParam
     C, a = frame.C, frame.a
     s = C * (a * a - 5) / 12
     mobius = (s - C * frame.a_minus_1 * (a + 1) / 2, s)
-    b = frame.b * (1, -1j, -1, 1j)[k % 4]
+    b = frame.b * _b_shift(k)
     if k % 2:
-        # tau/2 is (1 + frame.tau)/2 modulo the lattice, and exp(i pi tau/2)
-        # gains i^k, so b gains (-i)^k
+        # tau/2 is (1 + frame.tau)/2 modulo the lattice
         a, e2, e3 = -a, e3, e2
     return EllipticParams(tau, a, b, e1, e2, e3, mobius, frame, rows)
 
@@ -651,7 +653,7 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
     quadratic_ratio_constancy) and equals C = (2 pi)^2 theta2(0 | 2 tau)^4
     (quadratic_constant).  half_period_values judges the row series' e1, e2,
     e3 against C (a^2 + 1) / 6 and -C (a^2 +- 6a + 1) / 12, true at any k,
-    and the frame's a - 1, which only M reads, against a - 1.  The
+    and the frame's a - 1, from b^ if inverted, against the table's a - 1.  The
     points with L at them and at them + tau/2 are left in the frame's
     sample table for evaluator_agreement and invariant_pencil_constant.
     """

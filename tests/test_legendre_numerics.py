@@ -591,15 +591,18 @@ class TestThetaForm:
         assert report.residuals["quadratic_constant"] > 0.5
         assert [f.split(":")[0] for f in report.failures] == ["quadratic_constant"]
 
-    @pytest.mark.parametrize("tau", [0.1j, 0.12 + 0.1j, 0.3 + 0.2j, 2j])
+    @pytest.mark.parametrize("tau", [0.05j, 0.1j, 0.01 + 0.1j, 0.12 + 0.1j, 0.3 + 0.2j, 2j])
     def test_a_minus_1_keeps_its_digits(self, tau):
         # at 0.1i, a = 1 + 1.2e-6: b^2 - 1 keeps only 9 digits of a - 1,
         # and the cross-check at eps 1e-12 read 1.2e-12 when M was built
-        # from it
-        frame = legendre_params(tau).frame
+        # from it.  An inverted frame takes it as 4 b^ / (b^ - 1)^2, which
+        # keeps its digits below the domain too, so 0.05i builds the frame
+        # itself: legendre_params raises OutsideDomain there
+        frame = _LegendreFrame(tau)
         want = legendre_reference(tau)["a_minus_1"]
-        assert abs(frame.a_minus_1 - want) / abs(want) < 1e-12
-        assert evaluator_agreement(tau, Tolerance(eps=1e-12)) < 2e-13
+        assert abs(frame.a_minus_1 - want) / abs(want) < 1e-14
+        if tau.imag >= IM_TAU_DOMAIN[0]:
+            assert evaluator_agreement(tau, Tolerance(eps=1e-12)) < 2e-13
 
     def test_broken_evenness_fails_half_period_derivative(self, monkeypatch):
         # a coefficient table that is not even (the coefficient of w^k
@@ -978,6 +981,22 @@ class TestInvertedFrame:
             frame, depth = frame.inner, depth + 1
         assert depth <= 2
         assert len(frame.terms) <= 3
+
+    def test_wrong_sign_of_b_hat_fails_half_period_values(self, monkeypatch):
+        # -1/tau of 0.45+0.6i translates by k^ = -1, so (-i)^-k^ in place
+        # of (-i)^k^ negates b^.  Every sampled identity still holds; a - 1
+        # = 4 b^ / (b^ - 1)^2 no longer equals the b^2 - 1 of the frame's
+        # own table
+        tau = 0.45 + 0.6j
+        right = legendre_params(tau).frame.b_hat
+        monkeypatch.setattr("surface_lab.legendre_numerics._b_shift",
+                            lambda k: (1, -1j, -1, 1j)[-k % 4])
+        tol = Tolerance()
+        params = legendre_params(tau, tol)
+        assert params.frame.b_hat == -right
+        report = verify_identities(params, tol)
+        assert [f.split(":")[0] for f in report.failures] == ["half_period_values"]
+        assert report.residuals["half_period_values"] > 1.0
 
     def test_default_moduli_do_not_invert(self):
         for tau in DEFAULT_TAUS:
