@@ -15,11 +15,13 @@ at each (_LegendreFrame.value_slopes).  Beside it, a value-only pass
 operations in the same order, so its values are value_slopes' bit for bit;
 every caller that needs no L' uses it.  Both add the last row of the
 series outside the loop, without the power updates nothing reads (a
-per-point loop in tests/oracles.py is their reference).  Theta settles the
-a <-> 1/a ambiguity of the value table: at 0.3+0.2i it gives the a that
-the earlier Moebius root selection reported as 1/a.  L runs on
-the translated modulus tau - k, k = round(Re tau), exactly (1 is a period):
-L is unchanged and a(tau) = (-1)^k a(tau - k).  A small translated modulus
+per-point loop in tests/oracles.py is their reference).  Points must be
+finite; each pass reduces them to the central cell by math.remainder(x, 1),
+which is x - round(x) to the bit but for the sign of a zero.  Theta settles
+the a <-> 1/a ambiguity of the value table: at 0.3+0.2i it gives the a that
+the earlier Moebius root selection reported as 1/a.  L runs on the
+translated modulus tau - k, k = round(Re tau), exactly (1 is a period): L
+is unchanged and a(tau) = (-1)^k a(tau - k).  A small translated modulus
 evaluates L through Jacobi's imaginary transformation (DLMF 20.7(viii)):
 theta2/theta3 (v | 2 tau) = theta4/theta3 (v/2tau | -1/2tau), and the even
 and odd terms of theta3 and theta4 (DLMF 20.2.3-4) turn the right side into
@@ -136,10 +138,10 @@ def _check_tau(tau: complex) -> None:
 
 
 def _reduce(z: complex, tau: complex) -> tuple[float, float]:
-    """Coordinates (x, y) in [-1/2, 1/2) with z = x + y tau mod lattice."""
+    """Coordinates (x, y) in [-1/2, 1/2] with z = x + y tau mod lattice."""
     y = z.imag / tau.imag
     x = z.real - y * tau.real
-    return x - round(x), y - round(y)
+    return math.remainder(x, 1.0), math.remainder(y, 1.0)
 
 
 def _modular_reduction(tau: complex) -> tuple[complex, tuple[int, int, int, int]]:
@@ -234,22 +236,22 @@ class _NomeFrame:
         u = q^n t, v = q^n / t.  As |q| <= exp(-pi sqrt 3), rows decay by a
         factor of at least 230; rows are added until one is below eps |j|^2,
         which keeps the truncation error of the returned j^-2 wp(z') below
-        eps.  Each point is placed as _point places it, the same float
-        operations in the same order, inlined; it walks the stored rows and
+        eps.  Each point is reduced as _point reduces it, by math.remainder
+        in the same float operations, inlined; it walks the stored rows and
         extends the table only past their end."""
         j, j2, tau_r = self.j, self.j2, self.tau_r
         tr, ti = tau_r.real, tau_r.imag
         tol = eps * self.abs_j2
-        exp, sin, rnd = cmath.exp, cmath.sin, round
+        exp, sin, rem = cmath.exp, cmath.sin, math.remainder
         two_pi_i, pi, pi2, pi2_3, m4pi2 = _TWO_PI_I, PI, _PI2, _PI2 / 3, _M4PI2
         out = []
         append = out.append
         for z in points:
             w = z / j
             y = w.imag / ti
-            x = w.real - y * tr
-            x, y = x - rnd(x), y - rnd(y)
-            if max(abs(x), abs(y)) < 1e-12:
+            x = rem(w.real - y * tr, 1.0)
+            y = rem(y, 1.0)
+            if abs(x) < 1e-12 and abs(y) < 1e-12:
                 raise PoleAtLatticePoint(f"{z} reduces to a lattice point")
             zr = x + y * tau_r
             t = exp(two_pi_i * zr)
@@ -298,15 +300,22 @@ class _NomeFrame:
         raise DegenerateModulus("derivative series did not converge")
 
 
+def _finite(z: complex) -> complex:
+    """z, or a ValueError naming it: a non-finite point has no reduction."""
+    if not cmath.isfinite(z):
+        raise ValueError(f"point {z!r} is not finite")
+    return z
+
+
 def weierstrass_p(z: complex, tau: complex, *, eps: float = 1e-14) -> complex:
     """wp(z; 1, tau) by the row series in nome form on the reduced lattice."""
-    return _NomeFrame(tau).wps([z], eps)[0]
+    return _NomeFrame(tau).wps([_finite(z)], eps)[0]
 
 
 def weierstrass_p_prime(z: complex, tau: complex, *, eps: float = 1e-14) -> complex:
     """wp'(z) by the termwise derivative of the nome-form rows of
     weierstrass_p, on the same reduced lattice: wp'(z; tau) = j^-3 wp'(z')."""
-    return _NomeFrame(tau).wp_prime(z, eps)
+    return _NomeFrame(tau).wp_prime(_finite(z), eps)
 
 
 def _theta_powers(t: complex):
@@ -379,7 +388,7 @@ class _ThetaFrame:
 
 def weierstrass_p_theta(z: complex, tau: complex, *, eps: float = 1e-14) -> complex:
     """wp by the theta quotient on the lattice <1, tau - round(Re tau)>."""
-    return _ThetaFrame(tau, eps).wp(z)
+    return _ThetaFrame(tau, eps).wp(_finite(z))
 
 
 def _residual(lhs: complex, rhs: complex) -> float:
@@ -496,17 +505,16 @@ class _LegendreFrame:
         null, slope = self.null, self.slope
         tr, ti = tau.real, tau.imag
         *head, (cl, ckl, dl, dkl) = self.terms
-        exp, rnd, two_pi_i = cmath.exp, round, _TWO_PI_I
+        exp, rem, two_pi_i = cmath.exp, math.remainder, _TWO_PI_I
         values, slopes = [], []
         add_value, add_slope = values.append, slopes.append
         for z in points:
             # _reduce, inlined: this is the innermost loop of the identity checks
             y = z.imag / ti
-            x = z.real - y * tr
-            w = exp(two_pi_i * (x - rnd(x) + (y - rnd(y)) * tau))
-            iw = 1 / w
-            w2, iw2 = w * w, iw * iw
-            p, m, pp, mm = w, iw, w2, iw2  # w^(2n+1), w^-(2n+1), w^(2n+2), w^-(2n+2)
+            p = exp(two_pi_i * (rem(z.real - y * tr, 1.0) + rem(y, 1.0) * tau))
+            m = 1 / p
+            pp = w2 = p * p  # p, m, pp, mm: w^(2n+1), w^-(2n+1), w^(2n+2), w^-(2n+2)
+            mm = iw2 = m * m
             t2 = d2 = d3 = 0j
             t3 = 1 + 0j
             for c, ck, d, dk in head:
@@ -538,16 +546,15 @@ class _LegendreFrame:
         tr, ti = tau.real, tau.imag
         *head, (cl, _, dl, _) = self.terms
         head = [(c, d) for c, _, d, _ in head]
-        exp, rnd, two_pi_i = cmath.exp, round, _TWO_PI_I
+        exp, rem, two_pi_i = cmath.exp, math.remainder, _TWO_PI_I
         out = []
         append = out.append
         for z in points:
             y = z.imag / ti
-            x = z.real - y * tr
-            w = exp(two_pi_i * (x - rnd(x) + (y - rnd(y)) * tau))
-            iw = 1 / w
-            w2, iw2 = w * w, iw * iw
-            p, m, pp, mm = w, iw, w2, iw2
+            p = exp(two_pi_i * (rem(z.real - y * tr, 1.0) + rem(y, 1.0) * tau))
+            m = 1 / p
+            pp = w2 = p * p
+            mm = iw2 = m * m
             t2 = 0j
             t3 = 1 + 0j
             for c, d in head:
@@ -663,20 +670,21 @@ def verify_identities(params: EllipticParams, tol: Tolerance) -> IdentityReport:
     points = sample_points(tau, tol)
     base, slopes = frame.value_slopes(points)
     at_half_taus = values([z + half for z in points])
-    sizes = [abs(value) for value in base]
-    abs_a = abs(a)
-    # each residual is _residual(lhs, rhs) written out: this is the hot loop
+    # each residual is _residual(lhs, rhs) written out, as this is the hot loop: |rhs| is
+    # floored at 1 once per sample, and x if x > f else f is max(f, x), NaN included
+    floors = [s if s > 1.0 else 1.0 for s in map(abs, base)]
+    floor_a = s if (s := abs(a)) > 1.0 else 1.0
     worst = [
-        [abs(at - value) / max(1.0, abs(at), size) for at, value, size in zip(column, base, sizes)]
+        [abs(at - value) / (s if (s := abs(at)) > f else f) for at, value, f in zip(column, base, floors)]
         for column in (values([-z for z in points]), values([z + 1 for z in points]),
                        values([z + tau for z in points]))
     ]
     worst.append([
-        abs(at + value) / max(1.0, abs(at), size)
-        for at, value, size in zip(values([z + 0.5 for z in points]), base, sizes)
+        abs(at + value) / (s if (s := abs(at)) > f else f)
+        for at, value, f in zip(values([z + 0.5 for z in points]), base, floors)
     ])
     products = [at * value for at, value in zip(at_half_taus, base)]
-    worst.append([abs(product - a) / max(1.0, abs(product), abs_a) for product in products])
+    worst.append([abs(p - a) / (s if (s := abs(p)) > floor_a else floor_a) for p in products])
     ratios = [
         slope / ((value - 1) * (value + 1)) * slope / ((value - a) * (value + a))
         for value, slope in zip(base, slopes)
@@ -731,15 +739,16 @@ def evaluator_agreement(tau: complex | EllipticParams, tol: Tolerance) -> float:
     spread = abs(q - s)
     gaps = []
     append = gaps.append
-    # each gap is _residual(lhs, rhs) written out, as in verify_identities
+    # each gap is _residual(lhs, rhs) written out with verify_identities' floors
     for value, wp in zip(values, params.rows.wps(points, tol.series_eps)):
-        size, wp_size = abs(value), abs(wp)
-        if spread * max(1.0, size) <= abs(value - 1) ** 2 * max(1.0, wp_size):
+        f = n if (n := abs(value)) > 1.0 else 1.0
+        f_wp = n if (n := abs(wp)) > 1.0 else 1.0
+        if spread * f <= abs(value - 1) ** 2 * f_wp:
             other = (q - value * s) / (value - 1)
-            append(abs(wp - other) / max(1.0, wp_size, abs(other)))
+            append(abs(wp - other) / (n if (n := abs(other)) > f_wp else f_wp))
         else:
             other = (wp + q) / (wp + s)
-            append(abs(value - other) / max(1.0, size, abs(other)))
+            append(abs(value - other) / (n if (n := abs(other)) > f else f))
     return _nan_max(gaps)
 
 

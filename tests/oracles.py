@@ -518,6 +518,37 @@ def value_slope(frame, z: complex) -> tuple[complex, complex]:
     return t2 / t3 / frame.null, (d2 * t3 - t2 * d3) * frame.slope / (t3 * t3)
 
 
+def wp_row_series(frame, z: complex, eps: float) -> complex:
+    """wp(z) by the row series of a _NomeFrame, one point at a time: the
+    point reduced by x - round(x), as first written, and the rows made
+    afresh as running products of frame.q; _NomeFrame.wps, which reduces by
+    math.remainder and walks its stored table, must return its values bit
+    for bit."""
+    tau_r, pi2 = frame.tau_r, pi * pi
+    w = z / frame.j
+    y = w.imag / tau_r.imag
+    x = w.real - y * tau_r.real
+    x, y = x - round(x), y - round(y)
+    if max(abs(x), abs(y)) < 1e-12:
+        raise PoleAtLatticePoint(f"{z} reduces to a lattice point")
+    zr = x + y * tau_r
+    t = cmath.exp(2j * pi * zr)
+    s = cmath.sin(pi * zr)
+    total = pi2 / (s * s) - pi2 / 3
+    it, qn, tol = 1 / t, frame.q, eps * frame.abs_j2
+    for _ in range(400):
+        mq = 1 - qn
+        const = 2 * qn / (mq * mq)
+        u, v = qn * t, qn * it
+        mu, mv = 1 - u, 1 - v
+        term = -4 * pi2 * (v / (mv * mv) + u / (mu * mu) - const)
+        total += term
+        if abs(term) < tol:
+            return total / frame.j2
+        qn *= frame.q
+    raise AssertionError("row series did not converge")
+
+
 def legendre_value(params, z: complex) -> complex:
     """L(z) by the package's theta form, one point at a time."""
     return params.frame.values([z])[0]

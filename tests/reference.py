@@ -56,16 +56,24 @@ def _digits(tau: complex) -> int:
 
 def legendre_reference(tau: complex, z: complex = 0j) -> dict[str, complex]:
     """a, a - 1, b, C = (2 pi)^2 theta2(0 | 2 tau)^4, L(z) and L'(z) of the
-    modulus tau as given, to DIGITS digits, rounded to complex."""
+    modulus tau as given, to DIGITS digits, rounded to complex.  b * b - 1
+    cancels the digits that a shares with 1 (33 at tau = 0.02i), so a - 1
+    is summed again with that many more working digits."""
     with mp.workdps(_digits(tau)):
         t, v = 2 * _mpc(tau), 2 * mp.pi * _mpc(z)
         theta2 = theta(2, 0, t)
         b = theta(3, 0, t) / theta2
         num, den = theta(2, v, t), theta(3, v, t)
         slope = 2 * mp.pi * b * (theta(2, v, t, 1) * den - num * theta(3, v, t, 1)) / den**2
+        a_minus_1 = b * b - 1
+        lost = -int(mp.floor(mp.log10(abs(a_minus_1))))
+        if lost > 0:
+            with mp.workdps(mp.mp.dps + lost):
+                b_more = theta(3, 0, t) / theta(2, 0, t)
+                a_minus_1 = b_more * b_more - 1
         return {
             "a": complex(b * b),
-            "a_minus_1": complex(b * b - 1),
+            "a_minus_1": complex(a_minus_1),
             "b": complex(b),
             "C": complex(4 * mp.pi**2 * theta2**4),
             "L": complex(b * num / den),

@@ -17,6 +17,7 @@ Oracle notes
 
 import cmath
 import math
+import re
 from collections import Counter
 
 import mpmath as mp
@@ -54,6 +55,7 @@ from oracles import (
     sample_points_rejection,
     value_slope,
     weierstrass_p_lattice_sum,
+    wp_row_series,
 )
 from reference import legendre_reference, theta, wp_prime_reference, wp_reference
 
@@ -127,6 +129,56 @@ class TestWeierstrassEvaluators:
             weierstrass_p_theta(0j, 1j)
         with pytest.raises(PoleAtLatticePoint):
             weierstrass_p_lattice_sum(0j, 1j)
+
+    def test_lattice_lines_are_not_poles(self):
+        # a point with one integer coordinate, negative ones included, is
+        # no pole: only both coordinates on the lattice are
+        tau = 0.3 + 1.2j
+        for z in (0.25 + 0j, -1.0 + 0.3 * tau, 0.4 - 2 * tau, 0.35 * tau):
+            value = weierstrass_p(z, tau)
+            assert rel(value, wp_reference(tau, z)) < WP_ERROR
+            assert rel(weierstrass_p_theta(z, tau), value) < 1e-11
+            assert rel(weierstrass_p_prime(z, tau), wp_prime_reference(tau, z)) < WP_PRIME_ERROR
+
+    @pytest.mark.parametrize(
+        "z", [complex(math.nan, 0.2), complex(0.3, math.inf), complex(-math.inf, math.nan)]
+    )
+    @pytest.mark.parametrize("evaluator", [weierstrass_p, weierstrass_p_prime, weierstrass_p_theta])
+    def test_non_finite_point_rejected(self, evaluator, z):
+        # math.remainder returns NaN for a NaN coordinate: unchecked, the row
+        # series would run to its last row and blame the modulus
+        with pytest.raises(ValueError, match=re.escape(f"point {z!r} is not finite")):
+            evaluator(z, 1j)
+
+    @given(
+        re=st.floats(min_value=-0.5, max_value=0.5),
+        shift=st.integers(min_value=-3, max_value=3),
+        im=st.floats(min_value=0.05, max_value=50.0),
+        coords=st.lists(
+            st.tuples(*[st.floats(min_value=-2.0, max_value=2.0)] * 2), min_size=1, max_size=8
+        ),
+        eps=st.sampled_from([2e-16, 1e-12, 1e-6]),
+    )
+    # negative integer coordinates, where math.remainder gives -0.0 and
+    # x - round(x) gives 0.0, on a modulus in the fundamental domain and
+    # on two that the SL2(Z) reduction moves
+    @example(re=0.2, shift=0, im=1.5, coords=[(-1.0, 0.3), (0.25, -1.0), (-2.0, -0.5), (-1.0, 0.5)],
+             eps=2e-16)
+    @example(re=0.3, shift=-2, im=0.2, coords=[(-1.0, 0.3), (0.25, -1.0), (-2.0, 0.5)], eps=1e-12)
+    @example(re=0.45, shift=1, im=0.1, coords=[(-1.0, -0.5), (0.5, -2.0), (1.5, 0.5)], eps=2e-16)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_wps_equals_the_per_point_oracle_bit_for_bit(self, re, shift, im, coords, eps):
+        tau = complex(re + shift, im)
+        frame = _NomeFrame(tau)
+        points, want = [], []
+        for u, v in coords:
+            try:
+                want.append(wp_row_series(frame, u + v * tau, eps))
+            except PoleAtLatticePoint:
+                continue
+            points.append(u + v * tau)
+        assume(points)
+        assert list(map(repr, frame.wps(points, eps))) == list(map(repr, want))
 
     def test_bad_modulus_rejected(self):
         with pytest.raises(ValueError):
@@ -591,7 +643,9 @@ class TestThetaForm:
         assert report.residuals["quadratic_constant"] > 0.5
         assert [f.split(":")[0] for f in report.failures] == ["quadratic_constant"]
 
-    @pytest.mark.parametrize("tau", [0.05j, 0.1j, 0.01 + 0.1j, 0.12 + 0.1j, 0.3 + 0.2j, 2j])
+    @pytest.mark.parametrize(
+        "tau", [0.02j, 0.05j, 0.1j, 0.01 + 0.1j, 0.12 + 0.1j, 0.3 + 0.2j, 2j]
+    )
     def test_a_minus_1_keeps_its_digits(self, tau):
         # at 0.1i, a = 1 + 1.2e-6: b^2 - 1 keeps only 9 digits of a - 1,
         # and the cross-check at eps 1e-12 read 1.2e-12 when M was built
@@ -676,15 +730,75 @@ class TestThetaForm:
     @example(re=0.45, shift=0, im=0.1, coords=[(0.3, 0.2), (0.5, 0.0), (0.0, 0.5), (1.0, -1.0)])
     @example(re=-0.35, shift=2, im=0.15, coords=[(0.7, 0.45), (0.0, 0.0), (-1.5, 1.5)])
     @example(re=0.45, shift=-1, im=0.6, coords=[(0.25, 0.1), (0.5, 0.5), (0.0, 0.5)])
+    # negative integer coordinates: the package's math.remainder reduces
+    # them to -0.0, the oracle's x - round(x) to 0.0
+    @example(re=0.0, shift=0, im=1.0, coords=[(-1.0, -1.0), (-2.0, 0.3), (0.25, -1.0), (-1.0, 0.0)])
+    @example(re=0.3, shift=0, im=0.2, coords=[(-1.0, -1.0), (-1.0, 0.45), (0.1, -2.0)])
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_values_equal_value_slope_bit_for_bit(self, re, shift, im, coords):
-        # the batched passes against the per-point loop over every row
+        # the batched passes against the per-point loop over every row, by
+        # repr, so that the sign of a zero counts too
         tau = complex(re + shift, im)
         frame = legendre_params(tau).frame
         points = [u + v * tau for u, v in coords]
         want = [value_slope(frame, z) for z in points]
-        assert frame.value_slopes(points) == tuple(map(list, zip(*want)))
-        assert frame.values(points) == [value for value, _ in want]
+        got_values, got_slopes = frame.value_slopes(points)
+        assert list(map(repr, got_values)) == [repr(value) for value, _ in want]
+        assert list(map(repr, got_slopes)) == [repr(slope) for _, slope in want]
+        assert list(map(repr, frame.values(points))) == [repr(value) for value, _ in want]
+
+    @pytest.mark.parametrize("tau", [(1 + 3j) / 2, 0.3 + 0.2j, 0.45 + 0.1j])
+    def test_residuals_and_gap_equal_the_max_form(self, monkeypatch, tau):
+        # direct, inverted once and inverted twice: each sample's residual of
+        # every sampled identity, and each sample's evaluator gap, recomputed
+        # from the oracles with max(1.0, |lhs|, |rhs|), bit for bit; the
+        # per-sample lists are read where _nan_max takes them, so a sample
+        # that is not the worst counts too
+        tol = Tolerance(eps=1e-9, samples=50, seed=3)
+        params = legendre_params(tau, tol)
+        frame = params.frame
+        t, a = frame.tau, frame.a
+        points = sample_points(t, tol)
+        base = [value_slope(frame, z)[0] for z in points]
+
+        def column(shift):
+            return [value_slope(frame, z + shift)[0] for z in points]
+
+        def residuals(pairs):
+            return [repr(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))) for lhs, rhs in pairs]
+
+        want = [
+            residuals(zip([value_slope(frame, -z)[0] for z in points], base)),
+            residuals(zip(column(1), base)),
+            residuals(zip(column(t), base)),
+            residuals(zip(column(0.5), [-v for v in base])),
+            residuals((h * v, a) for h, v in zip(column(t / 2), base)),
+        ]
+        q, s = params.mobius
+        pairs = []
+        for value, z in zip(base, points):
+            wp = wp_row_series(params.rows, z, tol.series_eps)
+            if abs(q - s) * max(1.0, abs(value)) <= abs(value - 1) ** 2 * max(1.0, abs(wp)):
+                pairs.append((wp, (q - value * s) / (value - 1)))
+            else:
+                pairs.append((value, (wp + q) / (wp + s)))
+        gaps = residuals(pairs)
+
+        taken = []
+
+        def recorded(worst):
+            taken.append(list(map(repr, worst)))
+            return _nan_max(worst)
+
+        monkeypatch.setattr("surface_lab.legendre_numerics._nan_max", recorded)
+        report = verify_identities(params, tol)
+        assert taken[:5] == want
+        assert [repr(report.residuals[name]) for name in SAMPLED_IDENTITIES] == [
+            repr(max(map(float, column))) for column in want
+        ]
+        assert repr(evaluator_agreement(tau, tol)) == repr(max(map(float, gaps)))
+        assert repr(evaluator_agreement(params, tol)) == repr(max(map(float, gaps)))
+        assert taken[-2:] == [gaps, gaps]
 
     def test_every_value_is_a_fresh_evaluation(self, monkeypatch):
         # no identity is evaluated through its own shift rule: per sample
@@ -853,6 +967,18 @@ class TestReference:
                         want = mp.jtheta(kind, v, nome, d)
                         error = abs(theta(kind, v, t, d) - want) / max(1, abs(want))
                         assert error < mp.mpf(10) ** -40
+
+    @pytest.mark.parametrize("tau", [0.02j, 0.03 + 0.02j, 0.05j])
+    def test_reference_a_minus_1_keeps_its_digits(self, tau):
+        # b * b - 1 cancels as a tends to 1 (33 digits at 0.02i): the
+        # reference must add them, or it blames the package for its own
+        # rounding (6.5e-11 relative at 0.02i with 42 digits)
+        with mp.workdps(120):
+            t = 2 * mp.mpc(tau.real, tau.imag)
+            b = theta(3, 0, t) / theta(2, 0, t)
+            want = complex(b * b - 1)
+        got = legendre_reference(tau)["a_minus_1"]
+        assert abs(got - want) / abs(want) < 1e-15
 
     @given(
         re=st.floats(min_value=-0.5, max_value=0.5),
