@@ -12,16 +12,14 @@ Each mutant changes one site of one module:
 * an int constant gains 1; a float constant is scaled by 1.5.
 
 The mutant is written into a temporary copy of the package, outside the
-source tree, and judged in a fresh interpreter with a 20 s timeout.  A
-mutant of `cli`, which `run` never reaches, is judged by
-`main(["verify", "all", "--format", "json"])`: it survives only if that
-exits 0 and prints the bytes of tests/data/verify_all.json.  A mutant of
-any other module is judged by one default `run(RunConfig())`: it survives
-only if every result's name, status, expected and actual text equal the
-rows of that file, so a mutant that changes only what a passing claim
-prints is killed too.  A crash or a timeout kills it.  Mutants run
-one at a time.  The script prints, per module, the killed and survived
-counts and the line of each survivor.  It uses the standard library only.
+source tree, and judged in a fresh interpreter with a 20 s timeout by
+one judge, whatever the module: `main(["verify", "all", "--format",
+"json"])`.  The mutant survives only if that exits 0 and prints the bytes
+of tests/data/verify_all.json, so a mutant that changes only what a
+passing claim prints is killed too.  A crash or a timeout kills it.
+Mutants run one at a time.  The script prints, per module, the killed
+and survived counts and the line of each survivor.  It uses the standard
+library only.
 
 Usage:
     python3 scripts/mutation_sweep.py affine_groups character_calculus
@@ -41,13 +39,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = SRC.parent / "tests" / "data" / "verify_all.json"
 TIMEOUT_S = 20
 JUDGE = (
-    "import json, sys\n"
-    "from surface_lab.checks import RunConfig, run\n"
-    f"rows = json.load(open({str(GOLDEN)!r}))['results']\n"
-    "want = [(r['name'], r['status'], r['expected'], r['actual']) for r in rows]\n"
-    "sys.exit([(r.name, r.status, r.expected, r.actual) for r in run(RunConfig())] != want)\n"
-)
-CLI_JUDGE = (
     "import io, sys\n"
     "from contextlib import redirect_stdout\n"
     "from surface_lab.cli import main\n"
@@ -105,11 +96,11 @@ def mutate(node: ast.AST, index: int | None) -> str:
     return f"{SYMBOL[type(op)]} -> {SYMBOL[SWAP[type(op)]]}"
 
 
-def killed(package: Path, judge: str) -> bool:
+def killed(package: Path) -> bool:
     """True if the judge script, run in a fresh interpreter, does not exit 0."""
     try:
         proc = subprocess.run(
-            [sys.executable, "-B", "-c", judge],
+            [sys.executable, "-B", "-c", JUDGE],
             cwd=package.parent, env={**os.environ, "PYTHONPATH": str(package.parent)},
             capture_output=True, timeout=TIMEOUT_S,
         )
@@ -124,13 +115,12 @@ def sweep(module: str, src: Path) -> tuple[int, list[tuple[int, str, str]]]:
     source = path.read_text()
     lines = source.splitlines()
     count = len(sites(ast.parse(source)))
-    judge = CLI_JUDGE if module == "cli" else JUDGE
     with tempfile.TemporaryDirectory(prefix="mutation-sweep-") as tmp:
         package = Path(tmp) / "surface_lab"
         shutil.copytree(src / "surface_lab", package, ignore=shutil.ignore_patterns("__pycache__"))
         target = package / path.name
         target.write_text(ast.unparse(ast.parse(source)))
-        if killed(package, judge):
+        if killed(package):
             raise SystemExit(f"{module}: the unmutated run does not pass")
         n_killed, survivors = 0, []
         for k in range(count):
@@ -138,7 +128,7 @@ def sweep(module: str, src: Path) -> tuple[int, list[tuple[int, str, str]]]:
             node, index = sites(tree)[k]
             what = mutate(node, index)
             target.write_text(ast.unparse(tree))
-            if killed(package, judge):
+            if killed(package):
                 n_killed += 1
             else:
                 survivors.append((node.lineno, what, lines[node.lineno - 1].strip()))

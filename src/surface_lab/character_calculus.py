@@ -21,7 +21,8 @@ multiplicity.  The two concrete inputs are:
   whose genus-5 summand decomposes by the branch combinatorics of the
   (Z/2)^4 cover of the line.  That cover's branch data is derived here,
   from the generators' action on the genus-5 factor, and it is the one
-  cover the claims table judges.
+  cover the claims table judges; each summand's dual functional is read
+  from the pairing table the cover built.
 
 Whatever reads the group action takes the generators the run built.
 """
@@ -33,7 +34,6 @@ from collections import Counter
 from collections.abc import Sequence
 
 from .affine_groups import AffineElement
-from .integer_algebra import _mask
 from .orbifold_covers import BranchedCoverData
 
 
@@ -165,15 +165,7 @@ def _branch_dual_characters(cover: BranchedCoverData) -> list[tuple[int, ...]]:
     These index the 5-dim space of one-forms of the genus-5 cover, one
     line per intermediate elliptic quotient.
     """
-    images = [_mask(v) for v in cover.branch_images]
-    m = len(images)
-    # each functional's parities on the images, as a mask in image order
-    parities = []
-    for phi in range(1 << cover.n):
-        p = 0
-        for v in images:
-            p = 2 * p + ((phi & v).bit_count() & 1)
-        parities.append(p)
+    parities, m = cover.pairings, len(cover.branch_images)
     functionals = []
     for j in range(m):
         # nontrivial on every image but the j-th

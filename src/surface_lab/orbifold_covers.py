@@ -10,6 +10,11 @@ subgroups <e_i>, so Riemann-Hurwitz takes the simple shape
 Quotients by a subgroup H replace each e_i by its image in G/H; branch
 points whose image dies stop contributing.
 
+A cover tables, once, the parities of every functional on the e_i.  Its
+validation (the e_i sum to zero when every functional pairs evenly and
+span when no nonzero one pairs trivially), the index-2 classification
+and character_calculus's dual functionals all read that table.
+
 The cover the claims judge is not written here: it is the branch data
 character_calculus.d_factor_branch_elements derives from the generators.
 """
@@ -17,7 +22,7 @@ character_calculus.d_factor_branch_elements derives from the generators.
 from __future__ import annotations
 
 from ._record import record
-from .integer_algebra import FinAbGroup, _mask, cokernel, rank_mod2
+from .integer_algebra import FinAbGroup, _mask, cokernel
 
 
 class NonIntegralGenus(Exception):
@@ -39,7 +44,9 @@ def _check_vec(v: Vec, n: int) -> Vec:
 
 @record
 class BranchedCoverData:
-    """Branch data of a maximal (Z/2)^n cover of the projective line."""
+    """Branch data of a maximal (Z/2)^n cover of the projective line;
+    pairings[phi], which == and repr ignore, holds the parities of the
+    functional phi (a mask in product order) on the images, in image order."""
 
     n: int
     branch_images: tuple[Vec, ...]
@@ -50,30 +57,27 @@ class BranchedCoverData:
         for v in imgs:
             if not any(v):
                 raise IdentityElement(f"zero branch image in {imgs}")
-        if any(sum(column) % 2 for column in zip(*imgs)):
+        masks = [_mask(v) for v in imgs]
+        pairings = tuple(
+            _mask([(phi & v).bit_count() for v in masks]) for phi in range(1 << self.n)
+        )
+        object.__setattr__(self, "pairings", pairings)
+        if any(p.bit_count() & 1 for p in pairings):
             raise ValueError("branch images must sum to zero")
-        if rank_mod2(imgs) != self.n:
+        if 0 in pairings[1:]:
             raise ValueError("branch images must generate the full group")
-
-
-def _genus_from_double(doubled: int, context: str) -> int:
-    if doubled % 2 != 0:
-        raise NonIntegralGenus(f"{context}: 2g - 2 = {doubled} is odd")
-    g = (doubled + 2) // 2
-    if g < 0:
-        raise NonIntegralGenus(f"{context}: genus {g} is negative")
-    return g
 
 
 def _quotient_genus(index: int, surviving: int) -> int:
     """Genus of (total space) / H for a subgroup H of the given index, via
     Riemann-Hurwitz on the quotient map down to the line: each of the
     surviving branch points, those whose image in G/H is nonzero,
-    contributes 1/2, so 2g - 2 = index (-2 + surviving/2)."""
-    doubled_times2 = index * (-4 + surviving)
-    if doubled_times2 % 2 != 0:
-        raise NonIntegralGenus("quotient ramification is odd")
-    return _genus_from_double(doubled_times2 // 2, "quotient")
+    contributes 1/2, so 2g - 2 = index (-2 + surviving/2), that is
+    4g = index (surviving - 4) + 4."""
+    g, rest = divmod(index * (surviving - 4) + 4, 4)
+    if rest or g < 0:
+        raise NonIntegralGenus(f"4g = {index} * ({surviving} - 4) + 4 is not 4 times a genus")
+    return g
 
 
 def cover_genus(cover: BranchedCoverData) -> int:
@@ -106,11 +110,11 @@ def classify_corank1_subgroups(
     exactly when the functional pairs it to 0; the others survive in
     G/H = Z/2.
     """
-    images = [_mask(v) for v in cover.branch_images]
+    m = len(cover.branch_images)
     histogram: dict[tuple[int, int], int] = {}
-    for functional in range(1, 1 << cover.n):
-        surviving = sum([(functional & v).bit_count() & 1 for v in images])
-        key = (len(images) - surviving, _quotient_genus(2, surviving))
+    for pairing in cover.pairings[1:]:
+        surviving = pairing.bit_count()
+        key = (m - surviving, _quotient_genus(2, surviving))
         histogram[key] = histogram.get(key, 0) + 1
     return histogram
 

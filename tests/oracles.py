@@ -22,10 +22,11 @@ import random
 from surface_lab._record import record
 from surface_lab.affine_groups import AffineElement, abelianize_extension, standard_generators
 from surface_lab.checks import RunConfig
-from surface_lab.integer_algebra import FinAbGroup
+from surface_lab.integer_algebra import FinAbGroup, rank_mod2
 from surface_lab.legendre_numerics import PoleAtLatticePoint, _check_tau, _reduce
 from surface_lab.orbifold_covers import (
     BranchedCoverData,
+    IdentityElement,
     Vec,
     _check_vec,
     _quotient_genus,
@@ -349,6 +350,25 @@ def branch_dual_candidates(cover: BranchedCoverData) -> list[list[Vec]]:
         ]
         for j in range(len(images))
     ]
+
+
+def pairing_parity(phi: Vec, v: Vec) -> int:
+    """The F_2 pairing of a functional with a vector, entry by entry."""
+    return sum(p * x for p, x in zip(phi, v, strict=True)) % 2
+
+
+def validate_by_columns(n: int, images: tuple[Vec, ...]) -> None:
+    """The column route to BranchedCoverData's validation: the images sum
+    to zero when every coordinate's column sum is even, and they span when
+    their rank over F_2 is n; raises what the cover raises, in its order."""
+    imgs = tuple(_check_vec(v, n) for v in images)
+    for v in imgs:
+        if not any(v):
+            raise IdentityElement(f"zero branch image in {imgs}")
+    if any(sum(column) % 2 for column in zip(*imgs)):
+        raise ValueError("branch images must sum to zero")
+    if rank_mod2(imgs) != n:
+        raise ValueError("branch images must generate the full group")
 
 
 def random_cover_data(rng: random.Random, n: int) -> BranchedCoverData:

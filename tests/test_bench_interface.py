@@ -113,8 +113,11 @@ def test_claim_set_as_the_bench_counts_it():
     # cli_cold requires 22 passes, and algebra_warm 20 passes with exactly
     # NUMERIC_CHECKS skipped: a claim added, removed or renamed reads
     # pass_rate 0 on both until the bench reads the set from the package
-    # (ROADMAP item 7)
-    message = "the bench hard-codes the claim set; change it with ROADMAP item 7"
+    # (the ROADMAP item "The bench counts the package's claims")
+    message = (
+        "the bench hard-codes the claim set; change it with the benchmark change"
+        " that reads the claim set from the package"
+    )
     assert len(canonical_names()) == 22, message
     numeric = {name for name, claim in CHECKS.items() if claim.moduli > 0}
     assert numeric == bench_numeric_checks(), message

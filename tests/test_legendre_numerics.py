@@ -63,6 +63,12 @@ DEFAULT_TAUS = [1j, (1 + 3j) / 2, 2j, (1 + 5j) / 3]
 SQUARE_LATTICE_A = 3 + 2 * math.sqrt(2)  # frozen from the lattice-sum oracle
 
 GRID = [0.3 + 0.2j, -0.17 + 0.41j, 0.25 + 0.33j, 0.45 - 0.12j]
+# points (u, v) of u + v tau where evaluator_agreement's branch test is
+# within a factor 1.5 of a tie and |wp| < 1.5, so moving the floor of |wp|
+# from 1.0 to 1.5 moves a gap: at (0.29, 0.49) |wp| = 1.41 and the gap is
+# taken on the wp side, at (0.31, 0.49) |wp| = 0.94 and it is taken on the
+# L side.  Seeded points keep 0.1 away from v = 1/2 and never land here.
+NEAR_TIE_POINTS = {0.9j: [(0.29, 0.49), (0.31, 0.49), (0.69, 0.51), (0.71, 0.51)]}
 SAMPLED_IDENTITIES = (
     "evenness", "period_one", "period_tau", "half_shift_negates", "tau_half_product"
 )
@@ -747,10 +753,11 @@ class TestThetaForm:
         assert list(map(repr, got_slopes)) == [repr(slope) for _, slope in want]
         assert list(map(repr, frame.values(points))) == [repr(value) for value, _ in want]
 
-    @pytest.mark.parametrize("tau", [(1 + 3j) / 2, 0.3 + 0.2j, 0.45 + 0.1j])
+    @pytest.mark.parametrize("tau", [(1 + 3j) / 2, 0.3 + 0.2j, 0.45 + 0.1j, 0.9j])
     def test_residuals_and_gap_equal_the_max_form(self, monkeypatch, tau):
-        # direct, inverted once and inverted twice: each sample's residual of
-        # every sampled identity, and each sample's evaluator gap, recomputed
+        # direct, inverted once, inverted twice and at NEAR_TIE_POINTS: each
+        # sample's residual of every sampled identity, and each sample's
+        # evaluator gap on the side the branch rule picks, recomputed
         # from the oracles with max(1.0, |lhs|, |rhs|), bit for bit; the
         # per-sample lists are read where _nan_max takes them, so a sample
         # that is not the worst counts too
@@ -759,6 +766,12 @@ class TestThetaForm:
         frame = params.frame
         t, a = frame.tau, frame.a
         points = sample_points(t, tol)
+        near_tie = tau in NEAR_TIE_POINTS
+        if near_tie:
+            points = [u + v * t for u, v in NEAR_TIE_POINTS[tau]]
+            monkeypatch.setattr(
+                "surface_lab.legendre_numerics.sample_points", lambda tau, tol: points
+            )
         base = [value_slope(frame, z)[0] for z in points]
 
         def column(shift):
@@ -778,7 +791,10 @@ class TestThetaForm:
         pairs = []
         for value, z in zip(base, points):
             wp = wp_row_series(params.rows, z, tol.series_eps)
-            if abs(q - s) * max(1.0, abs(value)) <= abs(value - 1) ** 2 * max(1.0, abs(wp)):
+            lhs = abs(q - s) * max(1.0, abs(value))
+            rhs = abs(value - 1) ** 2 * max(1.0, abs(wp))
+            assert not near_tie or (abs(wp) < 1.5 and rhs / 1.5 < lhs < 1.5 * rhs)
+            if lhs <= rhs:
                 pairs.append((wp, (q - value * s) / (value - 1)))
             else:
                 pairs.append((value, (wp + q) / (wp + s)))

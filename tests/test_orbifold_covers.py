@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from surface_lab.integer_algebra import FinAbGroup
@@ -10,6 +11,7 @@ from surface_lab.orbifold_covers import (
     BranchedCoverData,
     IdentityElement,
     NonIntegralGenus,
+    _quotient_genus,
     classify_corank1_subgroups,
     cover_genus,
     fixed_point_count,
@@ -23,9 +25,11 @@ from oracles import (
     corank1_histogram,
     homology_bound,
     homology_bound_check,
+    pairing_parity,
     quotient_genus,
     random_cover_data,
     standard_cover_data,
+    validate_by_columns,
 )
 
 
@@ -129,6 +133,62 @@ def branch_data(draw):
         assume(False)
 
 
+@st.composite
+def raw_branch_data(draw):
+    """(n, images) for n <= 5, valid or not: entries 0..3, now and then a
+    zero image or one of length n + 1, and about half the time the images'
+    sum appended so that they sum to zero."""
+    n = draw(st.integers(0, 5))
+    length = st.sampled_from([n] * 15 + [n + 1])
+    images = draw(st.lists(length.flatmap(lambda k: st.tuples(*[st.integers(0, 3)] * k)),
+                           max_size=n + 3))
+    total = tuple(sum(v[k] for v in images if len(v) == n) % 2 for k in range(n))
+    if draw(st.booleans()):
+        images.append(total)
+    return n, tuple(images)
+
+
+def outcome(build, n, images):
+    try:
+        build(n, images)
+    except (ValueError, IdentityElement) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_branch_data())
+@example((4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1))))
+@example((2, ((1, 0), (0, 1), (1, 0))))  # the sum is not zero
+@example((2, ((1, 0), (1, 0))))  # the images do not span
+@example((2, ((1, 0), (0, 0), (0, 1))))  # a zero image before an odd sum
+@example((2, ((1, 0, 0), (0, 0))))  # a wrong length before a zero image
+@example((0, ()))
+@example((3, ()))
+def test_validation_accepts_and_raises_as_the_column_route(raw):
+    # the pairing table's two readings, every functional pairs evenly and
+    # no nonzero functional pairs trivially, against column sums and rank
+    n, images = raw
+    assert outcome(BranchedCoverData, n, images) == outcome(validate_by_columns, n, images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(branch_data())
+def test_each_stored_parity_is_the_pairing(data):
+    # pairings[k] belongs to the k-th functional of product((0, 1), repeat=n)
+    # and holds its parity on the i-th image at bit m - 1 - i
+    m = len(data.branch_images)
+    functionals = list(product((0, 1), repeat=data.n))
+    assert len(data.pairings) == len(functionals)
+    for phi, parities in zip(functionals, data.pairings):
+        assert [(parities >> (m - 1 - i)) & 1 for i in range(m)] == [
+            pairing_parity(phi, v) for v in data.branch_images
+        ]
+    # the table is not a field: == and repr read n and the images only
+    assert "pairings" not in repr(data)
+    assert data == BranchedCoverData(data.n, data.branch_images)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_classification_matches_the_span_oracle(n):
     data = standard_cover_data(n)
@@ -212,16 +272,22 @@ def test_minimal_branch_data_gives_genus_zero():
 
 
 def test_non_integral_guard_on_raw_input():
+    # valid BranchedCoverData cannot reach these states: 4g = index (s - 4) + 4
+    # is 3 at index 1 with 3 surviving branch points, and -4 at index 2
+    # with none
     with pytest.raises(NonIntegralGenus):
-        # exercised through the internal helper; valid BranchedCoverData
-        # cannot reach this state
-        from surface_lab.orbifold_covers import _genus_from_double
-
-        _genus_from_double(-5, "raw")
+        _quotient_genus(1, 3)
     with pytest.raises(NonIntegralGenus):
-        from surface_lab.orbifold_covers import _genus_from_double
-
-        _genus_from_double(-6, "raw")
+        _quotient_genus(2, 0)
+    # elsewhere it is 2g - 2 = index (-2 + s/2) solved for g
+    for index in (1, 2, 4, 8, 16):
+        for surviving in range(12):
+            g = 1 + Fraction(index * (surviving - 4), 4)
+            if g.denominator == 1 and g >= 0:
+                assert _quotient_genus(index, surviving) == g
+            else:
+                with pytest.raises(NonIntegralGenus):
+                    _quotient_genus(index, surviving)
 
 
 @settings(max_examples=40, deadline=None)
