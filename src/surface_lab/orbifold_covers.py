@@ -58,9 +58,11 @@ class BranchedCoverData:
             if not any(v):
                 raise IdentityElement(f"zero branch image in {imgs}")
         masks = [_mask(v) for v in imgs]
-        pairings = tuple(
+        # tuple(list) allocates at the final size, so CPython reuses freed
+        # tables; tuple(generator) resizes into place and never does
+        pairings = tuple([
             _mask([(phi & v).bit_count() for v in masks]) for phi in range(1 << self.n)
-        )
+        ])
         object.__setattr__(self, "pairings", pairings)
         if any(p.bit_count() & 1 for p in pairings):
             raise ValueError("branch images must sum to zero")
