@@ -22,9 +22,14 @@ tuples.
 
 An extension of (Z/2)^m by Lambda is presented by its generating set, a
 plain tuple of m AffineElements on one C^n (n is read off the first).
+Its commutator table holds [g_i, g_j] for i < j in combinations order;
+the abelianization and the commutator span read it, and build it from
+the generators when not given one.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from ._record import record
 from .integer_algebra import FinAbGroup, cokernel, rank_mod2
@@ -42,7 +47,7 @@ class AffineElement:
     trans: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(s not in (-1, 1) for s in self.signs):
+        if any([s not in (-1, 1) for s in self.signs]):
             raise ValueError("signs must be +1 or -1")
         if len(self.trans) != 2 * len(self.signs):
             raise ValueError("trans must have length 2n in half-lattice coordinates")
@@ -77,9 +82,15 @@ def commutator(g: AffineElement, h: AffineElement) -> tuple[int, ...]:
     return _halves_to_lattice(halves)
 
 
+def commutator_table(gens: tuple[AffineElement, ...]) -> tuple[tuple[int, ...], ...]:
+    """[g_i, g_j] for every pair i < j, in itertools.combinations order:
+    [g1, g2], [g1, g3], ..., [g2, g3], ..., the pairs with g1 first."""
+    return tuple([commutator(g, h) for g, h in combinations(gens, 2)])
+
+
 def square_translation(g: AffineElement) -> tuple[int, ...]:
     """g^2 = (eps + 1) t as a full-lattice translation."""
-    halves = tuple((s + 1) * a for s, a in zip(g.signs * 2, g.trans))
+    halves = tuple([(s + 1) * a for s, a in zip(g.signs * 2, g.trans)])
     return _halves_to_lattice(halves)
 
 
@@ -112,23 +123,27 @@ def check_sign_condition(gens: tuple[AffineElement, ...]) -> bool:
     return all(any(g.signs[i] == -1 for g in gens) for i in range(gens[0].n))
 
 
-def abelianization_relations(gens: tuple[AffineElement, ...]) -> list[list[int]]:
-    """Relation matrix for the abelianized extension.
+def abelianization_relations(
+    gens: tuple[AffineElement, ...],
+    commutators: tuple[tuple[int, ...], ...] | None = None,
+) -> list[list[int]]:
+    """Relation matrix for the abelianized extension; commutators is
+    commutator_table(gens), built here if not given.
 
     Generators (columns): the m group generators followed by the 2n
     lattice generators.  Rows:
 
-    * one row per generator pair (i < j): the commutator [g_i, g_j]
-      written in the lattice block (it dies in the abelianization);
+    * one row per generator pair (i < j), in the table's order: the
+      commutator [g_i, g_j] written in the lattice block (it dies in the
+      abelianization);
     * one row per generator: 2 g_i - (square translation of g_i);
     * one row per generator and lattice coordinate: (eps_i - 1) lambda_k.
     """
     m = len(gens)
     width = m + 2 * gens[0].n
-    rows: list[list[int]] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            rows.append([0] * m + list(commutator(gens[i], gens[j])))
+    if commutators is None:
+        commutators = commutator_table(gens)
+    rows = [[0] * m + list(c) for c in commutators]
     for i, g in enumerate(gens):
         row = [0] * width
         row[i] = 2
@@ -145,15 +160,25 @@ def abelianization_relations(gens: tuple[AffineElement, ...]) -> list[list[int]]
     return rows
 
 
-def abelianize_extension(gens: tuple[AffineElement, ...]) -> FinAbGroup:
-    """Abelianization of the extension the generators present."""
-    return cokernel(abelianization_relations(gens))
+def abelianize_extension(
+    gens: tuple[AffineElement, ...],
+    commutators: tuple[tuple[int, ...], ...] | None = None,
+) -> FinAbGroup:
+    """Abelianization of the extension the generators present;
+    commutators is commutator_table(gens), built if not given."""
+    return cokernel(abelianization_relations(gens, commutators))
 
 
-def commutator_subspan_rank(gens: tuple[AffineElement, ...]) -> int:
+def commutator_subspan_rank(
+    gens: tuple[AffineElement, ...],
+    commutators: tuple[tuple[int, ...], ...] | None = None,
+) -> int:
     """F_2-rank of the commutators [g_1, g_j], j > 1, in full-lattice
-    coordinates.  The commutators are reduced against the doubled lattice,
-    so this is the rank of their span inside Lambda / 2 Lambda.
+    coordinates: the first m - 1 entries of commutators, which is
+    commutator_table(gens), built if not given.  The commutators are
+    reduced against the doubled lattice, so this is the rank of their span
+    inside Lambda / 2 Lambda.
     """
-    g, *others = gens
-    return rank_mod2([commutator(g, h) for h in others])
+    if commutators is None:
+        commutators = commutator_table(gens)
+    return rank_mod2(commutators[: len(gens) - 1])

@@ -54,9 +54,9 @@ def character_of_basis(actions: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     tau-half count is rejected: that translation maps the section pair
     into a different pencil member rather than scaling it.
     """
-    if any(v % 2 for _, v in actions):
+    if any([v % 2 for _, v in actions]):
         raise UnsupportedTranslation("tau-half translation does not act linearly on the sections")
-    return tuple(u % 2 for u, _ in actions)
+    return tuple([u % 2 for u, _ in actions])
 
 
 def coordinate_action(g: AffineElement, coord: int) -> tuple[int, int]:
@@ -73,7 +73,7 @@ def tensor(spaces: Sequence[Counter]) -> Counter:
         nxt: Counter = Counter()
         for chi, m in result.items():
             for psi, n in space.items():
-                nxt[tuple(a ^ b for a, b in zip(chi, psi, strict=True))] += m * n
+                nxt[tuple([a ^ b for a, b in zip(chi, psi, strict=True)])] += m * n
         result = nxt
     return +result
 
@@ -81,14 +81,15 @@ def tensor(spaces: Sequence[Counter]) -> Counter:
 def invariant_dim(space: Counter, subgroup_gens: Sequence[Sequence[int]]) -> int:
     """Dimension of the subspace fixed by the given subgroup generators:
     chi is +1 on the word w exactly when chi . w is even."""
-    return sum(
+    return sum([
         m
         for chi, m in space.items()
+        # a generator: all() stops at the first word that negates chi
         if all(
-            sum(a * w for a, w in zip(chi, word, strict=True)) % 2 == 0
+            sum([a * w for a, w in zip(chi, word, strict=True)]) % 2 == 0
             for word in subgroup_gens
         )
-    )
+    ])
 
 
 def legendre_pair_space(actions: Sequence[tuple[int, int]]) -> Counter:

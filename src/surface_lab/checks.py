@@ -25,7 +25,7 @@ import time
 from collections import Counter
 from collections.abc import Callable
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from operator import attrgetter
 
 from ._record import record
@@ -33,8 +33,8 @@ from .affine_groups import (
     AffineElement,
     abelianize_extension,
     check_sign_condition,
-    commutator,
     commutator_subspan_rank,
+    commutator_table,
     standard_generators,
 )
 from .character_calculus import (
@@ -141,6 +141,9 @@ class Facts:
     ends; nothing outlives the Facts object.  Whatever reads the group
     action (the cover, the one-forms, the pencil) is given the generators,
     and the adjunction chain the cover's genus and their group's order.
+    The ten commutators [g_i, g_j] are one table, commutators, that the
+    commutator_table claim, the abelianization (h1) and the orbifold
+    bound's span rank all read.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -157,6 +160,10 @@ class Facts:
     @cached_property
     def generators(self) -> tuple[AffineElement, ...]:
         return standard_generators()
+
+    @cached_property
+    def commutators(self) -> tuple[tuple[int, ...], ...]:
+        return commutator_table(self.generators)
 
     @cached_property
     def cover(self) -> BranchedCoverData:
@@ -180,7 +187,7 @@ class Facts:
 
     @cached_property
     def h1(self) -> FinAbGroup:
-        return abelianize_extension(self.generators)
+        return abelianize_extension(self.generators, self.commutators)
 
 
 @record
@@ -231,11 +238,8 @@ _COMMUTATOR_TABLE: dict[str, tuple[int, ...]] = {
 
 
 def _commutators(f: Facts) -> dict[str, tuple[int, ...]]:
-    gens = f.generators
-    return {
-        f"[g{i + 1}, g{j + 1}]": commutator(gens[i], gens[j])
-        for i, j in combinations(range(len(gens)), 2)
-    }
+    pairs = combinations(range(1, len(f.generators) + 1), 2)
+    return {f"[g{i}, g{j}]": c for (i, j), c in zip(pairs, f.commutators, strict=True)}
 
 
 def _first_difference(have: dict, want: dict, passed: str) -> str:
@@ -249,11 +253,9 @@ def _first_difference(have: dict, want: dict, passed: str) -> str:
 
 
 def _fixed_point_histogram(f: Facts) -> dict[int, int]:
-    n = f.cover.n
-    counts = Counter(
-        fixed_point_count(f.cover, tuple((k >> i) & 1 for i in range(n)))
-        for k in range(1, 1 << n)
-    )
+    elements = product((0, 1), repeat=f.cover.n)
+    next(elements)  # the identity comes first and fixes everything
+    counts = Counter([fixed_point_count(f.cover, g) for g in elements])
     return dict(sorted(counts.items()))
 
 
@@ -264,7 +266,7 @@ def _orbifold_bound(f: Facts) -> tuple[int, int, FinAbGroup, int]:
     orbifold = orbifold_abelianization(len(f.cover.branch_images))
     bound = 2 * ((orbifold.order() or 0) * 2)
     order = f.h1.order() or 0
-    return bound, order, orbifold, commutator_subspan_rank(f.generators)
+    return bound, order, orbifold, commutator_subspan_rank(f.generators, f.commutators)
 
 
 def _kunneth_list(f: Facts) -> tuple[int, int, int, int]:

@@ -39,7 +39,7 @@ Vec = tuple[int, ...]
 def _check_vec(v: Vec, n: int) -> Vec:
     if len(v) != n:
         raise ValueError(f"vector {v} does not have length {n}")
-    return tuple(x & 1 for x in v)
+    return tuple([x & 1 for x in v])
 
 
 @record
@@ -52,7 +52,7 @@ class BranchedCoverData:
     branch_images: tuple[Vec, ...]
 
     def __post_init__(self) -> None:
-        imgs = tuple(_check_vec(v, self.n) for v in self.branch_images)
+        imgs = tuple([_check_vec(v, self.n) for v in self.branch_images])
         object.__setattr__(self, "branch_images", imgs)
         for v in imgs:
             if not any(v):

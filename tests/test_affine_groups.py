@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +15,11 @@ from surface_lab.affine_groups import (
     check_sign_condition,
     commutator,
     commutator_subspan_rank,
+    commutator_table,
     standard_generators,
     square_translation,
 )
-from surface_lab.integer_algebra import FinAbGroup
+from surface_lab.integer_algebra import FinAbGroup, rank_mod2
 
 from oracles import compose, groups_isomorphic, sign_condition_witnesses, translate
 
@@ -194,6 +196,25 @@ def test_relation_matrix_shape():
 
 def test_commutator_subspan_ranks():
     assert commutator_subspan_rank(standard_generators()) == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(generating_sets())
+def test_readers_of_the_table_agree_with_composition(gens):
+    # the table holds [g_i, g_j], i < j, in combinations order: the
+    # displacements of composed maps; the relation rows and the span rank
+    # read it as the rows and the rank of the pairs with g1 built one by one
+    m = len(gens)
+    z = generic_point(gens[0].n, random.Random(m))
+    pairs = list(combinations(range(m), 2))
+    table = commutator_table(gens)
+    assert [as_point(c) for c in table] == [displacement(gens[i], gens[j], z) for i, j in pairs]
+    rows = abelianization_relations(gens, table)
+    assert rows == abelianization_relations(gens)
+    assert [row[m:] for row in rows[: len(pairs)]] == [list(c) for c in table]
+    assert all(not any(row[:m]) for row in rows[: len(pairs)])
+    first = [commutator(gens[0], h) for h in gens[1:]]
+    assert commutator_subspan_rank(gens, table) == commutator_subspan_rank(gens) == rank_mod2(first)
 
 
 def test_lift_independence_of_abelianization():

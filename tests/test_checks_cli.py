@@ -13,14 +13,14 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surface_lab import affine_groups as affine_groups_mod
 from surface_lab import checks as checks_mod
 from surface_lab import legendre_numerics as numerics_mod
 from surface_lab import product_threefold as product_mod
-from surface_lab.affine_groups import commutator
+from surface_lab.affine_groups import commutator_table
 from surface_lab.character_calculus import _branch_dual_characters
 from surface_lab.checks import (
     CHECKS,
@@ -80,6 +80,7 @@ SHARED_BUILDERS = (
     "configuration_report",
     "adjunction_chain",
     "abelianize_extension",
+    "commutator_table",
     "d_factor_branch_elements",
 )
 
@@ -315,15 +316,22 @@ class TestRun:
         )
 
     def test_wrong_commutator_names_the_first_pair(self, monkeypatch):
-        def shifted(a, b):
-            return tuple(x + 1 for x in commutator(a, b))
+        # every commutator shifted by (1, ..., 1) in the one table the run
+        # builds: the table claim names its first pair, and the two claims
+        # that read the same table, the abelianization and the span rank,
+        # fail with it
+        def shifted(gens):
+            return tuple(tuple(x + 1 for x in c) for c in commutator_table(gens))
 
-        monkeypatch.setattr(checks_mod, "commutator", shifted)
-        [result] = run(RunConfig(checks=("commutator_table",), taus=()))
-        assert (result.status, result.actual) == (
-            "fail",
-            "[g1, g2] = (1, 2, 1, 1, 1, 1, 1, 1), want (0, 1, 0, 0, 0, 0, 0, 0)",
+        monkeypatch.setattr(checks_mod, "commutator_table", shifted)
+        names = ("commutator_table", "homology_h1", "orbifold_bound_64")
+        results = {r.name: r for r in run(RunConfig(checks=names, taus=()))}
+        assert {r.status for r in results.values()} == {"fail"}
+        assert results["commutator_table"].actual == (
+            "[g1, g2] = (1, 2, 1, 1, 1, 1, 1, 1), want (0, 1, 0, 0, 0, 0, 0, 0)"
         )
+        # the shifted [g1, g_j] are independent mod 2
+        assert results["orbifold_bound_64"].actual.endswith(", rank 4")
 
     def test_complemented_torus_characters_fail_q_s_zero(self, monkeypatch):
         # the mutant `(1 - sign) // 2` -> `(1 + sign) // 2` in one_forms_space
@@ -462,6 +470,12 @@ class TestSharedFacts:
         # the character calculus takes the run's generators
         calls = calls_in_one_run(affine_groups_mod.standard_generators)
         assert calls == {"standard_generators": 1}
+
+    def test_one_run_computes_each_commutator_once(self):
+        # the commutator table, the abelianization and the span rank read
+        # one table of the ten pairs
+        calls = calls_in_one_run(affine_groups_mod.commutator)
+        assert calls == {"commutator": 10}
 
     def test_one_run_computes_the_product_numbers_once(self):
         # K^2 and chi of the cover and the quotient come from one
@@ -794,7 +808,8 @@ class TestMain:
 # the BMP, an astral character (a surrogate pair) and lone surrogates
 ESCAPED = '"\\\b\t\n\f\r\x00\x1f\x7f\x80\xe9\u20ac\U0001f600\ud800\udfff'
 json_strings = st.text(
-    st.sampled_from(ESCAPED) | st.characters(max_codepoint=127) | st.characters(exclude_categories=())
+    st.sampled_from(ESCAPED) | st.characters(max_codepoint=127) | st.characters(exclude_categories=()),
+    max_size=6,
 )
 json_scalars = (
     st.none()
@@ -806,16 +821,33 @@ json_scalars = (
 )
 json_documents = st.recursive(
     json_scalars,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(json_strings, inner, max_size=4),
-    max_leaves=24,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(json_strings, inner, max_size=3),
+    max_leaves=8,
 )
 
 
+def escape_example(chars: str) -> dict:
+    """chars as a key, a value, and inside ASCII text, nested."""
+    return {chars: [chars, f"a{chars}z", (chars,)]}
+
+
 class TestJsonWriter:
-    @settings(max_examples=200, deadline=None)
+    # one fixed document per escape class the writer handles, so the drawn
+    # documents can stay few and small
+    @settings(max_examples=40, deadline=None)
     @given(json_documents)
+    @example(escape_example('"'))
+    @example(escape_example("\\"))
+    @example(escape_example("\b\t\n\f\r"))
+    @example(escape_example("\x00\x01\x1f"))
+    @example(escape_example(" ~\x7f"))
+    @example(escape_example("\x80\xe9\u20ac\uffff"))
+    @example(escape_example("\U0001f600\U0010ffff"))
+    @example(escape_example("\ud800\udfff"))
+    @example(dict.fromkeys(ESCAPED, 0))  # key order across the classes
+    @example([math.nan, math.inf, -math.inf, -0.0, 1e-300, 2**70, -(2**70), True, None])
     def test_writes_what_json_dumps_wrote(self, document):
         assert _to_json(document) == json_dumps(document)
 
