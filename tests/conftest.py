@@ -5,8 +5,8 @@ than fail it.  At TIME_BOUND_S a SIGALRM handler raises TimeBoundExceeded
 inside the test, which fails it with the traceback of where it was.  If
 the interpreter cannot run that handler (stuck inside one C call),
 faulthandler prints every thread's stack and ends the process at twice
-the bound.  The slowest test takes about 2 s and the whole suite about
-15 s on a 2-vCPU machine; where there is no SIGALRM, tests run unbounded.
+the bound.  The slowest test takes under 1 s and the whole suite about
+12 s on a 2-vCPU machine; where there is no SIGALRM, tests run unbounded.
 """
 
 import faulthandler

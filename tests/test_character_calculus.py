@@ -96,18 +96,15 @@ class TestCharacterOfBasis:
         assert coordinate_action(g1, 0) == coordinate_action(g3, 0) == (1, 0)
         assert character_of_basis([(1, 0), (3, 2), (0, 0), (2, 0)]) == C("--++")
 
-    def test_tau_half_rejected_wherever_it_stands(self):
-        for k in range(4):
-            actions = [(1, 0)] * 4
-            actions[k] = (0, 1)
-            with pytest.raises(UnsupportedTranslation):
-                character_of_basis(actions)
-
     def test_tau_half_translation_rejected(self):
         with pytest.raises(UnsupportedTranslation):
             character_of_basis([coordinate_action(GENS[4], 0)])
         with pytest.raises(UnsupportedTranslation):
             character_of_basis([(0, 0), (1, 1)])
+        # wherever it stands among even ones
+        for k in range(4):
+            with pytest.raises(UnsupportedTranslation):
+                character_of_basis([(1, 0)] * k + [(0, 1)] + [(1, 0)] * (3 - k))
 
 
 class TestTensor:
@@ -153,7 +150,7 @@ class TestInvariantDim:
 
     def test_words_after_a_negating_word_go_unread(self):
         # all() stops at the first word that negates chi: a later word of
-        # the wrong length is read only for characters the earlier fix
+        # the wrong length is read only for characters the earlier ones fix
         assert invariant_dim(Counter([C("-")]), [(1,), (1, 0)]) == 0
         with pytest.raises(ValueError):
             invariant_dim(Counter([C("+")]), [(1,), (1, 0)])
