@@ -41,23 +41,27 @@ EULER_NUMBER = 9
 CHI_TRIVIAL = 1
 
 
+_new = tuple.__new__
+
+
 class DivisorClass(tuple):
     """(d, m_1, ..., m_6) for d L + sum m_i E_i; arithmetic is entrywise,
-    never tuple concatenation or repetition."""
+    never tuple concatenation or repetition.  Results are made by
+    tuple.__new__, which skips the slower type call."""
 
     __slots__ = ()
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(map(add, self, other))
+        return _new(DivisorClass, map(add, self, other))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(map(sub, self, other))
+        return _new(DivisorClass, map(sub, self, other))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(map(neg, self))
+        return _new(DivisorClass, map(neg, self))
 
     def __mul__(self, k: int) -> "DivisorClass":
-        return DivisorClass(map(mul, repeat(k), self))
+        return _new(DivisorClass, map(mul, repeat(k), self))
 
     __rmul__ = __mul__
 
@@ -73,7 +77,8 @@ K = -3 * L + E[0] + E[1] + E[2] + E[3] + E[4] + E[5]
 
 
 def intersect(a: DivisorClass, b: DivisorClass) -> int:
-    return a[0] * b[0] - sum(map(mul, a[1:], b[1:]))
+    # d d' - sum m_i m'_i, with d d' taken twice to cancel it in the full sum
+    return 2 * a[0] * b[0] - sum(map(mul, a, b))
 
 
 def selfint(a: DivisorClass) -> int:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surface_lab.integer_algebra import (
@@ -146,12 +146,38 @@ small_matrices = st.integers(1, 5).flatmap(
 )
 
 
-@settings(max_examples=120, deadline=None)
-@given(small_matrices)
+@st.composite
+def unit_rich_matrices(draw):
+    """Rows of mostly 0, +-1 and +-2, each a repeat of a few base rows, a
+    base row negated, or a zero row, so the sparse path's distinct-row
+    step and unit pass both have work."""
+    c = draw(st.integers(1, 5))
+    entries = st.sampled_from((0, 0, 1, -1, 2, -2, 3, 4))
+    base = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=1, max_size=4))
+    picks = draw(st.lists(
+        st.tuples(st.integers(0, len(base)), st.sampled_from((1, -1))), min_size=1, max_size=7
+    ))
+    # index len(base) picks a zero row
+    return [[s * x for x in base[i]] if i < len(base) else [0] * c for i, s in picks]
+
+
+@settings(max_examples=240, deadline=None)
+@given(st.one_of(small_matrices, unit_rich_matrices()))
+# no unit entry, but a unit after elimination: det = 1
+@example([[2, 3], [3, 5]])
+# the unit pass leaves row 0 with the unit 1 that row 1 gave it
+@example([[2, 3], [1, 1]])
+# row 1 turns into the unit row (0, -1) before the pass reaches it
+@example([[1, 2], [2, 3]])
+# repeats, a negated repeat and zero rows around one unit
+@example([[2, 1, 0], [0, 0, 0], [2, 1, 0], [-2, -1, 0], [0, 0, 0], [4, 0, 2]])
 def test_snf_certified_by_transforms(rows):
     f = smith_normal_form(rows, transforms=True)
+    width = len(rows[0])
     assert smith_normal_form(rows).diagonal == f.diagonal
-    assert matmul(f.left, rows, f.right) == padded_diagonal(f.diagonal, len(rows), len(rows[0]))
+    assert rank(rows) == len(f.diagonal)
+    assert cokernel(rows) == FinAbGroup(width - len(f.diagonal), tuple(d for d in f.diagonal if d > 1))
+    assert matmul(f.left, rows, f.right) == padded_diagonal(f.diagonal, len(rows), width)
     assert abs(determinant(f.left)) == 1
     assert abs(determinant(f.right)) == 1
     for a, b in zip(f.diagonal, f.diagonal[1:]):

@@ -12,6 +12,7 @@ from surface_lab.integer_algebra import rank
 from surface_lab.picard_lattice import (
     CURVES,
     RELATIONS,
+    DivisorClass,
     E,
     L,
     catalog,
@@ -87,6 +88,7 @@ class TestCatalog:
         assert a * 3 == 3 * a
         for result in (-a, 3 * a, a * 3, a - a, a + a):
             assert len(result) == 7
+            assert type(result) is DivisorClass
 
 
 class TestIntersect:
@@ -96,6 +98,15 @@ class TestIntersect:
         assert intersect(L, L) == 1
         assert intersect(c.f[0], c.f[1]) == 2
         assert intersect(c.S[0], c.S[2]) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-20, 20), min_size=14, max_size=14))
+    def test_matches_the_form_written_out(self, xs):
+        a, b = cls(*xs[:7]), cls(*xs[7:])
+        d, m = xs[0], xs[1:7]
+        d2, m2 = xs[7], xs[8:]
+        expected = d * d2 - sum(m[i] * m2[i] for i in range(6))
+        assert intersect(a, b) == expected == intersect(b, a)
 
     def test_basis_gram_is_standard(self):
         g = gram_matrix(BASIS)
