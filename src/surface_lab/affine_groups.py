@@ -29,6 +29,7 @@ the generators when not given one.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import combinations
 
 from ._record import record
@@ -55,10 +56,6 @@ class AffineElement:
     @property
     def n(self) -> int:
         return len(self.signs)
-
-    def sign_at(self, coord: int) -> int:
-        """Sign acting on full-lattice coordinate 0 <= coord < 2n."""
-        return self.signs[coord % self.n]
 
 
 def _halves_to_lattice(halves: tuple[int, ...]) -> tuple[int, ...]:
@@ -109,6 +106,33 @@ def standard_generators() -> tuple[AffineElement, ...]:
     g4 = AffineElement((1, 1, -1, -1), (0, 0, 0, 0, 0, 0, 0, 0))
     g5 = AffineElement((1, 1, 1, 1), (0, 0, 0, 0, 1, 1, 1, 1))
     return (g1, g2, g3, g4, g5)
+
+
+def actions_mod2(gens: tuple[AffineElement, ...]) -> tuple[int, ...]:
+    """Each generator mod 2 as an int, one octal digit per coordinate c
+    (bits 3c to 3c + 2): 1 if it negates c, plus 2 and 4 for odd e- and
+    tau-halves.  As eps t' = t' mod 2, a word acts as the xor of its letters."""
+    actions = []
+    for g in gens:
+        n, t, bits = g.n, g.trans, 0
+        for c in reversed(range(n)):
+            bits = 8 * bits + (g.signs[c] < 0) + 2 * (t[c] & 1) + 4 * (t[n + c] & 1)
+        actions.append(bits)
+    return tuple(actions)
+
+
+def span_mod2(letters: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(table, kept): the span of actions_mod2 ints grown letter by letter,
+    and the letters that enlarged it.  table[w] is the word with mask w in
+    the kept letters, in product order, so len(table) is the group order."""
+    table, kept = [0], []
+    for i, a in enumerate(letters):
+        if a not in table:
+            grown = table * 2
+            grown[::2], grown[1::2] = table, [w ^ a for w in table]
+            table = grown
+            kept.append(i)
+    return table, kept
 
 
 def check_sign_condition(gens: tuple[AffineElement, ...]) -> bool:
@@ -181,4 +205,4 @@ def commutator_subspan_rank(
     """
     if commutators is None:
         commutators = commutator_table(gens)
-    return rank_mod2(commutators[: len(gens) - 1])
+    return rank_mod2([c for c, _ in zip(commutators, gens[1:])])

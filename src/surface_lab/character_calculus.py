@@ -20,11 +20,11 @@ multiplicity.  The two concrete inputs are:
 * the 7-dimensional space of global one-forms on the product threefold,
   whose genus-5 summand decomposes by the branch combinatorics of the
   (Z/2)^4 cover of the line.  That cover's branch data is derived here,
-  from the generators' action on the genus-5 factor, and it is the one
-  cover the claims table judges; each summand's dual functional is read
-  from the pairing table the cover built.
+  from G's image acting on the genus-5 factor, and it is the one cover
+  the claims table judges; each summand's dual functional is read from
+  the pairing table the cover built and lifted to G.
 
-Whatever reads the group action takes the generators the run built.
+Whatever reads the group action takes the run's actions_mod2.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ from __future__ import annotations
 import cmath
 from collections import Counter
 from collections.abc import Sequence
+from itertools import product
 
-from .affine_groups import AffineElement
+from .affine_groups import span_mod2
 from .orbifold_covers import BranchedCoverData
 
 
@@ -57,11 +58,6 @@ def character_of_basis(actions: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     if any([v % 2 for _, v in actions]):
         raise UnsupportedTranslation("tau-half translation does not act linearly on the sections")
     return tuple([u % 2 for u, _ in actions])
-
-
-def coordinate_action(g: AffineElement, coord: int) -> tuple[int, int]:
-    """(e-halves, tau-halves) of g's translation on one torus coordinate."""
-    return (g.trans[coord] % 2, g.trans[g.n + coord] % 2)
 
 
 def tensor(spaces: Sequence[Counter]) -> Counter:
@@ -97,50 +93,27 @@ def legendre_pair_space(actions: Sequence[tuple[int, int]]) -> Counter:
     return Counter([(0,) * len(actions), character_of_basis(actions)])
 
 
-def pencil_spaces(gens: Sequence[AffineElement]) -> list[Counter]:
+def pencil_spaces(actions: Sequence[int]) -> list[Counter]:
     """The three section-pair factors of the invariant pencil, graded by
-    the first four generators acting on coordinates 1..3."""
+    the first four generators' (e-halves, tau-halves) on coordinates 1..3."""
     return [
-        legendre_pair_space([coordinate_action(g, coord) for g in gens[:4]])
-        for coord in range(3)
+        legendre_pair_space([(a >> 3 * c + 1 & 1, a >> 3 * c + 2 & 1) for a in actions[:4]])
+        for c in range(3)
     ]
 
 
-def _mod2_actions(
-    gens: Sequence[AffineElement],
-) -> dict[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
-    """(sign, e-halves, tau-halves) of g2^a g3^b g4^c g5^d on the two curve
-    coordinates, the halves mod 2, for every 0/1 word (a, b, c, d).
-
-    Mod 2 this is a homomorphism: under (eps, t)(eps', t') =
-    (eps eps', eps t' + t) signs multiply, and eps t' = t' mod 2, so
-    half-translations add.  A word's action is thus the product of its
-    letters' signs and the xor of their half-translations; the order of
-    the letters does not matter, as commutators translate by full lattice
-    vectors.  So the table grows one letter at a time, in product order.
-    """
-    actions = {(): ((1, 0, 0), (1, 0, 0))}
-    for g in gens[1:]:
-        r2, x2, y2 = g.sign_at(2), g.trans[2] & 1, g.trans[g.n + 2] & 1
-        r3, x3, y3 = g.sign_at(3), g.trans[3] & 1, g.trans[g.n + 3] & 1
-        grown = {}
-        for word, action in actions.items():
-            (s2, u2, v2), (s3, u3, v3) = action
-            grown[word + (0,)] = action
-            grown[word + (1,)] = ((s2 * r2, u2 ^ x2, v2 ^ y2), (s3 * r3, u3 ^ x3, v3 ^ y3))
-        actions = grown
-    return actions
+_CURVE = 0o7700  # the bits of actions_mod2 on coordinates 2 and 3
 
 
-def d_factor_branch_elements(gens: Sequence[AffineElement]) -> BranchedCoverData:
-    """Branch data of the genus-5 factor over its quotient line: the
-    branch images are vectors over the images of the last four
-    generators.  The genus is not judged here; the claims table does.
+def d_factor_branch_elements(actions: Sequence[int]) -> BranchedCoverData:
+    """Branch data of the genus-5 factor over its quotient line.  The cover
+    group, G's image on the curve, is the span of the actions_mod2 on
+    coordinates 2 and 3; its kept letters are the basis the branch images
+    are words in.  The genus is not judged here; the claims table does.
 
-    The first generator acts trivially on the curve factor, so the cover
-    group is the quotient by it.  An element fixes points of the curve
-    exactly when its torus action does not translate a +1 coordinate
-    and is not the free elliptic double involution:
+    An element fixes points of the curve exactly when its torus action
+    does not translate a +1 coordinate and is not the free elliptic double
+    involution:
 
     * both signs -1 with nonzero translation: the half-points carry the
       zero/pole (or +-square-root) values the curve equation matches;
@@ -149,42 +122,40 @@ def d_factor_branch_elements(gens: Sequence[AffineElement]) -> BranchedCoverData
     * one sign +1: fixed points exist iff that coordinate's translation
       vanishes, and then the fixed fibers meet the curve.
     """
+    table, kept = span_mod2([a & _CURVE for a in actions])
     chosen = []
-    for word, ((s2, u2, v2), (s3, u3, v3)) in _mod2_actions(gens).items():
-        if not any(word):
-            continue
-        free_translation = (s2 == 1 and (u2 or v2)) or (s3 == 1 and (u3 or v3))
-        double_involution = s2 == s3 == -1 and not (u2 or v2 or u3 or v3)
-        if not (free_translation or double_involution):
+    for word, action in zip(product((0, 1), repeat=len(kept)), table):
+        d2, d3 = action >> 6 & 7, action >> 9 & 7  # coordinates 2 and 3
+        free_translation = d2 in (2, 4, 6) or d3 in (2, 4, 6)
+        if action and not (free_translation or d2 == d3 == 1):
             chosen.append(word)
-    return BranchedCoverData(len(gens) - 1, tuple(chosen))
+    return BranchedCoverData(len(kept), tuple(chosen))
 
 
-def _branch_dual_characters(cover: BranchedCoverData) -> list[tuple[int, ...]]:
-    """One functional per branch element: nontrivial on all the others.
-
-    These index the 5-dim space of one-forms of the genus-5 cover, one
-    line per intermediate elliptic quotient.
-    """
+def _branch_dual_characters(cover: BranchedCoverData) -> list[int]:
+    """One functional mask per branch element, nontrivial on all the others:
+    they index the 5-dim space of one-forms of the genus-5 cover, one line
+    per intermediate elliptic quotient."""
     parities, m = cover.pairings, len(cover.branch_images)
     functionals = []
     for j in range(m):
-        # nontrivial on every image but the j-th
-        want = (1 << m) - 1 - (1 << (m - 1 - j))
+        want = (1 << m) - 1 - (1 << (m - 1 - j))  # every image but the j-th
         count = parities.count(want)
         if count != 1:
             raise ValueError(f"branch {j} has {count} dual functionals, not 1")
-        phi = parities.index(want)
-        functionals.append(tuple([(phi >> k) & 1 for k in range(cover.n - 1, -1, -1)]))
+        functionals.append(parities.index(want))
     return functionals
 
 
-def one_forms_space(cover: BranchedCoverData, gens: Sequence[AffineElement]) -> Counter:
+def one_forms_space(cover: BranchedCoverData, actions: Sequence[int]) -> Counter:
     """The 7-dim space of one-forms on the product threefold, graded by
-    the five generators; cover is d_factor_branch_elements(gens)."""
-    space = Counter(tuple((1 - g.sign_at(coord)) // 2 for g in gens) for coord in (0, 1))
-    space.update((0, *phi) for phi in _branch_dual_characters(cover))
-    return space
+    the generators: their sign bits on the two torus coordinates, and each
+    genus-5 line's dual functional lifted to G through their cover words."""
+    table = span_mod2([a & _CURVE for a in actions])[0]
+    words = [table.index(a & _CURVE) for a in actions]
+    torus = [[a >> 3 * coord & 1 for a in actions] for coord in (0, 1)]
+    duals = [[(phi & w).bit_count() & 1 for w in words] for phi in _branch_dual_characters(cover)]
+    return Counter(map(tuple, torus + duals))
 
 
 def one_forms_invariants(space: Counter) -> int:

@@ -32,9 +32,11 @@ from ._record import record
 from .affine_groups import (
     AffineElement,
     abelianize_extension,
+    actions_mod2,
     check_sign_condition,
     commutator_subspan_rank,
     commutator_table,
+    span_mod2,
     standard_generators,
 )
 from .character_calculus import (
@@ -138,12 +140,11 @@ class Facts:
     (and each modulus's Legendre parameters, elliptic(i)) is built on first
     use by the builder this module imports, looked up at call time (so a
     replaced builder is seen by the next run), and kept until the run
-    ends; nothing outlives the Facts object.  Whatever reads the group
-    action (the cover, the one-forms, the pencil) is given the generators,
-    and the adjunction chain the cover's genus and their group's order.
-    The ten commutators [g_i, g_j] are one table, commutators, that the
-    commutator_table claim, the abelianization (h1) and the orbifold
-    bound's span rank all read.
+    ends; nothing outlives the Facts object.  The character calculus reads
+    G through actions, the generators' actions mod 2, and the chain takes
+    the cover's genus and the order of the group they span.  The ten
+    commutators [g_i, g_j] are one table, commutators, that the claim
+    commutator_table, the abelianization h1 and the span rank all read.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -166,8 +167,12 @@ class Facts:
         return commutator_table(self.generators)
 
     @cached_property
+    def actions(self) -> tuple[int, ...]:
+        return actions_mod2(self.generators)
+
+    @cached_property
     def cover(self) -> BranchedCoverData:
-        return d_factor_branch_elements(self.generators)
+        return d_factor_branch_elements(self.actions)
 
     @cached_property
     def catalog(self) -> ConfigCatalog:
@@ -183,7 +188,7 @@ class Facts:
 
     @cached_property
     def chain(self) -> AdjunctionReport:
-        return adjunction_chain(cover_genus(self.cover), 1 << len(self.generators))
+        return adjunction_chain(cover_genus(self.cover), len(span_mod2(self.actions)[0]))
 
     @cached_property
     def h1(self) -> FinAbGroup:
@@ -302,7 +307,7 @@ _ONE_FORMS = (0, sorted((tuple(map(int, bits)), 1) for bits in _CHARACTERS))
 
 
 def _one_forms(f: Facts) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    space = one_forms_space(f.cover, f.generators)
+    space = one_forms_space(f.cover, f.actions)
     return one_forms_invariants(space), sorted(space.items())
 
 
@@ -330,7 +335,7 @@ def _character_decomposition(f: Facts) -> tuple[int, list[int]]:
     # translations (0, 0), (0, 0), (1, 0), so the two factors are one space
     v = legendre_pair_space([(0, 0), (0, 0), (1, 0)])
     pair_dim = invariant_dim(tensor([v, v]), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    return pair_dim, sorted(tensor(pencil_spaces(f.generators)).values())
+    return pair_dim, sorted(tensor(pencil_spaces(f.actions)).values())
 
 
 def _pencil_invariants(f: Facts) -> int | str:

@@ -16,7 +16,7 @@ span when no nonzero one pairs trivially), the index-2 classification
 and character_calculus's dual functionals all read that table.
 
 The cover the claims judge is not written here: it is the branch data
-character_calculus.d_factor_branch_elements derives from the generators.
+character_calculus.d_factor_branch_elements derives from G's action.
 """
 
 from __future__ import annotations

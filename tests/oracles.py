@@ -223,7 +223,7 @@ def compose(g: AffineElement, h: AffineElement) -> AffineElement:
     if len(g.signs) != len(h.signs):
         raise ValueError("dimension mismatch")
     signs = tuple(map(mul, g.signs, h.signs))
-    # signs * 2 lines up sign_at(k) with coordinate k
+    # signs * 2 lines up the sign of coordinate k % n with lattice coordinate k
     trans = tuple(s * b + a for s, a, b in zip(g.signs * 2, g.trans, h.trans))
     return AffineElement(signs, trans)
 
@@ -231,30 +231,50 @@ def compose(g: AffineElement, h: AffineElement) -> AffineElement:
 def mod2_actions_by_composition(
     gens: Sequence[AffineElement],
 ) -> dict[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
-    """The composition route to character_calculus._mod2_actions: each 0/1
-    word in gens[1:], in product order, is composed letter by letter with
-    compose, and its sign and half-translations are read mod 2 on the
-    curve coordinates 2 and 3."""
+    """The composition route to affine_groups.actions_mod2: each 0/1 word
+    in all of gens, in product order, is composed letter by letter with
+    compose, and its (sign, e-halves, tau-halves) are read mod 2 on every
+    coordinate."""
     n = gens[0].n
     actions = {}
-    for word in product((0, 1), repeat=len(gens) - 1):
+    for word in product((0, 1), repeat=len(gens)):
         element = AffineElement((1,) * n, (0,) * (2 * n))
-        for g, e in zip(gens[1:], word):
+        for g, e in zip(gens, word):
             if e:
                 element = compose(element, g)
         actions[word] = tuple(
-            (element.sign_at(c), element.trans[c] % 2, element.trans[n + c] % 2) for c in (2, 3)
+            (element.signs[c], element.trans[c] % 2, element.trans[n + c] % 2) for c in range(n)
         )
     return actions
 
 
+def spanning_letters(actions: dict, coords: Sequence[int]) -> list[int]:
+    """The letters whose action on coords is not that of any word in the
+    letters before them, from a mod2_actions_by_composition table."""
+    m = len(next(iter(actions)))
+    kept = []
+    for i in range(m):
+        unit = tuple(int(j == i) for j in range(m))
+        earlier = {tuple(a[c] for c in coords) for w, a in actions.items() if not any(w[i:])}
+        if tuple(actions[unit][c] for c in coords) not in earlier:
+            kept.append(i)
+    return kept
+
+
 def branch_words_by_composition(gens: Sequence[AffineElement]) -> tuple[tuple[int, ...], ...]:
     """The any/all route to the words d_factor_branch_elements chooses: the
-    nonzero words whose composed action neither translates a +1 curve
+    words in the letters that span the action on the curve coordinates 2
+    and 3, nonzero, whose composed action there neither translates a +1
     coordinate nor is the free double involution (both signs -1, no
     translation), in product order."""
+    actions = mod2_actions_by_composition(gens)
+    kept = spanning_letters(actions, (2, 3))
     chosen = []
-    for word, action in mod2_actions_by_composition(gens).items():
+    for word in product((0, 1), repeat=len(kept)):
+        letters = [0] * len(gens)
+        for i, e in zip(kept, word):
+            letters[i] = e
+        action = actions[tuple(letters)][2:4]
         free_translation = any(s == 1 and (u or v) for s, u, v in action)
         double_involution = all(s == -1 and not (u or v) for s, u, v in action)
         if any(word) and not (free_translation or double_involution):
@@ -338,9 +358,10 @@ def corank1_histogram(cover: BranchedCoverData) -> dict[tuple[int, int], int]:
 
 
 def branch_dual_candidates(cover: BranchedCoverData) -> list[list[Vec]]:
-    """The tuple route to character_calculus._branch_dual_characters: per
-    branch image, every functional of product((0, 1), repeat=n), in that
-    order, that pairs it to 0 and each other image to 1."""
+    """The tuple route to character_calculus._branch_dual_characters (which
+    returns each as its mask, integer_algebra._mask): per branch image,
+    every functional of product((0, 1), repeat=n), in that order, that
+    pairs it to 0 and each other image to 1."""
     images = cover.branch_images
     return [
         [

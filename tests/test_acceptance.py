@@ -11,6 +11,7 @@ import time
 
 from surface_lab.affine_groups import (
     abelianize_extension,
+    actions_mod2,
     commutator,
     commutator_subspan_rank,
     standard_generators,
@@ -99,7 +100,7 @@ def test_criterion_3_orbifold_bound():
 
 def test_criterion_4_subgroup_classification():
     # the genus-5 cover the generators induce on their curve factor
-    data = d_factor_branch_elements(standard_generators())
+    data = d_factor_branch_elements(actions_mod2(standard_generators()))
     assert cover_genus(data) == 5
     histogram = classify_corank1_subgroups(data)
     assert histogram == {(1, 1): 5, (3, 0): 10}
@@ -127,8 +128,8 @@ def test_criterion_5_numerical_invariants():
     assert kunneth == (5, 32, 11, 7)
     from surface_lab.character_calculus import one_forms_invariants, one_forms_space
 
-    gens = standard_generators()
-    space = one_forms_space(d_factor_branch_elements(gens), gens)
+    actions = actions_mod2(standard_generators())
+    space = one_forms_space(d_factor_branch_elements(actions), actions)
     assert one_forms_invariants(space) == 0  # q(S) = 0, exact
 
 
@@ -153,7 +154,7 @@ def test_criterion_7_character_decompositions():
     # on either coordinate the translations are (0, 0), (0, 0), (1, 0)
     v = legendre_pair_space([(0, 0), (0, 0), (1, 0)])
     assert invariant_dim(tensor([v, v]), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 2
-    triple = tensor(pencil_spaces(standard_generators()))
+    triple = tensor(pencil_spaces(actions_mod2(standard_generators())))
     assert sorted(triple.values()) == [2, 2, 2, 2]
     constant = invariant_pencil_constant(
         DEFAULT_TAUS[:3], Tolerance(eps=EPS, samples=10, seed=0)

@@ -189,7 +189,7 @@ def test_relation_matrix_shape():
         1
         for g in standard_generators()
         for k in range(8)
-        if g.sign_at(k) == -1
+        if g.signs[k % g.n] == -1
     )
     assert len(m) == 10 + 5 + negated
 

@@ -2,20 +2,21 @@
 
 import random
 from collections import Counter
+from functools import reduce
+from itertools import compress, product
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surface_lab import character_calculus, checks
-from surface_lab.affine_groups import standard_generators
+from surface_lab.affine_groups import actions_mod2, span_mod2, standard_generators
 from surface_lab.character_calculus import (
     UnsupportedTranslation,
     ZeroParameter,
     _branch_dual_characters,
-    _mod2_actions,
     character_of_basis,
-    coordinate_action,
     d_factor_branch_elements,
     invariant_dim,
     legendre_pair_space,
@@ -26,6 +27,7 @@ from surface_lab.character_calculus import (
     pencil_spaces,
     tensor,
 )
+from surface_lab.integer_algebra import _mask
 from surface_lab.orbifold_covers import cover_genus, fixed_point_count
 
 from oracles import (
@@ -35,6 +37,7 @@ from oracles import (
     mod2_actions_by_composition,
     random_cover_data,
     random_generators,
+    spanning_letters,
     standard_cover_data,
 )
 
@@ -50,10 +53,24 @@ def dim(space: Counter) -> int:
 
 
 GENS = standard_generators()
+ACTIONS = actions_mod2(GENS)
+
+
+def decoded(action: int, n: int = 4) -> tuple[tuple[int, int, int], ...]:
+    """An actions_mod2 int as (sign, e-halves, tau-halves) per coordinate."""
+    return tuple(
+        (1 - 2 * (action >> 3 * c & 1), action >> 3 * c + 1 & 1, action >> 3 * c + 2 & 1)
+        for c in range(n)
+    )
+
+
+def halves(action: int, coord: int) -> tuple[int, int]:
+    """The (e-halves, tau-halves) parities of an action on one coordinate."""
+    return decoded(action)[coord][1:]
 
 
 def four_gen_actions(coord):
-    return [coordinate_action(g, coord) for g in GENS[:4]]
+    return [halves(a, coord) for a in ACTIONS[:4]]
 
 
 class TestSignCharacter:
@@ -86,19 +103,18 @@ class TestCharacterOfBasis:
         assert character_of_basis(four_gen_actions(2)) == C("+--+")
 
     def test_identity_generator_gives_plus(self):
-        assert character_of_basis([coordinate_action(GENS[3], 0)]) == C("+")
+        assert character_of_basis([halves(ACTIONS[3], 0)]) == C("+")
 
     def test_sign_of_linear_part_is_irrelevant(self):
         # an action is read as its translation alone: g1 negates the first
         # coordinate and g3 fixes it, and both shift it by an e-half
-        g1, _, g3, _, _ = GENS
-        assert (g1.sign_at(0), g3.sign_at(0)) == (-1, 1)
-        assert coordinate_action(g1, 0) == coordinate_action(g3, 0) == (1, 0)
+        assert (GENS[0].signs[0], GENS[2].signs[0]) == (-1, 1)
+        assert halves(ACTIONS[0], 0) == halves(ACTIONS[2], 0) == (1, 0)
         assert character_of_basis([(1, 0), (3, 2), (0, 0), (2, 0)]) == C("--++")
 
     def test_tau_half_translation_rejected(self):
         with pytest.raises(UnsupportedTranslation):
-            character_of_basis([coordinate_action(GENS[4], 0)])
+            character_of_basis([halves(ACTIONS[4], 0)])
         with pytest.raises(UnsupportedTranslation):
             character_of_basis([(0, 0), (1, 1)])
         # wherever it stands among even ones
@@ -109,7 +125,7 @@ class TestCharacterOfBasis:
 
 class TestTensor:
     def test_pencil_decomposition_four_blocks_of_two(self):
-        total = tensor(pencil_spaces(GENS))
+        total = tensor(pencil_spaces(ACTIONS))
         assert total == {
             C("++++"): 2,
             C("+--+"): 2,
@@ -117,6 +133,12 @@ class TestTensor:
             C("-+-+"): 2,
         }
         assert dim(total) == 8
+
+    def test_pencil_rejects_a_tau_half_among_the_first_four(self):
+        # g5 translates coordinates 1..3 by tau-halves; the pencil reads the
+        # tau-half parity bit itself, not the next coordinate's sign bit
+        with pytest.raises(UnsupportedTranslation):
+            pencil_spaces(actions_mod2((*GENS[:3], GENS[4])))
 
     def test_tensor_with_trivial_is_identity(self):
         v = legendre_pair_space(four_gen_actions(0))
@@ -144,7 +166,7 @@ class TestInvariantDim:
     FULL4 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
 
     def test_three_factor_invariants(self):
-        total = tensor(pencil_spaces(GENS))
+        total = tensor(pencil_spaces(ACTIONS))
         assert invariant_dim(total, self.FULL4) == 2
         assert invariant_dim(total, []) == dim(total) == 8
 
@@ -168,7 +190,7 @@ class TestInvariantDim:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_monotone_under_subgroup_growth(self, data):
-        total = tensor(pencil_spaces(GENS))
+        total = tensor(pencil_spaces(ACTIONS))
         small = data.draw(
             st.lists(st.sampled_from(self.FULL4), max_size=2, unique=True)
         )
@@ -180,7 +202,7 @@ class TestInvariantDim:
 
 class TestBranchElements:
     def test_derived_branch_set(self):
-        assert set(d_factor_branch_elements(GENS).branch_images) == {
+        assert set(d_factor_branch_elements(ACTIONS).branch_images) == {
             (0, 1, 0, 0),
             (0, 1, 0, 1),
             (0, 0, 1, 1),
@@ -189,45 +211,69 @@ class TestBranchElements:
         }
 
     def test_consistency_with_cover_machinery(self):
-        data = d_factor_branch_elements(GENS)
+        data = d_factor_branch_elements(ACTIONS)
         assert data.n == 4 and len(data.branch_images) == 5
         assert cover_genus(data) == 5
         for v in data.branch_images:
             assert fixed_point_count(data, v) == 8
 
     def test_three_elements_avoid_the_first_generator(self):
-        elements = d_factor_branch_elements(GENS).branch_images
+        elements = d_factor_branch_elements(ACTIONS).branch_images
         assert sum(1 for v in elements if v[0] == 0) == 3
 
+    @staticmethod
+    def assert_table_matches_composition(gens):
+        # every word in all the letters, composed with the oracle compose,
+        # acts on every coordinate as the xor of its letters' actions; the
+        # table lists the words in the kept letters in product order, and a
+        # letter is kept exactly when no word in earlier letters acts as it
+        n, letters = gens[0].n, actions_mod2(gens)
+        by_composition = mod2_actions_by_composition(gens)
+        for word, action in by_composition.items():
+            assert decoded(reduce(xor, compress(letters, word), 0), n) == action, word
+        table, kept = span_mod2(letters)
+        assert kept == spanning_letters(by_composition, range(n))
+        assert len(table) == len(set(by_composition.values())) == 1 << len(kept)
+        for word, action in zip(product((0, 1), repeat=len(kept)), table):
+            full = [0] * len(gens)
+            for i, e in zip(kept, word):
+                full[i] = e
+            assert decoded(action, n) == by_composition[tuple(full)], word
+        return letters, table, kept
+
     def test_mod2_actions_match_composed_elements(self):
-        # each word's element composed left to right with the oracle
-        # compose, its action read off on the curve coordinates 2 and 3
-        actions = _mod2_actions(GENS)
-        assert len(actions) == 16
-        assert list(actions.items()) == list(mod2_actions_by_composition(GENS).items())
+        letters, table, kept = self.assert_table_matches_composition(GENS)
+        assert letters == ACTIONS
+        assert (len(table), kept) == (32, [0, 1, 2, 3, 4])
 
     def test_mod2_actions_with_a_redundant_generator(self):
-        # g1 g2 adds a letter whose words repeat the others' actions
+        # g1 g2 acts as g1 and g2 together, so it is left out of the kept
+        # letters and the group order stays 32
         gens = (*GENS, compose(GENS[0], GENS[1]))
-        actions = _mod2_actions(gens)
-        assert len(actions) == 32
-        assert list(actions.items()) == list(mod2_actions_by_composition(gens).items())
-        assert actions[(1, 0, 0, 0, 1)] == actions[(0, 0, 0, 0, 0)]
+        letters, table, kept = self.assert_table_matches_composition(gens)
+        assert letters[5] == letters[0] ^ letters[1]
+        assert (len(table), kept) == (32, [0, 1, 2, 3, 4])
 
     @pytest.mark.parametrize("seed", range(12))
     def test_mod2_actions_on_random_generators(self, seed):
         rng = random.Random(seed)
         gens = random_generators(rng, rng.randint(1, 6))
-        actions = _mod2_actions(gens)
-        assert list(actions.items()) == list(mod2_actions_by_composition(gens).items())
+        # a copy of a letter, and the product of two, are dependent
+        gens = (*gens, gens[0], compose(gens[0], gens[-1]))
+        _, _, kept = self.assert_table_matches_composition(gens)
+        assert len(gens) - 2 not in kept and len(gens) - 1 not in kept
 
     @pytest.mark.parametrize("seed", range(40))
     def test_branch_words_on_random_generators(self, seed, monkeypatch):
         # the words alone: random generators rarely give valid branch data
         rng = random.Random(seed)
         gens = random_generators(rng, rng.randint(2, 6))
-        monkeypatch.setattr(character_calculus, "BranchedCoverData", lambda n, words: words)
-        assert d_factor_branch_elements(gens) == branch_words_by_composition(gens)
+        monkeypatch.setattr(character_calculus, "BranchedCoverData", lambda n, words: (n, words))
+        kept = spanning_letters(mod2_actions_by_composition(gens), (2, 3))
+        assert d_factor_branch_elements(actions_mod2(gens)) == (
+            len(kept),
+            branch_words_by_composition(gens),
+        )
 
     @pytest.mark.parametrize("seed", range(40))
     def test_branch_duals_match_the_tuple_oracle(self, seed):
@@ -240,14 +286,14 @@ class TestBranchElements:
             with pytest.raises(ValueError, match=f"^branch {j} has {count} dual functionals"):
                 _branch_dual_characters(cover)
         else:
-            assert _branch_dual_characters(cover) == [c[0] for c in candidates]
+            assert _branch_dual_characters(cover) == [_mask(c[0]) for c in candidates]
 
     def test_branch_duals_of_the_standard_covers(self):
         # the parities of a functional on the images sum to its value on
         # their sum, 0, so duals need an odd number of images: the generic
         # cover has them for even n, and the run's cover (5 images) too
-        for cover in (*map(standard_cover_data, (2, 4, 6)), d_factor_branch_elements(GENS)):
-            assert _branch_dual_characters(cover) == [c for [c] in branch_dual_candidates(cover)]
+        for cover in (*map(standard_cover_data, (2, 4, 6)), d_factor_branch_elements(ACTIONS)):
+            assert _branch_dual_characters(cover) == [_mask(c) for [c] in branch_dual_candidates(cover)]
 
     def test_wrong_genus_fails_hurwitz_genus5(self, monkeypatch):
         # the builder does not judge the genus; the claims table does
@@ -258,7 +304,7 @@ class TestBranchElements:
 
 class TestOneForms:
     def test_character_inventory(self):
-        space = one_forms_space(d_factor_branch_elements(GENS), GENS)
+        space = one_forms_space(d_factor_branch_elements(ACTIONS), ACTIONS)
         assert dim(space) == 7
         assert len(space) == 7
         assert all(m == 1 for m in space.values())
@@ -267,16 +313,26 @@ class TestOneForms:
         assert C("+++++") not in space
 
     def test_full_group_has_no_invariants(self):
-        assert one_forms_invariants(one_forms_space(d_factor_branch_elements(GENS), GENS)) == 0
+        assert one_forms_invariants(one_forms_space(d_factor_branch_elements(ACTIONS), ACTIONS)) == 0
 
     def test_index_two_subgroups_with_one_invariant(self):
         e = [tuple(1 if i == j else 0 for i in range(5)) for j in range(5)]
-        space = one_forms_space(d_factor_branch_elements(GENS), GENS)
+        space = one_forms_space(d_factor_branch_elements(ACTIONS), ACTIONS)
         assert invariant_dim(space, [e[1], e[2], e[3], e[4]]) == 1
         assert invariant_dim(space, [e[0], e[2], e[3], e[4]]) == 1
 
+    def test_a_redundant_letter_takes_the_product_of_its_factors(self):
+        # the characters are lifted to G through the cover's table, so on
+        # g1 g2 each takes the product of its values on g1 and g2
+        actions = actions_mod2((*GENS, compose(GENS[0], GENS[1])))
+        cover = d_factor_branch_elements(actions)
+        assert cover == d_factor_branch_elements(ACTIONS)
+        space = one_forms_space(cover, actions)
+        assert all(chi[5] == chi[0] ^ chi[1] for chi in space)
+        assert Counter({chi[:5]: m for chi, m in space.items()}) == one_forms_space(cover, ACTIONS)
+
     def test_trivial_subgroup_sees_everything(self):
-        assert invariant_dim(one_forms_space(d_factor_branch_elements(GENS), GENS), []) == 7
+        assert invariant_dim(one_forms_space(d_factor_branch_elements(ACTIONS), ACTIONS), []) == 7
 
 
 class TestPencilInvariants:
