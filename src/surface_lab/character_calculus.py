@@ -126,7 +126,7 @@ def d_factor_branch_elements(actions: Sequence[int]) -> BranchedCoverData:
     chosen = []
     for word, action in zip(product((0, 1), repeat=len(kept)), table):
         d2, d3 = action >> 6 & 7, action >> 9 & 7  # coordinates 2 and 3
-        free_translation = d2 in (2, 4, 6) or d3 in (2, 4, 6)
+        free_translation = d2 in (2, 4, 6) or d3 in (2, 4, 6)  # sign +1, a half shift
         if action and not (free_translation or d2 == d3 == 1):
             chosen.append(word)
     return BranchedCoverData(len(kept), tuple(chosen))
@@ -149,8 +149,8 @@ def _branch_dual_characters(cover: BranchedCoverData) -> list[int]:
 
 def one_forms_space(cover: BranchedCoverData, actions: Sequence[int]) -> Counter:
     """The 7-dim space of one-forms on the product threefold, graded by
-    the generators: their sign bits on the two torus coordinates, and each
-    genus-5 line's dual functional lifted to G through their cover words."""
+    the generators' sign bits on the torus coordinates and the dual functionals
+    of cover = d_factor_branch_elements(actions), lifted through its span."""
     table = span_mod2([a & _CURVE for a in actions])[0]
     words = [table.index(a & _CURVE) for a in actions]
     torus = [[a >> 3 * coord & 1 for a in actions] for coord in (0, 1)]
