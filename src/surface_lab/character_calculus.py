@@ -3,11 +3,11 @@ section spaces.
 
 Every representation handled here is a direct sum of one-dimensional
 eigenspaces on which each chosen group generator acts as +1 or -1.  Such
-a sign character of (Z/2)^k is held as its F_2 exponent tuple: entry i
-is 1 where generator i acts as -1.  Characters multiply by xor, and the
-value of chi on the element with exponent word w is (-1)^(chi . w).  A
-representation is a Counter of characters, mapping each to its
-multiplicity.  The two concrete inputs are:
+a sign character of (Z/2)^k is held as its F_2 exponent mask, as in
+integer_algebra._mask: generator i's bit is set where it acts as -1.
+Characters multiply by xor, and the value of chi on the word (mask) w is
+(-1)^(chi . w).  A representation is a Counter of characters, mapping
+each to its multiplicity.  The two concrete inputs are:
 
 * the degree-two section space of an elliptic (or genus-5) factor, with
   basis {1, F} where F is the Legendre function of the factor: F is even
@@ -24,7 +24,7 @@ multiplicity.  The two concrete inputs are:
   the claims table judges; each summand's dual functional is read from
   the pairing table the cover built and lifted to G.
 
-Whatever reads the group action takes the run's actions_mod2.
+Whatever reads the group action takes the run's actions_mod2 or their curve_span.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from __future__ import annotations
 import cmath
 from collections import Counter
 from collections.abc import Sequence
-from itertools import product
 
 from .affine_groups import span_mod2
+from .integer_algebra import _mask
 from .orbifold_covers import BranchedCoverData
 
 
@@ -46,8 +46,8 @@ class ZeroParameter(Exception):
     """The pencil involution degenerates only for parameter zero."""
 
 
-def character_of_basis(actions: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    """Character of the Legendre basis section, one entry per generator.
+def character_of_basis(actions: Sequence[tuple[int, int]]) -> int:
+    """Character of the Legendre basis section, one bit per generator.
 
     Each action is the translation part (e-halves, tau-halves) of
     z -> +-z + t, in half-units; evenness makes the sign irrelevant.  The
@@ -57,7 +57,7 @@ def character_of_basis(actions: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     """
     if any([v % 2 for _, v in actions]):
         raise UnsupportedTranslation("tau-half translation does not act linearly on the sections")
-    return tuple([u % 2 for u, _ in actions])
+    return _mask([u for u, _ in actions])
 
 
 def tensor(spaces: Sequence[Counter]) -> Counter:
@@ -69,28 +69,25 @@ def tensor(spaces: Sequence[Counter]) -> Counter:
         nxt: Counter = Counter()
         for chi, m in result.items():
             for psi, n in space.items():
-                nxt[tuple([a ^ b for a, b in zip(chi, psi, strict=True)])] += m * n
+                nxt[chi ^ psi] += m * n
         result = nxt
     return +result
 
 
-def invariant_dim(space: Counter, subgroup_gens: Sequence[Sequence[int]]) -> int:
+def invariant_dim(space: Counter, subgroup_gens: Sequence[int]) -> int:
     """Dimension of the subspace fixed by the given subgroup generators:
     chi is +1 on the word w exactly when chi . w is even."""
     return sum([
         m
         for chi, m in space.items()
-        # a generator: all() stops at the first word that negates chi
-        if all(
-            sum([a * w for a, w in zip(chi, word, strict=True)]) % 2 == 0
-            for word in subgroup_gens
-        )
+        # a generator: any() stops at the first word that negates chi
+        if not any((chi & w).bit_count() & 1 for w in subgroup_gens)
     ])
 
 
 def legendre_pair_space(actions: Sequence[tuple[int, int]]) -> Counter:
     """The 2-dim section space spanned by 1 and the Legendre function."""
-    return Counter([(0,) * len(actions), character_of_basis(actions)])
+    return Counter([0, character_of_basis(actions)])
 
 
 def pencil_spaces(actions: Sequence[int]) -> list[Counter]:
@@ -105,11 +102,17 @@ def pencil_spaces(actions: Sequence[int]) -> list[Counter]:
 _CURVE = 0o7700  # the bits of actions_mod2 on coordinates 2 and 3
 
 
-def d_factor_branch_elements(actions: Sequence[int]) -> BranchedCoverData:
+def curve_span(actions: Sequence[int]) -> list[int]:
+    """G's image on the genus-5 curve: the span_mod2 table of the actions
+    on coordinates 2 and 3, table[w] the action of the word (mask) w."""
+    return span_mod2([a & _CURVE for a in actions])[0]
+
+
+def d_factor_branch_elements(curve: Sequence[int]) -> BranchedCoverData:
     """Branch data of the genus-5 factor over its quotient line.  The cover
-    group, G's image on the curve, is the span of the actions_mod2 on
-    coordinates 2 and 3; its kept letters are the basis the branch images
-    are words in.  The genus is not judged here; the claims table does.
+    group is G's image on the curve, curve = curve_span(actions), and each
+    branch image is the word w, a mask, of an action curve[w].  The genus
+    is not judged here; the claims table does.
 
     An element fixes points of the curve exactly when its torus action
     does not translate a +1 coordinate and is not the free elliptic double
@@ -122,14 +125,13 @@ def d_factor_branch_elements(actions: Sequence[int]) -> BranchedCoverData:
     * one sign +1: fixed points exist iff that coordinate's translation
       vanishes, and then the fixed fibers meet the curve.
     """
-    table, kept = span_mod2([a & _CURVE for a in actions])
     chosen = []
-    for word, action in zip(product((0, 1), repeat=len(kept)), table):
+    for word, action in enumerate(curve):
         d2, d3 = action >> 6 & 7, action >> 9 & 7  # coordinates 2 and 3
         free_translation = d2 in (2, 4, 6) or d3 in (2, 4, 6)  # sign +1, a half shift
         if action and not (free_translation or d2 == d3 == 1):
             chosen.append(word)
-    return BranchedCoverData(len(kept), tuple(chosen))
+    return BranchedCoverData(len(curve).bit_length() - 1, tuple(chosen))
 
 
 def _branch_dual_characters(cover: BranchedCoverData) -> list[int]:
@@ -147,21 +149,21 @@ def _branch_dual_characters(cover: BranchedCoverData) -> list[int]:
     return functionals
 
 
-def one_forms_space(cover: BranchedCoverData, actions: Sequence[int]) -> Counter:
+def one_forms_space(cover: BranchedCoverData, actions: Sequence[int], curve: list[int]) -> Counter:
     """The 7-dim space of one-forms on the product threefold, graded by
-    the generators' sign bits on the torus coordinates and the dual functionals
-    of cover = d_factor_branch_elements(actions), lifted through its span."""
-    table = span_mod2([a & _CURVE for a in actions])[0]
-    words = [table.index(a & _CURVE) for a in actions]
-    torus = [[a >> 3 * coord & 1 for a in actions] for coord in (0, 1)]
-    duals = [[(phi & w).bit_count() & 1 for w in words] for phi in _branch_dual_characters(cover)]
-    return Counter(map(tuple, torus + duals))
+    the generators' sign bits on the torus coordinates and the dual
+    functionals of cover = d_factor_branch_elements(curve), lifted to G
+    through each generator's word in curve = curve_span(actions)."""
+    words = [curve.index(a & _CURVE) for a in actions]
+    torus = [[a >> 3 * coord for a in actions] for coord in (0, 1)]
+    duals = [[(phi & w).bit_count() for w in words] for phi in _branch_dual_characters(cover)]
+    return Counter(map(_mask, torus + duals))
 
 
 def one_forms_invariants(space: Counter) -> int:
     """One-forms of a one_forms_space invariant under the whole acting
     group: those on which every generator acts as +1, the zero character."""
-    return sum(m for chi, m in space.items() if not any(chi))
+    return sum(m for chi, m in space.items() if not chi)
 
 
 def pencil_fixed_parameters(A: complex) -> tuple[complex, complex]:

@@ -25,7 +25,7 @@ import time
 from collections import Counter
 from collections.abc import Callable
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from operator import attrgetter
 
 from ._record import record
@@ -40,6 +40,7 @@ from .affine_groups import (
     standard_generators,
 )
 from .character_calculus import (
+    curve_span,
     d_factor_branch_elements,
     invariant_dim,
     legendre_pair_space,
@@ -141,8 +142,8 @@ class Facts:
     use by the builder this module imports, looked up at call time (so a
     replaced builder is seen by the next run), and kept until the run
     ends; nothing outlives the Facts object.  The character calculus reads
-    G through actions, the generators' actions mod 2, and the chain takes
-    the cover's genus and the order of the group they span.  The ten
+    G through actions, the generators' actions mod 2, and curve, their span
+    on the curve; the chain takes the cover's genus and G's order.  The ten
     commutators [g_i, g_j] are one table, commutators, that the claim
     commutator_table, the abelianization h1 and the span rank all read.
     """
@@ -171,8 +172,12 @@ class Facts:
         return actions_mod2(self.generators)
 
     @cached_property
+    def curve(self) -> list[int]:
+        return curve_span(self.actions)
+
+    @cached_property
     def cover(self) -> BranchedCoverData:
-        return d_factor_branch_elements(self.actions)
+        return d_factor_branch_elements(self.curve)
 
     @cached_property
     def catalog(self) -> ConfigCatalog:
@@ -258,9 +263,7 @@ def _first_difference(have: dict, want: dict, passed: str) -> str:
 
 
 def _fixed_point_histogram(f: Facts) -> dict[int, int]:
-    elements = product((0, 1), repeat=f.cover.n)
-    next(elements)  # the identity comes first and fixes everything
-    counts = Counter([fixed_point_count(f.cover, g) for g in elements])
+    counts = Counter([fixed_point_count(f.cover, g) for g in range(1, 1 << f.cover.n)])
     return dict(sorted(counts.items()))
 
 
@@ -300,15 +303,16 @@ _CONFIGURATION = ConfigReport(
 )
 _NAMED_CONFIGURATION = _CONFIGURATION.named()
 
-# the seven one-form characters, each of multiplicity 1: those of the two
-# torus coordinates, then one per line of the genus-5 curve
+# the seven one-form characters (mask bit strings), each of multiplicity 1:
+# those of the two torus coordinates, then one per line of the genus-5 curve
 _CHARACTERS = ("10000", "01000", "00100", "00101", "00110", "01001", "01110")
-_ONE_FORMS = (0, sorted((tuple(map(int, bits)), 1) for bits in _CHARACTERS))
+_ONE_FORMS = (0, sorted((bits, 1) for bits in _CHARACTERS))
 
 
-def _one_forms(f: Facts) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    space = one_forms_space(f.cover, f.actions)
-    return one_forms_invariants(space), sorted(space.items())
+def _one_forms(f: Facts) -> tuple[int, list[tuple[str, int]]]:
+    space = one_forms_space(f.cover, f.actions, f.curve)
+    inventory = sorted((f"{chi:0{len(f.actions)}b}", m) for chi, m in space.items())
+    return one_forms_invariants(space), inventory
 
 
 def _h1_h2(f: Facts) -> tuple[int, int, int]:
@@ -334,7 +338,7 @@ def _character_decomposition(f: Facts) -> tuple[int, list[int]]:
     # negate second, shift both by a half period; both coordinates see the
     # translations (0, 0), (0, 0), (1, 0), so the two factors are one space
     v = legendre_pair_space([(0, 0), (0, 0), (1, 0)])
-    pair_dim = invariant_dim(tensor([v, v]), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    pair_dim = invariant_dim(tensor([v, v]), [0b100, 0b010, 0b001])
     return pair_dim, sorted(tensor(pencil_spaces(f.actions)).values())
 
 

@@ -321,9 +321,10 @@ def rank_mod2(m: Rows) -> int:
 
 
 def _mask(row: Sequence[int]) -> int:
-    """The parities of row as an int, first entry the most significant bit,
-    so that k is the mask of the k-th tuple of product((0, 1), repeat=n);
-    over F_2, a . b is then (a & b).bit_count() & 1."""
+    """The parities of row as an int, first entry the most significant bit:
+    the one encoding of an element, word or sign character of (Z/2)^n, in
+    product order (k is the mask of the k-th 0/1 word in lexicographic
+    order).  Over F_2, a + b is a ^ b and a . b is (a & b).bit_count() & 1."""
     bits = 0
     for x in row:
         bits = 2 * bits + (x & 1)

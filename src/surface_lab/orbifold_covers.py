@@ -1,9 +1,10 @@
 """Galois (Z/2)^n covers of the line and their quotient combinatorics.
 
-A cover is described by its branch data: n and a list of nonzero vectors
-e_1, ..., e_m in F_2^n (one per branch point) that sum to zero and span
-the whole group.  Stabilizers over the i-th branch point are the order-2
-subgroups <e_i>, so Riemann-Hurwitz takes the simple shape
+A cover is described by its branch data: n and nonzero vectors e_1, ...,
+e_m of F_2^n (one per branch point, each a mask as in
+integer_algebra._mask) that sum to zero and span the whole group.
+Stabilizers over the i-th branch point are the order-2 subgroups <e_i>,
+so Riemann-Hurwitz takes the simple shape
 
     2g - 2 = 2^n (-2 + m/2).
 
@@ -33,35 +34,25 @@ class IdentityElement(Exception):
     """A branch image or query element was zero where nonzero is required."""
 
 
-Vec = tuple[int, ...]
-
-
-def _check_vec(v: Vec, n: int) -> Vec:
-    if len(v) != n:
-        raise ValueError(f"vector {v} does not have length {n}")
-    return tuple([x & 1 for x in v])
-
-
 @record
 class BranchedCoverData:
     """Branch data of a maximal (Z/2)^n cover of the projective line;
     pairings[phi], which == and repr ignore, holds the parities of the
-    functional phi (a mask in product order) on the images, in image order."""
+    functional phi (a mask too) on the image masks, in image order."""
 
     n: int
-    branch_images: tuple[Vec, ...]
+    branch_images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        imgs = tuple([_check_vec(v, self.n) for v in self.branch_images])
-        object.__setattr__(self, "branch_images", imgs)
-        for v in imgs:
-            if not any(v):
-                raise IdentityElement(f"zero branch image in {imgs}")
-        masks = [_mask(v) for v in imgs]
+        imgs = self.branch_images
+        if not all(v in range(1 << self.n) for v in imgs):
+            raise ValueError(f"branch images must be masks below 2^{self.n}: {imgs}")
+        if 0 in imgs:
+            raise IdentityElement(f"zero branch image in {imgs}")
         # tuple(list) allocates at the final size, so CPython reuses freed
         # tables; tuple(generator) resizes into place and never does
         pairings = tuple([
-            _mask([(phi & v).bit_count() for v in masks]) for phi in range(1 << self.n)
+            _mask([(phi & v).bit_count() for v in imgs]) for phi in range(1 << self.n)
         ])
         object.__setattr__(self, "pairings", pairings)
         if any(p.bit_count() & 1 for p in pairings):
@@ -88,17 +79,18 @@ def cover_genus(cover: BranchedCoverData) -> int:
     return _quotient_genus(1 << cover.n, len(cover.branch_images))
 
 
-def fixed_point_count(cover: BranchedCoverData, g: Vec) -> int:
-    """Number of fixed points of a nonzero group element on the cover.
+def fixed_point_count(cover: BranchedCoverData, g: int) -> int:
+    """Number of fixed points of a nonzero group element, a mask, on the cover.
 
     Only the branch stabilizers <e_i> fix anything; each branch point with
     e_i = g contributes a fiber of its index, |G| / 2 points.
     """
-    v = _check_vec(g, cover.n)
-    if not any(v):
+    if g not in range(1 << cover.n):
+        raise ValueError(f"element must be a mask below 2^{cover.n}: {g!r}")
+    if not g:
         raise IdentityElement("fixed points of the identity are the whole curve")
     per_point = (1 << cover.n) // 2
-    return per_point * cover.branch_images.count(v)
+    return per_point * cover.branch_images.count(g)
 
 
 def classify_corank1_subgroups(

@@ -1,7 +1,8 @@
 """Test oracles: slow or redundant routes to quantities the package
 computes another way, and the helpers that only the tests need (a record
 copy with changed fields, a change of lift, composition of affine maps,
-subgroup spans and membership, the argparse parser the CLI's own parser
+subgroup spans and membership, the tuple routes of the F_2 calculus the
+package does on int masks, the argparse parser the CLI's own parser
 replaced, the json.dumps call its JSON writer replaced, ...).
 `surface-lab verify` never calls them, so they live with the tests.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations, product
@@ -22,13 +23,12 @@ import random
 from surface_lab._record import record
 from surface_lab.affine_groups import AffineElement, abelianize_extension, standard_generators
 from surface_lab.checks import RunConfig
-from surface_lab.integer_algebra import FinAbGroup, rank_mod2
+from surface_lab.character_calculus import UnsupportedTranslation
+from surface_lab.integer_algebra import FinAbGroup, _mask, rank_mod2
 from surface_lab.legendre_numerics import PoleAtLatticePoint, _check_tau, _reduce
 from surface_lab.orbifold_covers import (
     BranchedCoverData,
     IdentityElement,
-    Vec,
-    _check_vec,
     _quotient_genus,
     orbifold_abelianization,
 )
@@ -294,6 +294,72 @@ def random_generators(rng: random.Random, count: int) -> tuple[AffineElement, ..
     )
 
 
+Vec = tuple[int, ...]
+
+
+def _check_vec(v: Vec, n: int) -> Vec:
+    """v read mod 2, checked to have length n."""
+    if len(v) != n:
+        raise ValueError(f"vector {v} does not have length {n}")
+    return tuple([x & 1 for x in v])
+
+
+def unmask(v: int, n: int) -> Vec:
+    """The 0/1 tuple of length n whose integer_algebra._mask is v."""
+    return tuple(v >> (n - 1 - i) & 1 for i in range(n))
+
+
+def tensor_by_entries(spaces: Sequence[Counter]) -> Counter:
+    """The tuple route to character_calculus.tensor: characters as 0/1
+    tuples, multiplied entry by entry."""
+    if not spaces:
+        raise ValueError("need at least one space")
+    result = spaces[0]
+    for space in spaces[1:]:
+        nxt: Counter = Counter()
+        for chi, m in result.items():
+            for psi, n in space.items():
+                nxt[tuple([a ^ b for a, b in zip(chi, psi, strict=True)])] += m * n
+        result = nxt
+    return +result
+
+
+def invariant_dim_by_entries(space: Counter, subgroup_gens: Sequence[Vec]) -> int:
+    """The tuple route to character_calculus.invariant_dim: chi . w as an
+    entry-by-entry dot product."""
+    return sum(
+        m
+        for chi, m in space.items()
+        if all(
+            sum(a * w for a, w in zip(chi, word, strict=True)) % 2 == 0 for word in subgroup_gens
+        )
+    )
+
+
+def character_of_basis_by_entries(actions: Sequence[tuple[int, int]]) -> Vec:
+    """The tuple route to character_calculus.character_of_basis."""
+    if any(v % 2 for _, v in actions):
+        raise UnsupportedTranslation("tau-half translation does not act linearly on the sections")
+    return tuple(u % 2 for u, _ in actions)
+
+
+def fixed_point_count_by_entries(n: int, images: Sequence[Vec], g: Vec) -> int:
+    """The tuple route to orbifold_covers.fixed_point_count on the cover
+    with branch images images: |G| / 2 points per image equal to g."""
+    v = _check_vec(g, n)
+    if not any(v):
+        raise IdentityElement("fixed points of the identity are the whole curve")
+    return (1 << n) // 2 * [_check_vec(e, n) for e in images].count(v)
+
+
+def pairings_by_entries(n: int, images: Sequence[Vec]) -> tuple[int, ...]:
+    """The tuple route to BranchedCoverData.pairings: for each functional
+    of product((0, 1), repeat=n), the mask of its parities on the images."""
+    return tuple(
+        _mask([pairing_parity(phi, v) for v in images]) for phi in product((0, 1), repeat=n)
+    )
+
+
 def branch_count(cover: BranchedCoverData) -> int:
     """m, the number of branch points."""
     return len(cover.branch_images)
@@ -338,7 +404,7 @@ def quotient_genus(cover: BranchedCoverData, sub: Subgroup) -> int:
     if sub.n != cover.n:
         raise ValueError("subgroup dimension mismatch")
     elems = sub.elements()
-    surviving = sum(1 for v in cover.branch_images if v not in elems)
+    surviving = sum(1 for v in cover.branch_images if unmask(v, cover.n) not in elems)
     return _quotient_genus((1 << cover.n) // len(elems), surviving)
 
 
@@ -351,7 +417,7 @@ def corank1_histogram(cover: BranchedCoverData) -> dict[tuple[int, int], int]:
         if any(functional):
             sub = Subgroup(cover.n, kernel_basis(functional, cover.n))
             elems = sub.elements()
-            inside = sum(1 for v in cover.branch_images if v in elems)
+            inside = sum(1 for v in cover.branch_images if unmask(v, cover.n) in elems)
             key = (inside, quotient_genus(cover, sub))
             histogram[key] = histogram.get(key, 0) + 1
     return histogram
@@ -362,7 +428,7 @@ def branch_dual_candidates(cover: BranchedCoverData) -> list[list[Vec]]:
     returns each as its mask, integer_algebra._mask): per branch image,
     every functional of product((0, 1), repeat=n), in that order, that
     pairs it to 0 and each other image to 1."""
-    images = cover.branch_images
+    images = [unmask(v, cover.n) for v in cover.branch_images]
     return [
         [
             phi
@@ -378,14 +444,15 @@ def pairing_parity(phi: Vec, v: Vec) -> int:
     return sum(p * x for p, x in zip(phi, v, strict=True)) % 2
 
 
-def validate_by_columns(n: int, images: tuple[Vec, ...]) -> None:
+def validate_by_columns(n: int, images: tuple[int, ...]) -> None:
     """The column route to BranchedCoverData's validation: the images sum
     to zero when every coordinate's column sum is even, and they span when
     their rank over F_2 is n; raises what the cover raises, in its order."""
-    imgs = tuple(_check_vec(v, n) for v in images)
-    for v in imgs:
-        if not any(v):
-            raise IdentityElement(f"zero branch image in {imgs}")
+    if not all(isinstance(v, int) and 0 <= v < 1 << n for v in images):
+        raise ValueError(f"branch images must be masks below 2^{n}: {images}")
+    if 0 in images:
+        raise IdentityElement(f"zero branch image in {images}")
+    imgs = [unmask(v, n) for v in images]
     if any(sum(column) % 2 for column in zip(*imgs)):
         raise ValueError("branch images must sum to zero")
     if rank_mod2(imgs) != n:
@@ -404,7 +471,7 @@ def random_cover_data(rng: random.Random, n: int) -> BranchedCoverData:
         if any(total):
             images.append(total)
         try:
-            return BranchedCoverData(n, tuple(images))
+            return BranchedCoverData(n, tuple(map(_mask, images)))
         except ValueError:
             continue
 
@@ -465,9 +532,9 @@ def branch_component_names() -> tuple[tuple[str, ...], ...]:
 
 def standard_cover_data(n: int = 4) -> BranchedCoverData:
     """The generic (Z/2)^n cover with n + 1 branch points: the standard
-    basis plus its sum, the all-ones vector."""
-    basis = tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
-    return BranchedCoverData(n, (*basis, (1,) * n))
+    basis, first generator first, plus its sum, the all-ones vector."""
+    basis = tuple(1 << (n - 1 - i) for i in range(n))
+    return BranchedCoverData(n, (*basis, (1 << n) - 1))
 
 
 def _frame_distance(tau: complex) -> float:

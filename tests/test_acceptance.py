@@ -17,6 +17,7 @@ from surface_lab.affine_groups import (
     standard_generators,
 )
 from surface_lab.character_calculus import (
+    curve_span,
     d_factor_branch_elements,
     invariant_dim,
     legendre_pair_space,
@@ -100,15 +101,14 @@ def test_criterion_3_orbifold_bound():
 
 def test_criterion_4_subgroup_classification():
     # the genus-5 cover the generators induce on their curve factor
-    data = d_factor_branch_elements(actions_mod2(standard_generators()))
+    data = d_factor_branch_elements(curve_span(actions_mod2(standard_generators())))
     assert cover_genus(data) == 5
     histogram = classify_corank1_subgroups(data)
     assert histogram == {(1, 1): 5, (3, 0): 10}
     assert sum(histogram.values()) == 15
     branch = set(data.branch_images)
     assert len(branch) == 5
-    for k in range(1, 16):
-        v = tuple((k >> i) & 1 for i in range(4))
+    for v in range(1, 16):
         assert fixed_point_count(data, v) == (8 if v in branch else 0)
 
 
@@ -129,7 +129,8 @@ def test_criterion_5_numerical_invariants():
     from surface_lab.character_calculus import one_forms_invariants, one_forms_space
 
     actions = actions_mod2(standard_generators())
-    space = one_forms_space(d_factor_branch_elements(actions), actions)
+    curve = curve_span(actions)
+    space = one_forms_space(d_factor_branch_elements(curve), actions, curve)
     assert one_forms_invariants(space) == 0  # q(S) = 0, exact
 
 
@@ -153,7 +154,7 @@ def test_criterion_7_character_decompositions():
     # negate the first coordinate, the second, shift both by an e-half:
     # on either coordinate the translations are (0, 0), (0, 0), (1, 0)
     v = legendre_pair_space([(0, 0), (0, 0), (1, 0)])
-    assert invariant_dim(tensor([v, v]), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 2
+    assert invariant_dim(tensor([v, v]), [0b100, 0b010, 0b001]) == 2
     triple = tensor(pencil_spaces(actions_mod2(standard_generators())))
     assert sorted(triple.values()) == [2, 2, 2, 2]
     constant = invariant_pencil_constant(

@@ -17,6 +17,7 @@ from surface_lab.character_calculus import (
     ZeroParameter,
     _branch_dual_characters,
     character_of_basis,
+    curve_span,
     d_factor_branch_elements,
     invariant_dim,
     legendre_pair_space,
@@ -33,19 +34,25 @@ from surface_lab.orbifold_covers import cover_genus, fixed_point_count
 from oracles import (
     branch_dual_candidates,
     branch_words_by_composition,
+    character_of_basis_by_entries,
     compose,
+    fixed_point_count_by_entries,
+    invariant_dim_by_entries,
     mod2_actions_by_composition,
+    pairings_by_entries,
     random_cover_data,
     random_generators,
     spanning_letters,
     standard_cover_data,
+    tensor_by_entries,
+    unmask,
 )
 
 
-def C(pattern: str) -> tuple[int, ...]:
+def C(pattern: str) -> int:
     """The character written as a +- string, one sign per generator, as
-    its F_2 exponent tuple: 1 where the generator acts as -1."""
-    return tuple(0 if c == "+" else 1 for c in pattern)
+    its F_2 exponent mask: the generator's bit is set where it acts as -1."""
+    return _mask([c == "-" for c in pattern])
 
 
 def dim(space: Counter) -> int:
@@ -54,6 +61,8 @@ def dim(space: Counter) -> int:
 
 GENS = standard_generators()
 ACTIONS = actions_mod2(GENS)
+CURVE = curve_span(ACTIONS)
+COVER = d_factor_branch_elements(CURVE)
 
 
 def decoded(action: int, n: int = 4) -> tuple[tuple[int, int, int], ...]:
@@ -75,23 +84,21 @@ def four_gen_actions(coord):
 
 class TestSignCharacter:
     def test_string_round_trip(self):
-        assert C("+-+") == (0, 1, 0)
+        assert C("+-+") == 0b010
+        assert C("-++++") == 0b10000
 
     def test_multiplication_and_values(self):
         assert tensor([Counter([C("+-")]), Counter([C("--")])]) == {C("-+"): 1}
         # the value on a word, read through the invariant dimension
-        assert invariant_dim(Counter([C("+--+")]), [(0, 1, 1, 0)]) == 1
-        assert invariant_dim(Counter([C("+--+")]), [(0, 1, 0, 0)]) == 0
-        assert invariant_dim(Counter([C("+--+")]), [(2, 3, -1, 0)]) == 1
-        with pytest.raises(ValueError):
-            tensor([Counter([C("+-")]), Counter([C("+--")])])
-        with pytest.raises(ValueError):
-            invariant_dim(Counter([C("+-")]), [(0, 1, 0)])
+        assert invariant_dim(Counter([C("+--+")]), [0b0110]) == 1
+        assert invariant_dim(Counter([C("+--+")]), [0b0100]) == 0
+        assert invariant_dim(Counter([C("+--+")]), [0b1111]) == 1
+        assert invariant_dim(Counter([C("+--+")]), [0b0011]) == 0
 
     def test_graded_space_validation(self):
-        # characters of different lengths in one space meet a mismatch
+        # a mask carries no length, so only the empty product is refused
         with pytest.raises(ValueError):
-            tensor([Counter([C("++"), C("+++")]), Counter([C("++")])])
+            tensor([])
         # a zero multiplicity is dropped
         assert tensor([Counter({C("++"): 0})]) == {}
 
@@ -153,7 +160,7 @@ class TestTensor:
         for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
             comps = Counter()
             for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
-                chi = tuple(data.draw(st.sampled_from((0, 1))) for _ in range(k))
+                chi = data.draw(st.integers(0, (1 << k) - 1))
                 comps[chi] += data.draw(st.integers(min_value=1, max_value=3))
             spaces.append(comps)
         product_dim = 1
@@ -163,7 +170,7 @@ class TestTensor:
 
 
 class TestInvariantDim:
-    FULL4 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    FULL4 = [0b1000, 0b0100, 0b0010, 0b0001]
 
     def test_three_factor_invariants(self):
         total = tensor(pencil_spaces(ACTIONS))
@@ -171,11 +178,11 @@ class TestInvariantDim:
         assert invariant_dim(total, []) == dim(total) == 8
 
     def test_words_after_a_negating_word_go_unread(self):
-        # all() stops at the first word that negates chi: a later word of
-        # the wrong length is read only for characters the earlier ones fix
-        assert invariant_dim(Counter([C("-")]), [(1,), (1, 0)]) == 0
-        with pytest.raises(ValueError):
-            invariant_dim(Counter([C("+")]), [(1,), (1, 0)])
+        # any() stops at the first word that negates chi: a later word that
+        # is not a mask is read only for characters the earlier ones fix
+        assert invariant_dim(Counter([C("-")]), [0b1, None]) == 0
+        with pytest.raises(TypeError):
+            invariant_dim(Counter([C("+")]), [0b1, None])
 
     def test_two_factor_case_on_three_generators(self):
         # three involutions on the elliptic square: negation of the first
@@ -184,7 +191,7 @@ class TestInvariantDim:
         v = legendre_pair_space([(0, 0), (0, 0), (1, 0)])
         assert v == {C("+++"): 1, C("++-"): 1}
         pair = tensor([v, v])
-        assert invariant_dim(pair, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 2
+        assert invariant_dim(pair, [0b100, 0b010, 0b001]) == 2
         assert invariant_dim(pair, []) == 4
 
     @given(st.data())
@@ -202,24 +209,17 @@ class TestInvariantDim:
 
 class TestBranchElements:
     def test_derived_branch_set(self):
-        assert set(d_factor_branch_elements(ACTIONS).branch_images) == {
-            (0, 1, 0, 0),
-            (0, 1, 0, 1),
-            (0, 0, 1, 1),
-            (1, 1, 0, 0),
-            (1, 1, 1, 0),
-        }
+        assert set(COVER.branch_images) == {0b0100, 0b0101, 0b0011, 0b1100, 0b1110}
 
     def test_consistency_with_cover_machinery(self):
-        data = d_factor_branch_elements(ACTIONS)
+        data = COVER
         assert data.n == 4 and len(data.branch_images) == 5
         assert cover_genus(data) == 5
         for v in data.branch_images:
             assert fixed_point_count(data, v) == 8
 
     def test_three_elements_avoid_the_first_generator(self):
-        elements = d_factor_branch_elements(ACTIONS).branch_images
-        assert sum(1 for v in elements if v[0] == 0) == 3
+        assert sum(1 for v in COVER.branch_images if not v & 0b1000) == 3
 
     @staticmethod
     def assert_table_matches_composition(gens):
@@ -270,9 +270,9 @@ class TestBranchElements:
         gens = random_generators(rng, rng.randint(2, 6))
         monkeypatch.setattr(character_calculus, "BranchedCoverData", lambda n, words: (n, words))
         kept = spanning_letters(mod2_actions_by_composition(gens), (2, 3))
-        assert d_factor_branch_elements(actions_mod2(gens)) == (
+        assert d_factor_branch_elements(curve_span(actions_mod2(gens))) == (
             len(kept),
-            branch_words_by_composition(gens),
+            tuple(map(_mask, branch_words_by_composition(gens))),
         )
 
     @pytest.mark.parametrize("seed", range(40))
@@ -288,11 +288,47 @@ class TestBranchElements:
         else:
             assert _branch_dual_characters(cover) == [_mask(c[0]) for c in candidates]
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_masks_match_the_tuple_oracles(self, seed):
+        # the int masks against the 0/1 tuples they encode, integer_algebra._mask
+        # of each tuple result: characters multiply and pair, the basis
+        # character, the cover's pairing table and every fixed point count
+        rng = random.Random(seed)
+        k = seed % 5 + 1
+
+        def word() -> tuple[int, ...]:
+            return tuple(rng.randint(0, 1) for _ in range(k))
+
+        def masked(space: Counter) -> Counter:
+            return Counter({_mask(chi): m for chi, m in space.items()})
+
+        spaces = [
+            Counter({word(): rng.randint(0, 3) for _ in range(rng.randint(1, 4))})
+            for _ in range(rng.randint(1, 3))
+        ]
+        total = tensor_by_entries(spaces)
+        assert tensor(list(map(masked, spaces))) == masked(total)
+        words = [word() for _ in range(rng.randint(0, 3))]
+        assert invariant_dim(masked(total), list(map(_mask, words))) == invariant_dim_by_entries(
+            total, words
+        )
+        actions = [(rng.randint(-3, 3), 2 * rng.randint(-2, 2)) for _ in range(k)]
+        assert character_of_basis(actions) == _mask(character_of_basis_by_entries(actions))
+        cover = random_cover_data(rng, k)
+        images = [unmask(v, k) for v in cover.branch_images]
+        assert list(map(_mask, images)) == list(cover.branch_images)
+        assert cover.pairings == pairings_by_entries(k, images)
+        for g in product((0, 1), repeat=k):
+            if any(g):
+                assert fixed_point_count(cover, _mask(g)) == fixed_point_count_by_entries(
+                    k, images, g
+                )
+
     def test_branch_duals_of_the_standard_covers(self):
         # the parities of a functional on the images sum to its value on
         # their sum, 0, so duals need an odd number of images: the generic
         # cover has them for even n, and the run's cover (5 images) too
-        for cover in (*map(standard_cover_data, (2, 4, 6)), d_factor_branch_elements(ACTIONS)):
+        for cover in (*map(standard_cover_data, (2, 4, 6)), COVER):
             assert _branch_dual_characters(cover) == [_mask(c) for [c] in branch_dual_candidates(cover)]
 
     def test_wrong_genus_fails_hurwitz_genus5(self, monkeypatch):
@@ -304,7 +340,7 @@ class TestBranchElements:
 
 class TestOneForms:
     def test_character_inventory(self):
-        space = one_forms_space(d_factor_branch_elements(ACTIONS), ACTIONS)
+        space = one_forms_space(COVER, ACTIONS, CURVE)
         assert dim(space) == 7
         assert len(space) == 7
         assert all(m == 1 for m in space.values())
@@ -313,11 +349,11 @@ class TestOneForms:
         assert C("+++++") not in space
 
     def test_full_group_has_no_invariants(self):
-        assert one_forms_invariants(one_forms_space(d_factor_branch_elements(ACTIONS), ACTIONS)) == 0
+        assert one_forms_invariants(one_forms_space(COVER, ACTIONS, CURVE)) == 0
 
     def test_index_two_subgroups_with_one_invariant(self):
-        e = [tuple(1 if i == j else 0 for i in range(5)) for j in range(5)]
-        space = one_forms_space(d_factor_branch_elements(ACTIONS), ACTIONS)
+        e = [1 << (4 - j) for j in range(5)]
+        space = one_forms_space(COVER, ACTIONS, CURVE)
         assert invariant_dim(space, [e[1], e[2], e[3], e[4]]) == 1
         assert invariant_dim(space, [e[0], e[2], e[3], e[4]]) == 1
 
@@ -325,14 +361,18 @@ class TestOneForms:
         # the characters are lifted to G through the cover's table, so on
         # g1 g2 each takes the product of its values on g1 and g2
         actions = actions_mod2((*GENS, compose(GENS[0], GENS[1])))
-        cover = d_factor_branch_elements(actions)
-        assert cover == d_factor_branch_elements(ACTIONS)
-        space = one_forms_space(cover, actions)
-        assert all(chi[5] == chi[0] ^ chi[1] for chi in space)
-        assert Counter({chi[:5]: m for chi, m in space.items()}) == one_forms_space(cover, ACTIONS)
+        curve = curve_span(actions)
+        cover = d_factor_branch_elements(curve)
+        assert (curve, cover) == (CURVE, COVER)
+        space = one_forms_space(cover, actions, curve)
+        # g1, g2 and g1 g2 are bits 5, 4 and 0 of a six-letter character
+        assert all((chi ^ chi >> 4 ^ chi >> 5) & 1 == 0 for chi in space)
+        assert Counter({chi >> 1: m for chi, m in space.items()}) == one_forms_space(
+            cover, ACTIONS, CURVE
+        )
 
     def test_trivial_subgroup_sees_everything(self):
-        assert invariant_dim(one_forms_space(d_factor_branch_elements(ACTIONS), ACTIONS), []) == 7
+        assert invariant_dim(one_forms_space(COVER, ACTIONS, CURVE), []) == 7
 
 
 class TestPencilInvariants:

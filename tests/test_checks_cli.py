@@ -339,15 +339,15 @@ class TestRun:
         # sign bit that one_forms_space reads on the two torus coordinates
         # (bits 0 and 3), keeps the zero character out, so the invariant
         # count alone missed it; the curve bits, and so the cover, are kept
-        def complemented(cover, actions):
-            return one_forms_space(cover, [a ^ 0o11 for a in actions])
+        def complemented(cover, actions, curve):
+            return one_forms_space(cover, [a ^ 0o11 for a in actions], curve)
 
         monkeypatch.setattr(checks_mod, "one_forms_space", complemented)
         [result] = run(RunConfig(checks=("q_S_zero",), taus=()))
         assert (result.status, result.expected, result.actual) == (
             "fail",
             "0 invariant one-forms",
-            "(0, 1, 0, 0, 0) = 0, want 1",
+            "01000 = 0, want 1",
         )
 
     # on the presentation (*standard_generators(), g1 g2) of the same group,
@@ -384,9 +384,8 @@ class TestRun:
     def test_six_point_cover_fails_the_four_cover_claims(self, monkeypatch):
         # valid branch data (it sums to zero and spans F_2^4), but with six
         # branch points: every claim that reads the cover must see it
-        basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-        six = BranchedCoverData(4, (*basis, (1, 1, 0, 0), (0, 0, 1, 1)))
-        monkeypatch.setattr(checks_mod, "d_factor_branch_elements", lambda gens: six)
+        six = BranchedCoverData(4, (0b1000, 0b0100, 0b0010, 0b0001, 0b1100, 0b0011))
+        monkeypatch.setattr(checks_mod, "d_factor_branch_elements", lambda curve: six)
         names = ("hurwitz_genus5", "fixed_points_8", "subgroup_classification", "orbifold_bound_64")
         results = {r.name: r for r in run(RunConfig(taus=()))}
         assert {results[name].status for name in names} == {"fail"}
@@ -500,6 +499,12 @@ class TestSharedFacts:
         # the character calculus takes the run's generators
         calls = calls_in_one_run(affine_groups_mod.standard_generators)
         assert calls == {"standard_generators": 1}
+
+    def test_one_run_spans_the_actions_twice(self):
+        # once for the group order, once on the curve coordinates, which
+        # the cover and the one-forms both read
+        calls = calls_in_one_run(affine_groups_mod.span_mod2)
+        assert calls == {"span_mod2": 2}
 
     def test_one_run_computes_each_commutator_once(self):
         # the commutator table, the abelianization and the span rank read

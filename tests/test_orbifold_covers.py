@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import xor
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -29,6 +31,7 @@ from oracles import (
     quotient_genus,
     random_cover_data,
     standard_cover_data,
+    unmask,
     validate_by_columns,
 )
 
@@ -36,29 +39,29 @@ from oracles import (
 def test_standard_cover_data():
     data = standard_cover_data(4)
     assert branch_count(data) == 5
-    assert data.branch_images[-1] == (1, 1, 1, 1)
+    assert data.branch_images == (0b1000, 0b0100, 0b0010, 0b0001, 0b1111)
 
 
 def test_cover_genus_values():
     # 2g - 2 = 2^n (-2 + m/2): the three frozen cases
     assert cover_genus(standard_cover_data(4)) == 5
-    two_point = BranchedCoverData(1, ((1,), (1,)))
+    two_point = BranchedCoverData(1, (1, 1))
     assert cover_genus(two_point) == 0
-    four_point_rank3 = BranchedCoverData(
-        3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
-    )
+    four_point_rank3 = BranchedCoverData(3, (0b100, 0b010, 0b001, 0b111))
     assert cover_genus(four_point_rank3) == 1
 
 
 def test_cover_data_validation():
-    with pytest.raises(ValueError):
-        # images do not sum to zero
-        BranchedCoverData(2, ((1, 0), (0, 1), (1, 0)))
-    with pytest.raises(ValueError):
-        # images do not generate
-        BranchedCoverData(2, ((1, 0), (1, 0)))
+    with pytest.raises(ValueError, match="sum to zero"):
+        BranchedCoverData(2, (0b10, 0b01, 0b10))
+    with pytest.raises(ValueError, match="generate"):
+        BranchedCoverData(2, (0b10, 0b10))
     with pytest.raises(IdentityElement):
-        BranchedCoverData(2, ((1, 0), (0, 0), (1, 0)))
+        BranchedCoverData(2, (0b10, 0, 0b10))
+    # an image is a mask below 2^n: not a larger int, a negative one or a tuple
+    for wrong in (0b100, -1, (1, 0)):
+        with pytest.raises(ValueError, match="must be masks below 2"):
+            BranchedCoverData(2, (0b10, 0b01, 0b11, wrong))
 
 
 def test_quotient_genus_frozen_cases():
@@ -80,22 +83,18 @@ def test_fixed_point_counts():
     data = standard_cover_data(4)
     for e in data.branch_images:
         assert fixed_point_count(data, e) == 8
-    assert fixed_point_count(data, (1, 1, 0, 0)) == 0
-    assert fixed_point_count(data, (1, 0, 1, 1)) == 0
+    assert fixed_point_count(data, 0b1100) == 0
+    assert fixed_point_count(data, 0b1011) == 0
     with pytest.raises(IdentityElement):
-        fixed_point_count(data, (0, 0, 0, 0))
-    two_point = BranchedCoverData(1, ((1,), (1,)))
-    assert fixed_point_count(two_point, (1,)) == 2
+        fixed_point_count(data, 0)
+    two_point = BranchedCoverData(1, (1, 1))
+    assert fixed_point_count(two_point, 1) == 2
 
 
 def test_fixed_points_partition_total_ramification():
     # sum over all nonzero elements equals m * |G| / 2
     data = standard_cover_data(4)
-    total = sum(
-        fixed_point_count(data, v)
-        for v in product((0, 1), repeat=4)
-        if any(v)
-    )
+    total = sum(fixed_point_count(data, v) for v in range(1, 16))
     assert total == 5 * 8
 
 
@@ -112,10 +111,12 @@ def test_contains_checks_the_vector_length():
     assert contains(sub, (1, 1, 0, 0))
     assert contains(sub, (3, 1, 0, 2))  # entries are read mod 2
     assert not contains(sub, (0, 0, 1, 0))
-    # a vector of another length is an error, as in fixed_point_count
+    # a vector of another length is an error, as a mask outside
+    # range(1 << n) is in fixed_point_count
     for wrong in ((1, 0), (1, 0, 0, 0, 0, 0)):
         with pytest.raises(ValueError):
             contains(sub, wrong)
+    for wrong in (1 << 4, -1, (1, 0, 0, 0)):
         with pytest.raises(ValueError):
             fixed_point_count(standard_cover_data(4), wrong)
 
@@ -124,25 +125,26 @@ def test_contains_checks_the_vector_length():
 def branch_data(draw):
     """Valid branch data: nonzero images that sum to zero and span F_2^n."""
     n = draw(st.integers(1, 5))
-    codes = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=n, max_size=n + 3))
-    images = [tuple((c >> i) & 1 for i in range(n)) for c in codes]
-    total = tuple(sum(col) % 2 for col in zip(*images))
+    images = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=n, max_size=n + 3))
+    total = reduce(xor, images)
     try:
-        return BranchedCoverData(n, tuple(images) + ((total,) if any(total) else ()))
+        return BranchedCoverData(n, tuple(images) + ((total,) if total else ()))
     except ValueError:
         assume(False)
 
 
 @st.composite
 def raw_branch_data(draw):
-    """(n, images) for n <= 5, valid or not: entries 0..3, now and then a
-    zero image or one of length n + 1, and about half the time the images'
-    sum appended so that they sum to zero."""
+    """(n, images) for n <= 5, valid or not: masks below 2^n, now and then
+    a zero image or one outside range(1 << n), and about half the time the
+    images' sum appended so that they sum to zero."""
     n = draw(st.integers(0, 5))
-    length = st.sampled_from([n] * 15 + [n + 1])
-    images = draw(st.lists(length.flatmap(lambda k: st.tuples(*[st.integers(0, 3)] * k)),
-                           max_size=n + 3))
-    total = tuple(sum(v[k] for v in images if len(v) == n) % 2 for k in range(n))
+    outside = st.one_of(st.just(-1), st.integers(1 << n, 2 << n))
+    mask = st.sampled_from([False] * 15 + [True]).flatmap(
+        lambda out: outside if out else st.integers(0, (1 << n) - 1)
+    )
+    images = draw(st.lists(mask, max_size=n + 3))
+    total = reduce(xor, [v for v in images if v in range(1 << n)], 0)
     if draw(st.booleans()):
         images.append(total)
     return n, tuple(images)
@@ -158,11 +160,12 @@ def outcome(build, n, images):
 
 @settings(max_examples=300, deadline=None)
 @given(raw_branch_data())
-@example((4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1))))
-@example((2, ((1, 0), (0, 1), (1, 0))))  # the sum is not zero
-@example((2, ((1, 0), (1, 0))))  # the images do not span
-@example((2, ((1, 0), (0, 0), (0, 1))))  # a zero image before an odd sum
-@example((2, ((1, 0, 0), (0, 0))))  # a wrong length before a zero image
+@example((4, (0b1000, 0b0100, 0b0010, 0b0001, 0b1111)))
+@example((2, (0b10, 0b01, 0b10)))  # the sum is not zero
+@example((2, (0b10, 0b10)))  # the images do not span
+@example((2, (0b10, 0, 0b01)))  # a zero image before an odd sum
+@example((2, (0b100, 0)))  # a mask out of range before a zero image
+@example((2, ((1, 0), (0, 1), (1, 1))))  # tuples are not masks
 @example((0, ()))
 @example((3, ()))
 def test_validation_accepts_and_raises_as_the_column_route(raw):
@@ -182,7 +185,7 @@ def test_each_stored_parity_is_the_pairing(data):
     assert len(data.pairings) == len(functionals)
     for phi, parities in zip(functionals, data.pairings):
         assert [(parities >> (m - 1 - i)) & 1 for i in range(m)] == [
-            pairing_parity(phi, v) for v in data.branch_images
+            pairing_parity(phi, unmask(v, data.n)) for v in data.branch_images
         ]
     # the table is not a field: == and repr read n and the images only
     assert "pairings" not in repr(data)
@@ -218,9 +221,7 @@ def test_classification_matches_a_count_by_functional_parity(n):
     for phi in product((0, 1), repeat=n):
         if not any(phi):
             continue
-        inside = sum(
-            1 for e in data.branch_images if sum(p * x for p, x in zip(phi, e)) % 2 == 0
-        )
+        inside = sum(1 for e in data.branch_images if pairing_parity(phi, unmask(e, n)) == 0)
         key = (inside, (branch_count(data) - inside - 2) // 2)
         want[key] = want.get(key, 0) + 1
     assert classify_corank1_subgroups(data) == want
@@ -267,8 +268,8 @@ def test_hurwitz_matches_direct_count(n):
 def test_minimal_branch_data_gives_genus_zero():
     # valid data cannot push the genus below zero: generation forces
     # m >= n + 1, and the borderline cases land exactly on the line
-    assert cover_genus(BranchedCoverData(2, ((1, 0), (0, 1), (1, 1)))) == 0
-    assert cover_genus(BranchedCoverData(1, ((1,), (1,)))) == 0
+    assert cover_genus(BranchedCoverData(2, (0b10, 0b01, 0b11))) == 0
+    assert cover_genus(BranchedCoverData(1, (1, 1))) == 0
 
 
 def test_non_integral_guard_on_raw_input():
