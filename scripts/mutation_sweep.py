@@ -8,8 +8,13 @@ Each mutant changes one site of one module:
   `not in` swap;
 * an arithmetic operator (also in `+=` and the like): `+` and `-` swap,
   `*` becomes `+`, `/` and `//` become `*`, `%` becomes `//`;
+* a bitwise operator (also in `&=` and the like): `&` becomes `^`, `^`
+  and `|` become `&`, `<<` and `>>` swap;
 * `and` and `or` swap;
 * an int constant gains 1; a float constant is scaled by 1.5.
+
+Annotations hold no sites: every module defers them, so a mutant there
+(`int | None` -> `int & None`) changes nothing that runs.
 
 The mutant is written into a temporary copy of the package, outside the
 source tree, and judged in a fresh interpreter with a 20 s timeout by
@@ -56,21 +61,28 @@ SWAP = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add,
     ast.Div: ast.Mult, ast.FloorDiv: ast.Mult, ast.Mod: ast.FloorDiv,
+    ast.BitAnd: ast.BitXor, ast.BitXor: ast.BitAnd, ast.BitOr: ast.BitAnd,
+    ast.LShift: ast.RShift, ast.RShift: ast.LShift,
     ast.And: ast.Or, ast.Or: ast.And,
 }
 SYMBOL = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
     ast.NotEq: "!=", ast.In: "in", ast.NotIn: "not in", ast.Add: "+",
     ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.FloorDiv: "//",
-    ast.Mod: "%", ast.And: "and", ast.Or: "or",
+    ast.Mod: "%", ast.BitAnd: "&", ast.BitXor: "^", ast.BitOr: "|",
+    ast.LShift: "<<", ast.RShift: ">>", ast.And: "and", ast.Or: "or",
 }
 
 
 def sites(tree: ast.AST) -> list[tuple[ast.AST, int | None]]:
     """Every mutable site as (node, index of the operator in a comparison,
     else None), in ast.walk order, which is the same for equal sources."""
+    hints = [getattr(node, k, None) for node in ast.walk(tree) for k in ("annotation", "returns")]
+    skip = {id(n) for hint in hints if hint is not None for n in ast.walk(hint)}
     found = []
     for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
         if isinstance(node, ast.Compare):
             found += [(node, i) for i, op in enumerate(node.ops) if type(op) in SWAP]
         elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)):

@@ -7,15 +7,15 @@ the fields are set, == requires the same class and compares the field
 tuple, hash is the hash of that tuple and repr is QualName(f=v!r, ...).
 Assignment and deletion raise AttributeError.  A field whose class value
 is HIDDEN is required and ignored by ==, hash and repr.  Every method is
-a closure over the field names; nothing is exec'd.
+a closure over the field names; nothing is exec'd.  __init__ stores the
+fields straight into the instance dict, so a field must not share its
+name with a data descriptor (a property, say) of its class.
 """
 
 from operator import attrgetter
 
 # class value of a required field that ==, hash and repr ignore
 HIDDEN = object()
-
-_set = object.__setattr__
 
 
 def record(cls):
@@ -28,26 +28,22 @@ def record(cls):
     count, slots = len(names), tuple(enumerate(names))
     post, what = getattr(cls, "__post_init__", None), cls.__qualname__
 
-    def bind(args, kwargs):
-        if len(args) > count:
-            raise TypeError(f"{what}() takes {count} arguments but {len(args)} were given")
-        values = list(args)
-        for name in names[len(args):]:
-            if name in kwargs:
-                values.append(kwargs.pop(name))
+    def __init__(self, *args, **kwargs):
+        given = len(args)
+        if given > count:
+            raise TypeError(f"{what}() takes {count} arguments but {given} were given")
+        values = self.__dict__
+        for i, name in slots:
+            if i < given:
+                values[name] = args[i]
+            elif name in kwargs:
+                values[name] = kwargs.pop(name)
             elif name in defaults:
-                values.append(defaults[name])
+                values[name] = defaults[name]
             else:
                 raise TypeError(f"{what}() missing argument {name!r}")
         if kwargs:
             raise TypeError(f"{what}() got unexpected or repeated arguments {sorted(kwargs)}")
-        return values
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != count:
-            args = bind(args, kwargs)
-        for i, name in slots:
-            _set(self, name, args[i])
         if post is not None:
             post(self)
 

@@ -44,7 +44,8 @@ class BranchedCoverData:
     branch_images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        imgs = self.branch_images
+        imgs = tuple(self.branch_images)
+        object.__setattr__(self, "branch_images", imgs)
         if not all(v in range(1 << self.n) for v in imgs):
             raise ValueError(f"branch images must be masks below 2^{self.n}: {imgs}")
         if 0 in imgs:

@@ -62,6 +62,11 @@ def test_cover_data_validation():
     for wrong in (0b100, -1, (1, 0)):
         with pytest.raises(ValueError, match="must be masks below 2"):
             BranchedCoverData(2, (0b10, 0b01, 0b11, wrong))
+    # a list of images is stored as the tuple, so the record stays hashable
+    listed = BranchedCoverData(2, [0b10, 0b01, 0b11])
+    assert listed.branch_images == (0b10, 0b01, 0b11)
+    assert listed == BranchedCoverData(2, (0b10, 0b01, 0b11))
+    assert hash(listed) == hash(BranchedCoverData(2, (0b10, 0b01, 0b11)))
 
 
 def test_quotient_genus_frozen_cases():

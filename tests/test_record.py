@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from surface_lab._record import HIDDEN, record
+from surface_lab.integer_algebra import SmithForm
 
 from oracles import replace
 
@@ -55,9 +56,16 @@ def test_record_semantics():
     assert repr(Single((1, -1))) == "Single(signs=(1, -1))"
     # keywords and defaults bind like a signature (x, y=0, note)
     assert Pair(x=1, note=None) == Pair(1, 0, None) == Pair(1, note=None)
-    for args, kwargs in (((1, 2, 3, 4), {}), ((1,), {"z": 2, "note": 0}),
-                         ((1,), {"x": 1, "note": 0}), ((), {"y": 1, "note": 0}), ((1,), {})):
-        with pytest.raises(TypeError):
+    assert Pair(note="c", y=-4, x=2) == Pair(2, 4, "c")
+    assert SmithForm((1, 2)) == SmithForm((1, 2), None, None)
+    for args, kwargs, message in (
+        ((1, 2, 3, 4), {}, r"^Pair\(\) takes 3 arguments but 4 were given$"),
+        ((1,), {"z": 2, "note": 0}, r"^Pair\(\) got unexpected or repeated arguments \['z'\]$"),
+        ((1,), {"x": 1, "note": 0}, r"^Pair\(\) got unexpected or repeated arguments \['x'\]$"),
+        ((), {"y": 1, "note": 0}, r"^Pair\(\) missing argument 'x'$"),
+        ((1,), {}, r"^Pair\(\) missing argument 'note'$"),
+    ):
+        with pytest.raises(TypeError, match=message):
             Pair(*args, **kwargs)
     with pytest.raises(AttributeError):
         p.x = 3
